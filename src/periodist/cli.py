@@ -44,6 +44,7 @@ from .corona import (
     witness_from_bezout,
 )
 from .errors import CertificateError, InputError, MathFailure, PeriodistError, WitnessViolation
+from .expr import _REQUIRED, _integer, _number
 from .lattice import ball
 from .sequences import FastSequence, SlowSequence, _eval_points, combine, constant, pairing
 from .stable_rank import approx_by_invertibles, q_algebra_violation, reduce_pair, weak_star_gap
@@ -121,34 +122,22 @@ class Job:
         self.params = self.raw.get("params", {})
         if not isinstance(self.params, dict):
             raise InputError(f"{spec_path}: 'params' must be an object")
-        self.dimension = int(self.raw.get("dimension", DEFAULT_DIMENSION))
+        self.dimension = _integer(self.raw, "dimension", "", DEFAULT_DIMENSION)
         if self.dimension < 1:
             raise InputError("dimension must be >= 1")
-        radius = args.window if args.window is not None else self.params.get("R", DEFAULT_RADIUS)
-        self.radius = int(radius)
+        self.radius = args.window if args.window is not None else self.param_int("R", DEFAULT_RADIUS)
         if self.radius < 0:
             raise InputError("window radius must be >= 0")
-        eps = args.epsilon if args.epsilon is not None else self.params.get("epsilon")
-        self.epsilon = float(eps) if eps is not None else None
+        self.epsilon = args.epsilon if args.epsilon is not None else self.param_float("epsilon", None)
         self.threads = _thread_cap()
 
     # -- typed accessors ----------------------------------------------
 
-    def param_float(self, name: str, default=None) -> float:
-        value = self.params.get(name, default)
-        if value is None:
-            raise InputError(f"params.{name}: required")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InputError(f"params.{name}: expected a number")
-        return float(value)
+    def param_float(self, name: str, default=_REQUIRED) -> float:
+        return _number(self.params, name, "params", default)
 
-    def param_int(self, name: str, default=None) -> int:
-        value = self.params.get(name, default)
-        if value is None:
-            raise InputError(f"params.{name}: required")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"params.{name}: expected an integer")
-        return int(value)
+    def param_int(self, name: str, default=_REQUIRED) -> int:
+        return _integer(self.params, name, "params", default)
 
     def input_obj(self, name: str):
         if name not in self.inputs:
@@ -156,16 +145,19 @@ class Job:
         return self.inputs[name]
 
     def slow(self, name: str) -> SlowSequence:
-        return SlowSequence.from_json(self.input_obj(name), self.dimension)
+        return SlowSequence.from_json(self.input_obj(name), self.dimension, path=f"inputs.{name}")
 
     def slow_family(self, name: str) -> list[SlowSequence]:
         raw = self.input_obj(name)
         if not isinstance(raw, list) or not raw:
             raise InputError(f"inputs.{name}: expected a non-empty array of sequences")
-        return [SlowSequence.from_json(item, self.dimension) for item in raw]
+        return [
+            SlowSequence.from_json(item, self.dimension, path=f"inputs.{name}[{i}]")
+            for i, item in enumerate(raw)
+        ]
 
     def fast(self, name: str) -> FastSequence:
-        return FastSequence.from_json(self.input_obj(name), self.dimension)
+        return FastSequence.from_json(self.input_obj(name), self.dimension, path=f"inputs.{name}")
 
     def basis(self) -> fourier.PeriodBasis:
         raw = self.input_obj("period_matrix")

@@ -29,7 +29,7 @@ import numpy as np
 from . import expr as ex
 from .errors import DimensionMismatch, InputError, MathFailure
 from .lattice import LatticeIndex, ball
-from .sequences import GrowthCertificate, SlowSequence, _eval_points, combine
+from .sequences import SlowSequence, _eval_points, combine
 
 # Witness provenance labels.
 WINDOW_VERIFIED = "window-verified"
@@ -95,11 +95,8 @@ def check_corona_window(
     canonical scan order) is reported when the floor fails.
     """
     witness = CoronaWitness(delta, K)
-    dimension = _family_dimension(family)
-    points, norms = ball(dimension, radius)
-    total = np.zeros(points.shape[0])
-    for member in family:
-        total += np.abs(_eval_points(member.expr, points, norms, threads))
+    total = combined_modulus(family, radius, threads)
+    points, norms = ball(family[0].dimension, radius)
     bad = total < witness.floor_at(norms)
     if bad.any():
         where = int(np.argmax(bad))
@@ -214,5 +211,4 @@ def is_unit(
     check = check_corona_window([a], witness.delta, witness.K, radius, threads)
     if not check.holds:
         return UnitCheck(False, None, check.first_violation)
-    inverse = combine("mul", combine("phase", a), combine("abs", a).reciprocal(witness.delta, witness.K))
-    return UnitCheck(True, inverse, None)
+    return UnitCheck(True, solve_bezout([a], witness)[0], None)

@@ -24,16 +24,19 @@ Every tree composes a growth certificate (M, k) claiming
 they are exact in real arithmetic and are additionally spot-checked on
 finite windows by the callers that rely on them.
 
-Evaluation comes in two flavours with identical semantics: ``evaluate``
-for a single index and ``evaluate_grid`` for a block of indices held in a
-numpy array.  The grid path is what window scans use.
+Evaluation has one path: ``evaluate_grid`` evaluates a tree on a block of
+indices held in a numpy array, and ``evaluate`` is its one-row case.
+
+Each node class is the one place its kind is defined: it declares its
+wire ``kind``, its fields (which the JSON wire format mirrors), its grid
+evaluation and its certificate rule.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,20 +44,12 @@ from .errors import DimensionMismatch, InputError, WitnessViolation
 from .lattice import LatticeIndex
 
 
-def principal_arg(z: complex) -> float:
+def _angle(values: np.ndarray) -> np.ndarray:
     """Principal argument in (-pi, pi], with the convention Arg(0) = 0.
 
     A negative-zero imaginary part would flip the branch cut for negative
     reals, so real values are normalised to +0.0 imaginary first.
     """
-    if z == 0:
-        return 0.0
-    if z.imag == 0:
-        z = complex(z.real, 0.0)
-    return cmath.phase(z)
-
-
-def _principal_arg_grid(values: np.ndarray) -> np.ndarray:
     cleaned = np.where(values.imag == 0, values.real + 0.0j, values)
     out = np.angle(cleaned)
     return np.where(values == 0, 0.0, out)
@@ -68,12 +63,9 @@ class Node:
     def children(self) -> tuple["Node", ...]:
         return ()
 
-    # Subclasses implement _eval / _eval_grid / _cert_from.
+    # Subclasses declare their wire ``kind`` and implement _eval_grid / _cert_from.
 
     def _cert_from(self, child_certs: list[tuple[float, int]]) -> tuple[float, int]:
-        raise NotImplementedError
-
-    def _eval(self, index: LatticeIndex, radius: int) -> complex:
         raise NotImplementedError
 
     def _eval_grid(self, points: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -82,6 +74,8 @@ class Node:
 
 @dataclass(frozen=True)
 class Const(Node):
+    kind = "const"
+
     re: float
     im: float = 0.0
 
@@ -94,15 +88,14 @@ class Const(Node):
         # The zero constant still needs a positive bound constant.
         return (mag if mag > 0 else 1.0, 0)
 
-    def _eval(self, index, radius):
-        return self.value
-
     def _eval_grid(self, points, norms):
         return np.full(points.shape[0], self.value, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
 class Coord(Node):
+    kind = "coord"
+
     axis: int
 
     def __post_init__(self):
@@ -111,13 +104,6 @@ class Coord(Node):
 
     def _cert_from(self, child_certs):
         return (1.0, 1)
-
-    def _eval(self, index, radius):
-        if self.axis >= len(index):
-            raise DimensionMismatch(
-                f"coordinate axis {self.axis} out of range for dimension {len(index)}"
-            )
-        return complex(index[self.axis])
 
     def _eval_grid(self, points, norms):
         if self.axis >= points.shape[1]:
@@ -129,11 +115,10 @@ class Coord(Node):
 
 @dataclass(frozen=True)
 class Norm1(Node):
+    kind = "norm1"
+
     def _cert_from(self, child_certs):
         return (1.0, 1)
-
-    def _eval(self, index, radius):
-        return complex(radius)
 
     def _eval_grid(self, points, norms):
         return norms.astype(np.complex128)
@@ -141,6 +126,8 @@ class Norm1(Node):
 
 @dataclass(frozen=True)
 class PolyEnv(Node):
+    kind = "polyenv"
+
     k: int
 
     def __post_init__(self):
@@ -150,15 +137,14 @@ class PolyEnv(Node):
     def _cert_from(self, child_certs):
         return (1.0, self.k)
 
-    def _eval(self, index, radius):
-        return complex((1 + radius) ** self.k)
-
     def _eval_grid(self, points, norms):
         return ((1.0 + norms) ** self.k).astype(np.complex128)
 
 
 @dataclass(frozen=True)
 class ExpDecay(Node):
+    kind = "expdecay"
+
     rate: float
 
     def __post_init__(self):
@@ -168,15 +154,14 @@ class ExpDecay(Node):
     def _cert_from(self, child_certs):
         return (1.0, 0)
 
-    def _eval(self, index, radius):
-        return complex(math.exp(-self.rate * radius))
-
     def _eval_grid(self, points, norms):
         return np.exp(-self.rate * norms).astype(np.complex128)
 
 
 @dataclass(frozen=True)
 class Add(Node):
+    kind = "add"
+
     args: tuple[Node, ...]
 
     def __post_init__(self):
@@ -189,9 +174,6 @@ class Add(Node):
     def _cert_from(self, child_certs):
         return (sum(m for m, _ in child_certs), max(k for _, k in child_certs))
 
-    def _eval(self, index, radius):
-        return sum((a._eval(index, radius) for a in self.args), complex(0))
-
     def _eval_grid(self, points, norms):
         out = self.args[0]._eval_grid(points, norms).copy()
         for a in self.args[1:]:
@@ -201,6 +183,8 @@ class Add(Node):
 
 @dataclass(frozen=True)
 class Mul(Node):
+    kind = "mul"
+
     args: tuple[Node, ...]
 
     def __post_init__(self):
@@ -216,12 +200,6 @@ class Mul(Node):
             m *= c
         return (m, sum(k for _, k in child_certs))
 
-    def _eval(self, index, radius):
-        out = complex(1)
-        for a in self.args:
-            out *= a._eval(index, radius)
-        return out
-
     def _eval_grid(self, points, norms):
         out = self.args[0]._eval_grid(points, norms).copy()
         for a in self.args[1:]:
@@ -231,6 +209,8 @@ class Mul(Node):
 
 @dataclass(frozen=True)
 class Neg(Node):
+    kind = "neg"
+
     arg: Node
 
     def children(self):
@@ -238,9 +218,6 @@ class Neg(Node):
 
     def _cert_from(self, child_certs):
         return child_certs[0]
-
-    def _eval(self, index, radius):
-        return -self.arg._eval(index, radius)
 
     def _eval_grid(self, points, norms):
         return -self.arg._eval_grid(points, norms)
@@ -248,6 +225,8 @@ class Neg(Node):
 
 @dataclass(frozen=True)
 class Conj(Node):
+    kind = "conj"
+
     arg: Node
 
     def children(self):
@@ -255,9 +234,6 @@ class Conj(Node):
 
     def _cert_from(self, child_certs):
         return child_certs[0]
-
-    def _eval(self, index, radius):
-        return self.arg._eval(index, radius).conjugate()
 
     def _eval_grid(self, points, norms):
         return np.conj(self.arg._eval_grid(points, norms))
@@ -265,6 +241,8 @@ class Conj(Node):
 
 @dataclass(frozen=True)
 class Abs(Node):
+    kind = "abs"
+
     arg: Node
 
     def children(self):
@@ -273,15 +251,14 @@ class Abs(Node):
     def _cert_from(self, child_certs):
         return child_certs[0]
 
-    def _eval(self, index, radius):
-        return complex(abs(self.arg._eval(index, radius)))
-
     def _eval_grid(self, points, norms):
         return np.abs(self.arg._eval_grid(points, norms)).astype(np.complex128)
 
 
 @dataclass(frozen=True)
 class Arg(Node):
+    kind = "arg"
+
     arg: Node
 
     def children(self):
@@ -290,15 +267,14 @@ class Arg(Node):
     def _cert_from(self, child_certs):
         return (math.pi, 0)
 
-    def _eval(self, index, radius):
-        return complex(principal_arg(self.arg._eval(index, radius)))
-
     def _eval_grid(self, points, norms):
-        return _principal_arg_grid(self.arg._eval_grid(points, norms)).astype(np.complex128)
+        return _angle(self.arg._eval_grid(points, norms)).astype(np.complex128)
 
 
 @dataclass(frozen=True)
 class Phase(Node):
+    kind = "phase"
+
     arg: Node
 
     def children(self):
@@ -307,15 +283,14 @@ class Phase(Node):
     def _cert_from(self, child_certs):
         return (1.0, 0)
 
-    def _eval(self, index, radius):
-        return cmath.exp(-1j * principal_arg(self.arg._eval(index, radius)))
-
     def _eval_grid(self, points, norms):
-        return np.exp(-1j * _principal_arg_grid(self.arg._eval_grid(points, norms)))
+        return np.exp(-1j * _angle(self.arg._eval_grid(points, norms)))
 
 
 @dataclass(frozen=True)
 class Clip(Node):
+    kind = "clip"
+
     arg: Node
     eps: float
 
@@ -330,10 +305,6 @@ class Clip(Node):
         m, k = child_certs[0]
         return (max(m, self.eps), k)
 
-    def _eval(self, index, radius):
-        v = self.arg._eval(index, radius)
-        return v if abs(v) >= self.eps else complex(self.eps)
-
     def _eval_grid(self, points, norms):
         v = self.arg._eval_grid(points, norms)
         return np.where(np.abs(v) >= self.eps, v, complex(self.eps))
@@ -345,12 +316,15 @@ class Recip(Node):
 
     The witness claims |arg(n)| >= delta * (1 + |n|_1)^(-K), which makes
     (1/delta, K) a growth certificate for the reciprocal.  Evaluating at a
-    point where the argument vanishes raises WitnessViolation.
+    point where the argument vanishes raises WitnessViolation.  On the
+    wire, delta and K sit in a nested "witness" object.
     """
 
+    kind = "recip"
+
     arg: Node
-    delta: float
-    K: int
+    delta: float = field(metadata={"wire": "witness"})
+    K: int = field(metadata={"wire": "witness"})
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -364,12 +338,6 @@ class Recip(Node):
     def _cert_from(self, child_certs):
         return (1.0 / self.delta, self.K)
 
-    def _eval(self, index, radius):
-        v = self.arg._eval(index, radius)
-        if v == 0:
-            raise WitnessViolation(tuple(index))
-        return 1.0 / v
-
     def _eval_grid(self, points, norms):
         v = self.arg._eval_grid(points, norms)
         zero = v == 0
@@ -380,10 +348,9 @@ class Recip(Node):
 
 
 def evaluate(node: Node, index: LatticeIndex) -> complex:
-    """Evaluate a tree at one lattice index.  Pure and deterministic."""
-    index = tuple(int(c) for c in index)
-    radius = sum(abs(c) for c in index)
-    return node._eval(index, radius)
+    """Evaluate a tree at one lattice index: a one-row ``evaluate_grid``."""
+    point = np.array([tuple(int(c) for c in index)], dtype=np.int64)
+    return complex(evaluate_grid(node, point)[0])
 
 
 def evaluate_grid(node: Node, points: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
@@ -479,69 +446,95 @@ def lower_bound_cert(node: Node) -> tuple[float, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization.  The wire format mirrors the node kinds one to one;
-# any node may carry an optional "cert": {"M":..., "k":...} claim which the
+# JSON serialization.  A node's wire object is {"kind": cls.kind} plus its
+# dataclass fields in order, children as nested objects; a field whose
+# metadata names a "wire" group sits in that nested object instead.  Any
+# node may carry an optional "cert": {"M":..., "k":...} claim which the
 # sequence layer verifies on a window before trusting.
 # ---------------------------------------------------------------------------
 
 CertClaim = tuple[Node, float, int, str]
 
 
+def _wire_fields(cls) -> tuple[tuple[str, object, str | None], ...]:
+    """(name, type, nested wire object or None) for each field, in order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.metadata.get("wire")) for f in fields(cls))
+
+
+# The kind table: every node class with its wire fields, built once.
+_WIRE = {cls: _wire_fields(cls) for cls in Node.__subclasses__()}
+_KINDS = {cls.kind: cls for cls in _WIRE}
+
+
 def to_json(node: Node) -> dict:
     """Serialize a tree to the JSON wire format (plain dicts, no certs)."""
-    if isinstance(node, Const):
-        return {"kind": "const", "re": node.re, "im": node.im}
-    if isinstance(node, Coord):
-        return {"kind": "coord", "axis": node.axis}
-    if isinstance(node, Norm1):
-        return {"kind": "norm1"}
-    if isinstance(node, PolyEnv):
-        return {"kind": "polyenv", "k": node.k}
-    if isinstance(node, ExpDecay):
-        return {"kind": "expdecay", "rate": node.rate}
-    if isinstance(node, Add):
-        return {"kind": "add", "args": [to_json(a) for a in node.args]}
-    if isinstance(node, Mul):
-        return {"kind": "mul", "args": [to_json(a) for a in node.args]}
-    if isinstance(node, Neg):
-        return {"kind": "neg", "arg": to_json(node.arg)}
-    if isinstance(node, Conj):
-        return {"kind": "conj", "arg": to_json(node.arg)}
-    if isinstance(node, Abs):
-        return {"kind": "abs", "arg": to_json(node.arg)}
-    if isinstance(node, Arg):
-        return {"kind": "arg", "arg": to_json(node.arg)}
-    if isinstance(node, Phase):
-        return {"kind": "phase", "arg": to_json(node.arg)}
-    if isinstance(node, Clip):
-        return {"kind": "clip", "arg": to_json(node.arg), "eps": node.eps}
-    if isinstance(node, Recip):
-        return {
-            "kind": "recip",
-            "arg": to_json(node.arg),
-            "witness": {"delta": node.delta, "K": node.K},
-        }
-    raise InputError(f"cannot serialize node of type {type(node).__name__}")
+    if type(node) not in _WIRE:
+        raise InputError(f"cannot serialize node of type {type(node).__name__}")
+    out = {"kind": node.kind}
+    for name, hint, group in _WIRE[type(node)]:
+        value = getattr(node, name)
+        if hint is Node:
+            value = to_json(value)
+        elif hint == tuple[Node, ...]:
+            value = [to_json(a) for a in value]
+        (out.setdefault(group, {}) if group else out)[name] = value
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Typed readers for JSON objects.  Every error names the JSON path of the
+# offending field; ``path`` is the path of ``obj`` ("" at the top level).
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
 def _expect(obj: dict, key: str, path: str):
     if key not in obj:
-        raise InputError(f"{path}: missing field '{key}'")
+        raise InputError(f"{_at(path, key)}: required")
     return obj[key]
 
 
-def _number(obj: dict, key: str, path: str) -> float:
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{path}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _number(obj: dict, key: str, path: str, default=_REQUIRED) -> float:
+    if key not in obj and default is not _REQUIRED:
+        return default
     v = _expect(obj, key, path)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InputError(f"{path}.{key}: expected a number, got {type(v).__name__}")
+        raise InputError(f"{_at(path, key)}: expected a number, got {type(v).__name__}")
     return float(v)
 
 
-def _integer(obj: dict, key: str, path: str) -> int:
+def _integer(obj: dict, key: str, path: str, default=_REQUIRED) -> int:
+    if key not in obj and default is not _REQUIRED:
+        return default
     v = _expect(obj, key, path)
     if isinstance(v, bool) or not isinstance(v, int):
-        raise InputError(f"{path}.{key}: expected an integer, got {type(v).__name__}")
+        raise InputError(f"{_at(path, key)}: expected an integer, got {type(v).__name__}")
     return v
+
+
+_SCALAR_READERS = {float: _number, int: _integer}
+
+
+def _read_cert(obj: dict, path: str) -> tuple[float, int]:
+    """The claimed growth certificate ``obj["cert"]`` as (M, k)."""
+    where = _at(path, "cert")
+    cert = _object(_expect(obj, "cert", path), where)
+    claimed_m, claimed_k = _number(cert, "M", where), _integer(cert, "k", where)
+    if not claimed_m > 0 or claimed_k < 0:
+        raise InputError(f"{where}: need M > 0 and k >= 0")
+    return claimed_m, claimed_k
 
 
 def parse_node(obj, path: str = "expr") -> tuple[Node, tuple[float, int], list[CertClaim]]:
@@ -552,76 +545,38 @@ def parse_node(obj, path: str = "expr") -> tuple[Node, tuple[float, int], list[C
     substituted in, and ``claims`` lists every overridden subtree so callers
     can window-check the claims before relying on them.
     """
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: expected an object, got {type(obj).__name__}")
+    obj = _object(obj, path)
     kind = _expect(obj, "kind", path)
-    claims: list[CertClaim] = []
-
-    def parse_children(key: str) -> tuple[list[Node], list[tuple[float, int]]]:
-        raw = _expect(obj, key, path)
-        if not isinstance(raw, list) or not raw:
-            raise InputError(f"{path}.{key}: expected a non-empty array")
-        nodes, certs = [], []
-        for i, child in enumerate(raw):
-            node_i, cert_i, claims_i = parse_node(child, f"{path}.{key}[{i}]")
-            nodes.append(node_i)
-            certs.append(cert_i)
-            claims.extend(claims_i)
-        return nodes, certs
-
-    def parse_child(key: str = "arg") -> tuple[Node, tuple[float, int]]:
-        node_c, cert_c, claims_c = parse_node(_expect(obj, key, path), f"{path}.{key}")
-        claims.extend(claims_c)
-        return node_c, cert_c
-
-    child_certs: list[tuple[float, int]] = []
-    if kind == "const":
-        node: Node = Const(_number(obj, "re", path), _number(obj, "im", path))
-    elif kind == "coord":
-        node = Coord(_integer(obj, "axis", path))
-    elif kind == "norm1":
-        node = Norm1()
-    elif kind == "polyenv":
-        node = PolyEnv(_integer(obj, "k", path))
-    elif kind == "expdecay":
-        node = ExpDecay(_number(obj, "rate", path))
-    elif kind == "add":
-        nodes, child_certs = parse_children("args")
-        node = Add(tuple(nodes))
-    elif kind == "mul":
-        nodes, child_certs = parse_children("args")
-        node = Mul(tuple(nodes))
-    elif kind in ("neg", "conj", "abs", "arg", "phase"):
-        child, cert = parse_child()
-        child_certs = [cert]
-        node = {"neg": Neg, "conj": Conj, "abs": Abs, "arg": Arg, "phase": Phase}[kind](child)
-    elif kind == "clip":
-        child, cert = parse_child()
-        child_certs = [cert]
-        node = Clip(child, _number(obj, "eps", path))
-    elif kind == "recip":
-        child, cert = parse_child()
-        child_certs = [cert]
-        witness = _expect(obj, "witness", path)
-        if not isinstance(witness, dict):
-            raise InputError(f"{path}.witness: expected an object")
-        node = Recip(
-            child,
-            _number(witness, "delta", f"{path}.witness"),
-            _integer(witness, "K", f"{path}.witness"),
-        )
-    else:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise InputError(f"{path}: unknown node kind '{kind}'")
+    values: list = []
+    child_certs: list[tuple[float, int]] = []
+    claims: list[CertClaim] = []
+    for name, hint, group in _WIRE[cls]:
+        where = _at(path, group) if group else path
+        source = _object(_expect(obj, group, path), where) if group else obj
+        if hint in _SCALAR_READERS:
+            values.append(_SCALAR_READERS[hint](source, name, where))
+            continue
+        raw = _expect(source, name, where)
+        if hint is Node:
+            items = [(raw, f"{where}.{name}")]
+        elif not isinstance(raw, list) or not raw:
+            raise InputError(f"{where}.{name}: expected a non-empty array")
+        else:
+            items = [(child, f"{where}.{name}[{i}]") for i, child in enumerate(raw)]
+        nodes = []
+        for child, child_path in items:
+            child_node, child_cert, child_claims = parse_node(child, child_path)
+            nodes.append(child_node)
+            child_certs.append(child_cert)
+            claims.extend(child_claims)
+        values.append(nodes[0] if hint is Node else tuple(nodes))
+    node = cls(*values)
 
     effective = node._cert_from(child_certs)
     if "cert" in obj:
-        cert_obj = obj["cert"]
-        if not isinstance(cert_obj, dict):
-            raise InputError(f"{path}.cert: expected an object")
-        claimed_m = _number(cert_obj, "M", f"{path}.cert")
-        claimed_k = _integer(cert_obj, "k", f"{path}.cert")
-        if not claimed_m > 0 or claimed_k < 0:
-            raise InputError(f"{path}.cert: need M > 0 and k >= 0")
-        claims.append((node, claimed_m, claimed_k, path))
-        effective = (claimed_m, claimed_k)
+        effective = _read_cert(obj, path)
+        claims.append((node, *effective, path))
     return node, effective, claims

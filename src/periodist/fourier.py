@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MathFailure
+from .expr import evaluate_grid
 from .lattice import LatticeIndex
 from .sequences import (
     FastSequence,
@@ -245,14 +246,13 @@ def distribution_action(
         raise InputError("coefficient map and test data dimensions differ")
     if radius < 0:
         raise InputError("radius must be >= 0")
+    items = coeffs.items_in_scan_order()
+    inside = [(index, value) for index, value in items if sum(abs(c) for c in index) <= radius]
+    points = np.array([index for index, _ in inside], dtype=np.int64).reshape(-1, test.dimension)
     total = complex(0.0)
-    largest = 0
-    for index, value in coeffs.items_in_scan_order():
-        norm = sum(abs(c) for c in index)
-        largest = max(largest, norm)
-        if norm <= radius:
-            total += value * test.eval(index)
-    if largest <= radius:
+    for (_, value), sample in zip(inside, evaluate_grid(test.expr, points)):
+        total += value * complex(sample)
+    if len(inside) == len(items):
         tail = 0.0
     else:
         d = coeffs.dimension

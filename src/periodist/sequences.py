@@ -178,24 +178,24 @@ class SlowSequence:
         return seq
 
     @staticmethod
-    def from_json(obj, dimension: int, check_radius: int = 8) -> "SlowSequence":
-        """Parse the wire format; claimed certificates are window-checked."""
-        if not isinstance(obj, dict):
-            raise InputError("slow sequence: expected an object")
-        node, (m, k), claims = ex.parse_node(obj if "kind" in obj else obj.get("expr", {}))
-        if isinstance(obj, dict) and "kind" not in obj and "cert" in obj:
-            cert_obj = obj["cert"]
-            claimed = GrowthCertificate(
-                float(cert_obj.get("M", m)), int(cert_obj.get("k", k))
-            )
-            claims = claims + [(node, claimed.M, claimed.k, "expr")]
-            m, k = claimed.M, claimed.k
-        for sub, cm, ck, path in claims:
+    def from_json(obj, dimension: int, check_radius: int = 8, path: str = "") -> "SlowSequence":
+        """Parse the wire format; claimed certificates are window-checked.
+
+        ``obj`` is a bare tree or ``{"expr": tree, "cert": {"M", "k"}}``;
+        error messages name fields by their JSON path below ``path``.
+        """
+        obj = ex._object(obj, path or "sequence")
+        tree, tree_path = _tree_of(obj, path)
+        node, (m, k), claims = ex.parse_node(tree, tree_path)
+        if tree is not obj and "cert" in obj:
+            m, k = ex._read_cert(obj, path)
+            claims = claims + [(node, m, k, ex._at(path, "cert"))]
+        for sub, cm, ck, where in claims:
             sub_seq = SlowSequence(sub, dimension, GrowthCertificate(cm, ck))
             check = sub_seq.check_certificate(check_radius)
             if not check.holds:
                 raise CertificateError(
-                    f"{path}: claimed certificate (M={cm}, k={ck}) fails at "
+                    f"{where}: claimed certificate (M={cm}, k={ck}) fails at "
                     f"lattice index {check.first_violation}"
                 )
         return SlowSequence(node, dimension, GrowthCertificate(m, k))
@@ -256,52 +256,54 @@ class SlowSequence:
         return combine("phase", self)
 
     def argument(self) -> "SlowSequence":
-        return SlowSequence(ex.Arg(self.expr), self.dimension, GrowthCertificate(math.pi, 0))
+        return _compose(ex.Arg(self.expr), self)
 
     def clip_below(self, eps: float) -> "SlowSequence":
-        cert = GrowthCertificate(max(self.cert.M, eps), self.cert.k)
-        return SlowSequence(ex.Clip(self.expr, eps), self.dimension, cert)
+        return _compose(ex.Clip(self.expr, eps), self)
 
     def reciprocal(self, delta: float, K: int) -> "SlowSequence":
         """Reciprocal under the witness |a(n)| >= delta * (1+|n|_1)^(-K)."""
-        cert = GrowthCertificate(1.0 / delta, K)
-        return SlowSequence(ex.Recip(self.expr, delta, K), self.dimension, cert)
+        return _compose(ex.Recip(self.expr, delta, K), self)
 
 
-_COMBINE_OPS = ("add", "mul", "neg", "conj", "abs", "phase")
+def _tree_of(obj: dict, path: str) -> tuple[object, str]:
+    """The expression tree of a sequence object (or the bare tree) and its JSON path."""
+    if "kind" in obj:
+        return obj, path or "expr"
+    return ex._expect(obj, "expr", path), ex._at(path, "expr")
+
+
+def _compose(node: ex.Node, *operands: SlowSequence) -> SlowSequence:
+    """`node` over the operands' trees, certified by its own ``_cert_from`` rule
+    applied to the operands' certificates (claimed ones included)."""
+    m, k = node._cert_from([(s.cert.M, s.cert.k) for s in operands])
+    return SlowSequence(node, operands[0].dimension, GrowthCertificate(m, k))
+
+
+_UNARY_OPS = ("neg", "conj", "abs", "phase")
 
 
 def combine(op: str, *seqs: SlowSequence) -> SlowSequence:
-    """Pointwise combination with syntactic certificate composition.
+    """Pointwise combination; ``op`` is the wire kind of the node to build.
 
-    Rules: add -> (sum of M, max of k); mul -> (product of M, sum of k);
-    neg / conj / abs keep (M, k); phase -> (1, 0).
+    The certificate comes from that node's ``_cert_from`` rule in ``expr``
+    applied to the operands' certificates, so claimed certificates on the
+    operands are respected.
     """
-    if op not in _COMBINE_OPS:
+    if op not in _UNARY_OPS + ("add", "mul"):
         raise InputError(f"unknown combine op '{op}'")
     if not seqs:
         raise InputError("combine needs at least one sequence")
-    dimension = seqs[0].dimension
-    if any(s.dimension != dimension for s in seqs):
+    if any(s.dimension != seqs[0].dimension for s in seqs):
         raise DimensionMismatch("combine arguments must share a dimension")
-    if op in ("neg", "conj", "abs", "phase"):
+    node_cls = ex._KINDS[op]
+    if op in _UNARY_OPS:
         if len(seqs) != 1:
             raise InputError(f"combine '{op}' takes exactly one sequence")
-        (s,) = seqs
-        node_cls = {"neg": ex.Neg, "conj": ex.Conj, "abs": ex.Abs, "phase": ex.Phase}[op]
-        cert = GrowthCertificate(1.0, 0) if op == "phase" else s.cert
-        return SlowSequence(node_cls(s.expr), dimension, cert)
+        return _compose(node_cls(seqs[0].expr), *seqs)
     if len(seqs) < 2:
         raise InputError(f"combine '{op}' needs at least two sequences")
-    exprs = tuple(s.expr for s in seqs)
-    if op == "add":
-        cert = GrowthCertificate(sum(s.cert.M for s in seqs), max(s.cert.k for s in seqs))
-        return SlowSequence(ex.Add(exprs), dimension, cert)
-    m = 1.0
-    for s in seqs:
-        m *= s.cert.M
-    cert = GrowthCertificate(m, sum(s.cert.k for s in seqs))
-    return SlowSequence(ex.Mul(exprs), dimension, cert)
+    return _compose(node_cls(tuple(s.expr for s in seqs)), *seqs)
 
 
 # -- convenience constructors ----------------------------------------------
@@ -439,15 +441,20 @@ class FastSequence:
         return out
 
     @staticmethod
-    def from_json(obj, dimension: int) -> "FastSequence":
-        if not isinstance(obj, dict):
-            raise InputError("fast sequence: expected an object")
-        node, _, _ = ex.parse_node(obj.get("expr", obj))
+    def from_json(obj, dimension: int, path: str = "") -> "FastSequence":
+        """Parse ``{"expr": tree, "decay": {"C", "j", "rate"}, "support": R}``
+        (or a bare tree); errors name fields by their JSON path below ``path``."""
+        obj = ex._object(obj, path or "sequence")
+        tree, tree_path = _tree_of(obj, path)
+        node, _, _ = ex.parse_node(tree, tree_path)
         decay = None
         if "decay" in obj:
-            d = obj["decay"]
-            decay = DecayBound(float(d["C"]), int(d["j"]), float(d["rate"]))
-        support = int(obj["support"]) if "support" in obj else None
+            where = ex._at(path, "decay")
+            d = ex._object(obj["decay"], where)
+            decay = DecayBound(
+                ex._number(d, "C", where), ex._integer(d, "j", where), ex._number(d, "rate", where)
+            )
+        support = ex._integer(obj, "support", path, default=None)
         return FastSequence(node, dimension, decay=decay, support=support)
 
 

@@ -314,6 +314,36 @@ def test_missing_required_input_names_the_field(tmp_path, capsys):
     assert "inputs.a" in err
 
 
+MALFORMED_FIELDS = [
+    ("corona-check", "params.R",
+     {"inputs": {"a": [{"expr": ONE}]}, "params": {"delta": 1.0, "K": 0, "R": "ten"}}),
+    ("pair", "dimension",
+     {"dimension": "two", "inputs": {"a": {"expr": ONE}, "b": DECAY_HALF}}),
+    ("check-growth", "inputs.a.cert.M",
+     {"inputs": {"a": {"expr": COORD, "cert": {"M": "big", "k": 1}}}}),
+    ("pair", "inputs.b.decay.rate",
+     {"inputs": {"a": {"expr": ONE}, "b": {"expr": ONE, "decay": {"C": 1.0, "j": 0}}}}),
+    ("pair", "inputs.b.support",
+     {"inputs": {"a": {"expr": ONE}, "b": {"expr": ONE, "support": "3"}}}),
+    ("corona-check", "inputs.a[1].expr",
+     {"inputs": {"a": [{"expr": ONE}, {"expr": {"kind": "add"}}]},
+      "params": {"delta": 1.0, "K": 0}}),
+    ("check-growth", "inputs.a.expr",
+     {"inputs": {"a": {"expr": {"kind": "cosine"}}}}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, where, job", MALFORMED_FIELDS, ids=[case[1] for case in MALFORMED_FIELDS]
+)
+def test_malformed_field_names_its_json_path(tmp_path, capsys, command, where, job):
+    spec = write_job(tmp_path, "job.json", job)
+    code, out, err = run(capsys, [command, "--spec", spec])
+    assert code == 1
+    assert out == ""
+    assert where in err
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["definitely-not-a-command", "--spec", "x.json"])

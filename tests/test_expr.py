@@ -1,6 +1,7 @@
 """Expression-tree nodes: evaluation, conventions, certificates, wire format."""
 
 import cmath
+import math
 import random
 
 import numpy as np
@@ -77,17 +78,63 @@ def test_recip_and_zero_guard():
     assert info.value.index == (0,)
 
 
+def reference_eval(node, index):
+    """Pure-Python pointwise semantics of the node kinds, for cross-checks."""
+    radius = sum(abs(c) for c in index)
+
+    def arg(z):
+        return 0.0 if z == 0 else cmath.phase(complex(z.real, z.imag + 0.0))
+
+    def go(n):
+        if isinstance(n, ex.Const):
+            return n.value
+        if isinstance(n, ex.Coord):
+            return complex(index[n.axis])
+        if isinstance(n, ex.Norm1):
+            return complex(radius)
+        if isinstance(n, ex.PolyEnv):
+            return complex((1 + radius) ** n.k)
+        if isinstance(n, ex.ExpDecay):
+            return complex(math.exp(-n.rate * radius))
+        if isinstance(n, ex.Add):
+            return sum((go(a) for a in n.args), complex(0))
+        if isinstance(n, ex.Mul):
+            out = complex(1)
+            for a in n.args:
+                out *= go(a)
+            return out
+        v = go(n.arg)
+        if isinstance(n, ex.Neg):
+            return -v
+        if isinstance(n, ex.Conj):
+            return v.conjugate()
+        if isinstance(n, ex.Abs):
+            return complex(abs(v))
+        if isinstance(n, ex.Arg):
+            return complex(arg(v))
+        if isinstance(n, ex.Phase):
+            return cmath.exp(-1j * arg(v))
+        if isinstance(n, ex.Clip):
+            return v if abs(v) >= n.eps else complex(n.eps)
+        return 1.0 / v  # Recip
+
+    return go(node)
+
+
 def test_grid_matches_scalar_on_random_trees():
-    # vectorised and pointwise evaluation may differ by an ulp in the
-    # trig kernels (numpy vs cmath), nothing more
+    # the grid path and the pure-Python reference may differ by an ulp in
+    # the trig kernels (numpy vs cmath), nothing more; evaluate is the
+    # grid path on one row, so it matches the grid bit for bit
     rng = random.Random(401)
     points, norms = ball(2, 6)
-    for _ in range(30):
-        node = random_tree(rng, dimension=2, depth=3)
+    nodes = [random_tree(rng, dimension=2, depth=3) for _ in range(30)] + ALL_KINDS
+    for node in nodes:
         grid = ex.evaluate_grid(node, points, norms)
         for row, value in zip(points, grid):
-            scalar = ev(node, tuple(int(c) for c in row))
+            index = tuple(int(c) for c in row)
+            scalar = reference_eval(node, index)
             assert abs(complex(value) - scalar) <= 1e-14 * max(1.0, abs(scalar))
+            assert ev(node, index) == complex(value)
 
 
 def random_tree(rng, dimension, depth):
@@ -184,6 +231,13 @@ ALL_KINDS = [
     ex.Clip(ex.Coord(0), 0.5),
     ex.Recip(ex.PolyEnv(1), 1.0, 1),
 ]
+
+
+def test_kind_table_covers_every_node_class():
+    classes = set(ex.Node.__subclasses__())
+    assert {type(n) for n in ALL_KINDS} == classes
+    assert set(ex._KINDS.values()) == classes
+    assert len(ex._KINDS) == len(classes) == 14  # one distinct wire kind each
 
 
 @pytest.mark.parametrize("node", ALL_KINDS, ids=lambda n: type(n).__name__)
