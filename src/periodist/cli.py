@@ -170,7 +170,11 @@ class Job:
         if isinstance(raw, dict):
             if "file" not in raw or "shape" not in raw:
                 raise InputError("inputs.samples: binary form needs 'file' and 'shape'")
-            shape = tuple(int(s) for s in raw["shape"])
+            entries = raw["shape"]
+            if not isinstance(entries, list):
+                raise InputError(f"inputs.samples.shape: expected an array, got {type(entries).__name__}")
+            entries = dict(enumerate(entries))
+            shape = tuple(_integer(entries, i, "inputs.samples.shape") for i in entries)
             path = Path(raw["file"])
             if not path.is_absolute():
                 path = self.path.parent / path

@@ -26,6 +26,23 @@ finite windows by the callers that rely on them.
 
 Evaluation has one path: ``evaluate_grid`` evaluates a tree on a block of
 indices held in a numpy array, and ``evaluate`` is its one-row case.
+Trees built by combining sequences share subtrees, so a tree is walked
+as the DAG it is: one iterative post-order lists each distinct node once
+(told apart by identity within the call), and each node's ``_eval_grid``
+receives its children's arrays.  A child's array is dropped after its
+last reader.  ``Add`` and ``Mul`` fold in each argument as soon as it
+and the arguments before it are computed, as a tree walk does, so no
+more arrays are alive at once than in a tree walk; they accumulate into
+their first argument's array when they are its last reader and it is not
+repeated among their arguments, and into a copy otherwise.  Each node
+does the same arithmetic in the same order as a tree walk, so values are
+bit-identical, and a failing ``Recip`` or ``Coord`` raises at the same
+node.  The certificate and structural walks (``composed_cert``,
+``max_axis``, ``is_nonneg_real``, ``lower_bound_cert``) fold over the
+same post-order, so no walk recurses or revisits a shared subtree.
+Nodes are not interned: the sharing that reductions create is already
+shared objects, and merging structurally equal ones would save only a
+few nodes more.
 
 Each node class is the one place its kind is defined: it declares its
 wire ``kind``, its fields (which the JSON wire format mirrors), its grid
@@ -60,6 +77,11 @@ class Node:
 
     __slots__ = ()
 
+    # True for sums and products: evaluate_grid folds their arguments in
+    # one at a time, as _eval_grid([accumulated, next]), and starts from
+    # the first argument's own array when nothing else reads it.
+    writes_first = False
+
     def children(self) -> tuple["Node", ...]:
         return ()
 
@@ -68,7 +90,8 @@ class Node:
     def _cert_from(self, child_certs: list[tuple[float, int]]) -> tuple[float, int]:
         raise NotImplementedError
 
-    def _eval_grid(self, points: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    def _eval_grid(self, points: np.ndarray, norms: np.ndarray, values: list[np.ndarray]) -> np.ndarray:
+        """The node's values on ``points``, given its children's (in order)."""
         raise NotImplementedError
 
 
@@ -88,7 +111,7 @@ class Const(Node):
         # The zero constant still needs a positive bound constant.
         return (mag if mag > 0 else 1.0, 0)
 
-    def _eval_grid(self, points, norms):
+    def _eval_grid(self, points, norms, values):
         return np.full(points.shape[0], self.value, dtype=np.complex128)
 
 
@@ -105,7 +128,7 @@ class Coord(Node):
     def _cert_from(self, child_certs):
         return (1.0, 1)
 
-    def _eval_grid(self, points, norms):
+    def _eval_grid(self, points, norms, values):
         if self.axis >= points.shape[1]:
             raise DimensionMismatch(
                 f"coordinate axis {self.axis} out of range for dimension {points.shape[1]}"
@@ -120,7 +143,7 @@ class Norm1(Node):
     def _cert_from(self, child_certs):
         return (1.0, 1)
 
-    def _eval_grid(self, points, norms):
+    def _eval_grid(self, points, norms, values):
         return norms.astype(np.complex128)
 
 
@@ -137,7 +160,7 @@ class PolyEnv(Node):
     def _cert_from(self, child_certs):
         return (1.0, self.k)
 
-    def _eval_grid(self, points, norms):
+    def _eval_grid(self, points, norms, values):
         return ((1.0 + norms) ** self.k).astype(np.complex128)
 
 
@@ -154,13 +177,14 @@ class ExpDecay(Node):
     def _cert_from(self, child_certs):
         return (1.0, 0)
 
-    def _eval_grid(self, points, norms):
+    def _eval_grid(self, points, norms, values):
         return np.exp(-self.rate * norms).astype(np.complex128)
 
 
 @dataclass(frozen=True)
 class Add(Node):
     kind = "add"
+    writes_first = True
 
     args: tuple[Node, ...]
 
@@ -174,16 +198,17 @@ class Add(Node):
     def _cert_from(self, child_certs):
         return (sum(m for m, _ in child_certs), max(k for _, k in child_certs))
 
-    def _eval_grid(self, points, norms):
-        out = self.args[0]._eval_grid(points, norms).copy()
-        for a in self.args[1:]:
-            out += a._eval_grid(points, norms)
+    def _eval_grid(self, points, norms, values):
+        out = values[0]
+        for v in values[1:]:
+            out += v
         return out
 
 
 @dataclass(frozen=True)
 class Mul(Node):
     kind = "mul"
+    writes_first = True
 
     args: tuple[Node, ...]
 
@@ -200,10 +225,10 @@ class Mul(Node):
             m *= c
         return (m, sum(k for _, k in child_certs))
 
-    def _eval_grid(self, points, norms):
-        out = self.args[0]._eval_grid(points, norms).copy()
-        for a in self.args[1:]:
-            out *= a._eval_grid(points, norms)
+    def _eval_grid(self, points, norms, values):
+        out = values[0]
+        for v in values[1:]:
+            out *= v
         return out
 
 
@@ -219,8 +244,8 @@ class Neg(Node):
     def _cert_from(self, child_certs):
         return child_certs[0]
 
-    def _eval_grid(self, points, norms):
-        return -self.arg._eval_grid(points, norms)
+    def _eval_grid(self, points, norms, values):
+        return -values[0]
 
 
 @dataclass(frozen=True)
@@ -235,8 +260,8 @@ class Conj(Node):
     def _cert_from(self, child_certs):
         return child_certs[0]
 
-    def _eval_grid(self, points, norms):
-        return np.conj(self.arg._eval_grid(points, norms))
+    def _eval_grid(self, points, norms, values):
+        return np.conj(values[0])
 
 
 @dataclass(frozen=True)
@@ -251,8 +276,8 @@ class Abs(Node):
     def _cert_from(self, child_certs):
         return child_certs[0]
 
-    def _eval_grid(self, points, norms):
-        return np.abs(self.arg._eval_grid(points, norms)).astype(np.complex128)
+    def _eval_grid(self, points, norms, values):
+        return np.abs(values[0]).astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -267,8 +292,8 @@ class Arg(Node):
     def _cert_from(self, child_certs):
         return (math.pi, 0)
 
-    def _eval_grid(self, points, norms):
-        return _angle(self.arg._eval_grid(points, norms)).astype(np.complex128)
+    def _eval_grid(self, points, norms, values):
+        return _angle(values[0]).astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -283,8 +308,8 @@ class Phase(Node):
     def _cert_from(self, child_certs):
         return (1.0, 0)
 
-    def _eval_grid(self, points, norms):
-        return np.exp(-1j * _angle(self.arg._eval_grid(points, norms)))
+    def _eval_grid(self, points, norms, values):
+        return np.exp(-1j * _angle(values[0]))
 
 
 @dataclass(frozen=True)
@@ -305,8 +330,8 @@ class Clip(Node):
         m, k = child_certs[0]
         return (max(m, self.eps), k)
 
-    def _eval_grid(self, points, norms):
-        v = self.arg._eval_grid(points, norms)
+    def _eval_grid(self, points, norms, values):
+        v = values[0]
         return np.where(np.abs(v) >= self.eps, v, complex(self.eps))
 
 
@@ -338,8 +363,8 @@ class Recip(Node):
     def _cert_from(self, child_certs):
         return (1.0 / self.delta, self.K)
 
-    def _eval_grid(self, points, norms):
-        v = self.arg._eval_grid(points, norms)
+    def _eval_grid(self, points, norms, values):
+        v = values[0]
         zero = v == 0
         if zero.any():
             where = int(np.argmax(zero))
@@ -357,21 +382,89 @@ def evaluate_grid(node: Node, points: np.ndarray, norms: np.ndarray | None = Non
     """Evaluate a tree on a block of lattice points (shape count x dimension)."""
     if norms is None:
         norms = np.abs(points).sum(axis=1)
-    return node._eval_grid(points, norms)
+    order, readers = _postorder(node)
+    # A sum or product folds in its argument i at the position in the
+    # order where arguments 0..i are all computed.
+    position = {id(n): p for p, (n, _) in enumerate(order)}
+    folds: dict[int, list[tuple[Node, int, Node]]] = {}  # by position: (node, i, argument i)
+    for n, kids in order:
+        if n.writes_first:
+            ready = 0
+            for i, c in enumerate(kids):
+                ready = max(ready, position[id(c)])
+                folds.setdefault(ready, []).append((n, i, c))
+    arrays: dict[int, np.ndarray] = {}
+    partial: dict[int, np.ndarray] = {}  # sums and products folded so far
+
+    def take(c: Node) -> np.ndarray:
+        """``c``'s array for one of its readers; the last reader drops it."""
+        left = readers[id(c)] = readers[id(c)] - 1
+        return arrays[id(c)] if left else arrays.pop(id(c))
+
+    for p, (n, kids) in enumerate(order):
+        if n.writes_first:
+            arrays[id(n)] = partial.pop(id(n))
+        else:
+            arrays[id(n)] = n._eval_grid(points, norms, [take(c) for c in kids])
+        for parent, i, c in folds.get(p, ()):
+            value = take(c)
+            if i:
+                partial[id(parent)] = parent._eval_grid(points, norms, [partial[id(parent)], value])
+            else:
+                partial[id(parent)] = value.copy() if id(c) in arrays else value
+    return arrays[id(node)]
+
+
+def _postorder(root: Node) -> tuple[list[tuple[Node, tuple[Node, ...]]], dict[int, int]]:
+    """Every distinct node under ``root`` once with its children, after them.
+
+    Nodes are told apart by identity, so a subtree shared by several
+    parents is listed once however often the tree repeats it.  Also
+    returns, by node id, how many argument slots of listed nodes hold
+    that node (0 for the root).
+    """
+    order: list[tuple[Node, tuple[Node, ...]]] = []
+    readers = {id(root): 0}
+    kids = root.children()
+    stack = [(root, kids, iter(kids))]
+    while stack:
+        n, kids, pending = stack[-1]
+        for c in pending:
+            if id(c) in readers:
+                readers[id(c)] += 1
+                continue
+            readers[id(c)] = 1
+            grandkids = c.children()
+            if grandkids:
+                stack.append((c, grandkids, iter(grandkids)))
+                break
+            order.append((c, grandkids))
+        else:
+            stack.pop()
+            order.append((n, kids))
+    return order, readers
+
+
+def _fold(order: list[tuple[Node, tuple[Node, ...]]], rule) -> dict[int, typing.Any]:
+    """``rule(node, child_results)`` for each node of a post-order, by node id."""
+    memo: dict[int, typing.Any] = {}
+    for n, kids in order:
+        memo[id(n)] = rule(n, [memo[id(c)] for c in kids])
+    return memo
+
+
+def _cert_rule(node: Node, child_certs: list[tuple[float, int]]) -> tuple[float, int]:
+    return node._cert_from(child_certs)
 
 
 def composed_cert(node: Node) -> tuple[float, int]:
     """Growth certificate (M, k) composed syntactically from the leaves."""
-    child_certs = [composed_cert(c) for c in node.children()]
-    return node._cert_from(child_certs)
+    return _fold(_postorder(node)[0], _cert_rule)[id(node)]
 
 
 def max_axis(node: Node) -> int:
     """Largest coordinate axis referenced anywhere in the tree, or -1."""
-    best = node.axis if isinstance(node, Coord) else -1
-    for c in node.children():
-        best = max(best, max_axis(c))
-    return best
+    return max((n.axis for n, _ in _postorder(node)[0] if isinstance(n, Coord)), default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +472,22 @@ def max_axis(node: Node) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _nonneg_rule(node: Node, child_facts: list[bool]) -> bool:
+    if isinstance(node, Const):
+        return node.im == 0 and node.re >= 0
+    if isinstance(node, (Norm1, PolyEnv, ExpDecay, Abs)):
+        return True
+    if isinstance(node, (Add, Mul, Conj, Clip, Recip)):
+        return all(child_facts)
+    return False
+
+
 def is_nonneg_real(node: Node) -> bool:
     """True when the tree provably takes values in [0, inf) at every index.
 
     Conservative: False only means "not established syntactically".
     """
-    if isinstance(node, Const):
-        return node.im == 0 and node.re >= 0
-    if isinstance(node, (Norm1, PolyEnv, ExpDecay, Abs)):
-        return True
-    if isinstance(node, (Add, Mul)):
-        return all(is_nonneg_real(a) for a in node.args)
-    if isinstance(node, Conj):
-        return is_nonneg_real(node.arg)
-    if isinstance(node, Clip):
-        return is_nonneg_real(node.arg)
-    if isinstance(node, Recip):
-        return is_nonneg_real(node.arg)
-    return False
+    return _fold(_postorder(node)[0], _nonneg_rule)[id(node)]
 
 
 def lower_bound_cert(node: Node) -> tuple[float, int] | None:
@@ -408,41 +499,44 @@ def lower_bound_cert(node: Node) -> tuple[float, int] | None:
     negation / conjugate wrappers, products of recognised forms, and sums
     of nonnegative terms at least one of which is recognised.
     """
-    if isinstance(node, Const):
-        mag = abs(node.value)
-        return (mag, 0) if mag > 0 else None
-    if isinstance(node, PolyEnv):
-        return (1.0, 0)
-    if isinstance(node, Phase):
-        return (1.0, 0)
-    if isinstance(node, Clip):
-        return (node.eps, 0)
-    if isinstance(node, Recip):
-        m, k = composed_cert(node.arg)
-        return (1.0 / m, k)
-    if isinstance(node, (Abs, Neg, Conj)):
-        return lower_bound_cert(node.arg)
-    if isinstance(node, Mul):
-        delta, order = 1.0, 0
-        for a in node.args:
-            lb = lower_bound_cert(a)
-            if lb is None:
+    order, _ = _postorder(node)
+    certs = _fold(order, _cert_rule)
+    nonneg = _fold(order, _nonneg_rule)
+
+    def rule(n: Node, bounds: list) -> tuple[float, int] | None:
+        if isinstance(n, Const):
+            mag = abs(n.value)
+            return (mag, 0) if mag > 0 else None
+        if isinstance(n, (PolyEnv, Phase)):
+            return (1.0, 0)
+        if isinstance(n, Clip):
+            return (n.eps, 0)
+        if isinstance(n, Recip):
+            m, k = certs[id(n.arg)]
+            return (1.0 / m, k)
+        if isinstance(n, (Abs, Neg, Conj)):
+            return bounds[0]
+        if isinstance(n, Mul):
+            if None in bounds:
                 return None
-            delta *= lb[0]
-            order += lb[1]
-        return (delta, order)
-    if isinstance(node, Add):
-        if not all(is_nonneg_real(a) for a in node.args):
-            return None
-        best: tuple[float, int] | None = None
-        for a in node.args:
-            lb = lower_bound_cert(a)
-            if lb is None:
-                continue
-            if best is None or (lb[1], -lb[0]) < (best[1], -best[0]):
-                best = lb
-        return best
-    return None
+            delta, K = 1.0, 0
+            for lb in bounds:
+                delta *= lb[0]
+                K += lb[1]
+            return (delta, K)
+        if isinstance(n, Add):
+            if not all(nonneg[id(a)] for a in n.args):
+                return None
+            best: tuple[float, int] | None = None
+            for lb in bounds:
+                if lb is None:
+                    continue
+                if best is None or (lb[1], -lb[0]) < (best[1], -best[0]):
+                    best = lb
+            return best
+        return None
+
+    return _fold(order, rule)[id(node)]
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +585,8 @@ _REQUIRED = object()
 
 
 def _at(path: str, key) -> str:
+    if isinstance(key, int):
+        return f"{path}[{key}]"
     return f"{path}.{key}" if path else str(key)
 
 

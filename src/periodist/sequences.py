@@ -147,10 +147,10 @@ class SlowSequence:
     def __post_init__(self):
         if self.dimension < 1:
             raise InputError("dimension must be >= 1")
-        if ex.max_axis(self.expr) >= self.dimension:
+        axis = ex.max_axis(self.expr)
+        if axis >= self.dimension:
             raise DimensionMismatch(
-                f"expression references axis {ex.max_axis(self.expr)} "
-                f"but dimension is {self.dimension}"
+                f"expression references axis {axis} but dimension is {self.dimension}"
             )
 
     # -- construction -------------------------------------------------
@@ -375,10 +375,10 @@ class FastSequence:
             raise InputError("a fast sequence needs a decay envelope or a declared support")
         if self.support is not None and self.support < 0:
             raise InputError("support radius must be >= 0")
-        if ex.max_axis(self.expr) >= self.dimension:
+        axis = ex.max_axis(self.expr)
+        if axis >= self.dimension:
             raise DimensionMismatch(
-                f"expression references axis {ex.max_axis(self.expr)} "
-                f"but dimension is {self.dimension}"
+                f"expression references axis {axis} but dimension is {self.dimension}"
             )
 
     def eval(self, index: LatticeIndex) -> complex:

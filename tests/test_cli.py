@@ -330,6 +330,9 @@ MALFORMED_FIELDS = [
       "params": {"delta": 1.0, "K": 0}}),
     ("check-growth", "inputs.a.expr",
      {"inputs": {"a": {"expr": {"kind": "cosine"}}}}),
+    ("fourier-coeffs", "inputs.samples.shape[1]",
+     {"dimension": 2, "inputs": {"period_matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                 "samples": {"file": "s.bin", "shape": [2, "x"]}}}),
 ]
 
 

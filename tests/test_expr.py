@@ -1,6 +1,7 @@
 """Expression-tree nodes: evaluation, conventions, certificates, wire format."""
 
 import cmath
+import collections
 import math
 import random
 
@@ -135,6 +136,73 @@ def test_grid_matches_scalar_on_random_trees():
             scalar = reference_eval(node, index)
             assert abs(complex(value) - scalar) <= 1e-14 * max(1.0, abs(scalar))
             assert ev(node, index) == complex(value)
+
+
+def random_dag(rng, dimension, steps):
+    """A tree that reuses its subtrees: each step combines earlier nodes.
+
+    Repeated arguments and children shared between parents are where an
+    evaluator that accumulates into a child's array could alias.
+    """
+    pool = [random_tree(rng, dimension, depth=0) for _ in range(3)]
+    for _ in range(steps):
+        x, y = rng.choice(pool), rng.choice(pool)
+        shapes = (
+            lambda: ex.Add((x, x)),
+            lambda: ex.Mul((y, y)),
+            lambda: ex.Add((x, y, x)),
+            lambda: ex.Mul((x, y)),
+            lambda: ex.Add((y, x)),
+            lambda: ex.Neg(x),
+            lambda: ex.Abs(y),
+            lambda: ex.Clip(x, 0.5),
+        )
+        pool.append(rng.choice(shapes)())
+    # a shared child read first by an Add that may accumulate in place and
+    # later by a second parent
+    shared, other = pool[-1], rng.choice(pool)
+    return ex.Add((ex.Add((shared, other)), ex.Mul((shared, other)), shared))
+
+
+def test_grid_matches_reference_on_random_dags():
+    rng = random.Random(403)
+    points, norms = ball(2, 3)
+    for _ in range(25):
+        node = random_dag(rng, dimension=2, steps=6)
+        grid = ex.evaluate_grid(node, points, norms)
+        for row, value in zip(points, grid):
+            scalar = reference_eval(node, tuple(int(c) for c in row))
+            assert abs(complex(value) - scalar) <= 1e-14 * max(1.0, abs(scalar))
+
+
+def test_doubling_dag_evaluates_each_distinct_node_once(monkeypatch):
+    node = ex.Coord(0)
+    for _ in range(30):
+        node = ex.Add((node, node))  # 2**31 - 1 tree nodes, 31 distinct
+    runs = collections.Counter()
+    for cls in ex.Node.__subclasses__():
+        def counted(self, points, norms, values, original=cls._eval_grid):
+            runs[type(self).__name__] += 1
+            return original(self, points, norms, values)
+        monkeypatch.setattr(cls, "_eval_grid", counted)
+    points, norms = ball(1, 5)
+    grid = ex.evaluate_grid(node, points, norms)
+    assert runs == {"Add": 30, "Coord": 1}
+    assert (grid == 2**30 * points[:, 0]).all()
+    assert ex.composed_cert(node) == (2.0**30, 1)
+
+
+def test_deep_chain_walks_without_recursion():
+    base = ex.Add((ex.PolyEnv(1), ex.Abs(ex.Coord(0))))
+    node = base
+    for _ in range(5000):
+        node = ex.Neg(node)
+    points, norms = ball(1, 3)
+    assert (ex.evaluate_grid(node, points, norms) == ex.evaluate_grid(base, points, norms)).all()
+    assert ex.max_axis(node) == 0
+    assert ex.composed_cert(node) == (2.0, 1)
+    assert not ex.is_nonneg_real(node)
+    assert ex.lower_bound_cert(node) == (1.0, 0)
 
 
 def random_tree(rng, dimension, depth):
