@@ -44,7 +44,7 @@ from .corona import (
     witness_from_bezout,
 )
 from .errors import CertificateError, InputError, MathFailure, PeriodistError, WitnessViolation
-from .expr import _REQUIRED, _integer, _number
+from .expr import _REQUIRED, _expect, _integer, _number
 from .lattice import ball
 from .sequences import FastSequence, SlowSequence, _eval_points, combine, constant, pairing
 from .stable_rank import approx_by_invertibles, q_algebra_violation, reduce_pair, weak_star_gap
@@ -175,7 +175,10 @@ class Job:
                 raise InputError(f"inputs.samples.shape: expected an array, got {type(entries).__name__}")
             entries = dict(enumerate(entries))
             shape = tuple(_integer(entries, i, "inputs.samples.shape") for i in entries)
-            path = Path(raw["file"])
+            name = _expect(raw, "file", "inputs.samples")
+            if not isinstance(name, str):
+                raise InputError(f"inputs.samples.file: expected a string, got {type(name).__name__}")
+            path = Path(name)
             if not path.is_absolute():
                 path = self.path.parent / path
             try:

@@ -166,11 +166,9 @@ def verify_bezout(
         raise InputError("family and cofactors must have matching lengths")
     dimension = _family_dimension(list(family) + list(cofactors))
     points, norms = ball(dimension, radius)
-    total = np.zeros(points.shape[0], dtype=np.complex128)
-    for member, cofactor in zip(family, cofactors):
-        total += _eval_points(member.expr, points, norms, threads) * _eval_points(
-            cofactor.expr, points, norms, threads
-        )
+    # One tree, so the denominator the cofactors share is evaluated once.
+    terms = tuple(ex.Mul((a.expr, b.expr)) for a, b in zip(family, cofactors))
+    total = _eval_points(ex.Add(terms), points, norms, threads)
     return float(np.abs(total - 1.0).max())
 
 

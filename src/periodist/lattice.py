@@ -5,6 +5,15 @@ order: shells of constant 1-norm, radius increasing, and lexicographic
 order on the coordinate tuple inside each shell.  "First violation"
 results and truncated sums are therefore reproducible bit for bit.
 
+Balls are built directly in that order, one dimension at a time.  In the
+canonical order every shell of a ball is one contiguous block of rows,
+and a point ``(x0, y)`` of the d-dimensional shell r is a point y of the
+(d-1)-dimensional shell ``r - |x0|`` with x0 put in front.  Listing the
+pairs ``(r, x0)`` with r ascending and x0 ascending, and for each pair
+copying that block of the previous ball, therefore yields the next ball
+already sorted: no bounding cube is materialised and nothing is sorted.
+Memory stays within a small multiple of the output.
+
 The shell cardinality bound ``count(d, r) <= 2^d * (1+r)^(d-1)`` used by
 series tail estimates is exported here so it can be validated against
 exhaustive enumeration (see the test suite).
@@ -44,32 +53,57 @@ def ball(dimension: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     and ``norms[i]`` is the 1-norm of row i.  Rows are sorted by
     ``(norm, coordinates lexicographically)``.  Arrays are read-only and
     cached per ``(dimension, radius)``.
+
+    The ball is built shell by shell from the 1-D ball ``0, -1, 1, -2, 2,
+    ...``: each further dimension gathers, for every pair ``(r, x0)`` in
+    ascending order, shell ``r - |x0|`` of the previous ball (one contiguous
+    slice) behind a leading column x0.  The gather index and the leading
+    column are built with ``np.repeat`` over the pairs, so the only Python
+    loop is over dimensions.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * dimension
-    grid = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grid], axis=1)
-    norms = np.abs(points).sum(axis=1)
-    keep = norms <= radius
-    points = points[keep]
-    norms = norms[keep]
-    # lexsort's last key is the primary one: sort by norm, then coordinates.
-    keys = [points[:, axis] for axis in reversed(range(dimension))] + [norms]
-    order = np.lexsort(keys)
-    points = points[order]
-    norms = norms[order]
+    steps = np.arange(1, radius + 1, dtype=np.int64)
+    points = np.zeros((2 * radius + 1, 1), dtype=np.int64)
+    points[1::2, 0] = -steps
+    points[2::2, 0] = steps
+    counts = np.full(radius + 1, 2, dtype=np.int64)
+    counts[0] = 1
+    shells = np.arange(radius + 1, dtype=np.int64)
+    if dimension > 1:
+        # Pair p = r^2 + r + x0 stands for (r, x0), -r <= x0 <= r.  The
+        # pairs take O(R^2) memory, so a 1-D ball (O(R)) never builds them.
+        pair_r = np.repeat(shells, 2 * shells + 1)
+        pair_x0 = np.arange(pair_r.size, dtype=np.int64) - pair_r * pair_r - pair_r
+        source = pair_r - np.abs(pair_x0)
+    for axis in range(1, dimension):
+        lengths = counts[source]
+        starts = np.cumsum(counts) - counts
+        total = int(lengths.sum())
+        # Row j of block p reads row starts[source[p]] + j of the previous ball.
+        offsets = np.cumsum(lengths) - lengths
+        gather = np.repeat(starts[source] - offsets, lengths)
+        gather += np.arange(total, dtype=np.int64)
+        grown = np.empty((total, axis + 1), dtype=np.int64)
+        grown[:, 1:] = points[gather]
+        grown[:, 0] = np.repeat(pair_x0, lengths)
+        points = grown
+        counts = np.add.reduceat(lengths, shells * shells)
+    norms = np.repeat(shells, counts)
     points.setflags(write=False)
     norms.setflags(write=False)
     return points, norms
 
 
 def shell(dimension: int, radius: int) -> np.ndarray:
-    """Lattice points with 1-norm exactly `radius`, lexicographically sorted."""
+    """Lattice points with 1-norm exactly `radius`, lexicographically sorted.
+
+    A read-only view of the last block of the cached ball.
+    """
     points, norms = ball(dimension, radius)
-    return points[norms == radius]
+    return points[np.searchsorted(norms, radius):]
 
 
 def shell_count(dimension: int, radius: int) -> int:

@@ -333,6 +333,9 @@ MALFORMED_FIELDS = [
     ("fourier-coeffs", "inputs.samples.shape[1]",
      {"dimension": 2, "inputs": {"period_matrix": [[1.0, 0.0], [0.0, 1.0]],
                                  "samples": {"file": "s.bin", "shape": [2, "x"]}}}),
+    ("fourier-coeffs", "inputs.samples.file",
+     {"dimension": 2, "inputs": {"period_matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                 "samples": {"file": 5, "shape": [2, 2]}}}),
 ]
 
 

@@ -19,14 +19,16 @@ from periodist.corona import (
     witness_from_bezout,
 )
 from periodist.errors import DimensionMismatch, InputError, MathFailure
-from periodist.lattice import ball_iter
+from periodist.lattice import ball, ball_iter
 from periodist.sequences import (
+    _CHUNK,
     GrowthCertificate,
     SlowSequence,
     constant,
     coordinate,
     norm_sequence,
     poly_envelope,
+    window_values,
 )
 
 
@@ -132,6 +134,28 @@ def test_solve_then_verify_coordinate_family():
     # cofactor values: phase(a_i) / (|a_1| + |a_2|)
     assert cofactors[0].eval((-3,)) == pytest.approx(-0.25, abs=1e-15)
     assert cofactors[1].eval((-3,)) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_verify_evaluates_shared_denominator_once_per_chunk(monkeypatch):
+    family = [coordinate(0, 2), coordinate(1, 2), constant(1.0, 2)]
+    cofactors = solve_bezout(family, certify_witness(family))
+    radius = 200
+    count = ball(2, radius)[0].shape[0]
+    chunks = -(-count // _CHUNK)
+    assert chunks > 1
+    total = np.zeros(count, dtype=np.complex128)
+    for a, b in zip(family, cofactors):
+        total += window_values(a.expr, 2, radius) * window_values(b.expr, 2, radius)
+    runs = []
+
+    def counted(self, points, norms, values, original=ex.Recip._eval_grid):
+        runs.append(points.shape[0])
+        return original(self, points, norms, values)
+
+    monkeypatch.setattr(ex.Recip, "_eval_grid", counted)
+    residual = verify_bezout(family, cofactors, radius)
+    assert len(runs) == chunks
+    assert residual == float(np.abs(total - 1.0).max())
 
 
 def test_solver_growth_claims_hold_on_window():

@@ -1,6 +1,7 @@
 """Lattice enumeration against a brute-force box scan."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,13 +20,27 @@ def brute_ball(d, r):
     return pts
 
 
-@pytest.mark.parametrize("d,r", [(1, 0), (1, 7), (2, 5), (3, 4)])
+@pytest.mark.parametrize("d,r", [(1, 0), (1, 7), (2, 0), (2, 5), (3, 4), (4, 3), (5, 2)])
 def test_ball_matches_box_enumeration(d, r):
     points, norms = ball(d, r)
     expected = brute_ball(d, r)
+    assert points.dtype == np.int64
+    assert norms.dtype == np.int64
     assert points.shape == (len(expected), d)
     assert [tuple(row) for row in points] == expected
     assert norms.tolist() == [sum(abs(c) for c in p) for p in expected]
+
+
+@pytest.mark.parametrize("d,r", [(1, 5000), (4, 24), (5, 12)])
+def test_ball_build_memory_is_a_small_multiple_of_the_output(d, r):
+    # an uncached build must not pass through the (2r+1)^d bounding cube
+    tracemalloc.start()
+    try:
+        points, norms = ball.__wrapped__(d, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (points.nbytes + norms.nbytes)
 
 
 def test_scan_order_is_shells_then_lex():
@@ -59,6 +74,15 @@ def test_shell_lists_only_that_norm():
     pts = shell(2, 2)
     assert all(norm1(tuple(p)) == 2 for p in pts)
     assert len(pts) == shell_count(2, 2)
+
+
+def test_shell_is_a_frozen_view_of_the_ball():
+    points, _ = ball(3, 4)
+    pts = shell(3, 4)
+    assert np.shares_memory(pts, points)
+    assert [tuple(p) for p in pts] == [p for p in brute_ball(3, 4) if norm1(p) == 4]
+    with pytest.raises(ValueError):
+        pts[0, 0] = 99
 
 
 def test_ball_iter_yields_tuples_in_order():
