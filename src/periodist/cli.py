@@ -34,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import exp_type, fourier
+from . import exp_type, fourier, stable_rank
+from . import expr as ex
 from .corona import (
     CoronaWitness,
     certify_witness,
@@ -44,7 +45,6 @@ from .corona import (
     witness_from_bezout,
 )
 from .errors import CertificateError, InputError, MathFailure, PeriodistError, WitnessViolation
-from .expr import _REQUIRED, _expect, _integer, _number
 from .lattice import ball
 from .sequences import FastSequence, SlowSequence, _eval_points, combine, constant, pairing
 from .stable_rank import approx_by_invertibles, q_algebra_violation, reduce_pair, weak_star_gap
@@ -52,20 +52,15 @@ from .stable_rank import approx_by_invertibles, q_algebra_violation, reduce_pair
 DEFAULT_RADIUS = 50
 DEFAULT_DIMENSION = 1
 
-COMMANDS = (
-    "check-growth",
-    "corona-check",
-    "bezout-solve",
-    "bezout-verify",
-    "reduce",
-    "approx",
-    "gap",
-    "qdemo",
-    "fourier-coeffs",
-    "fourier-synth",
-    "pair",
-    "exp-demo",
-)
+# These params are read with the range declared on the field that carries them.
+_PARAM_RANGES = {
+    "R": ex._ranges(CoronaWitness)["radius"],
+    "nMax": ex._ranges(CoronaWitness)["radius"],
+    "delta": ex._ranges(CoronaWitness)["delta"],
+    "K": ex._ranges(CoronaWitness)["K"],
+    "rate": ex._ranges(ex.ExpDecay)["rate"],
+    "maxDegree": ex._ranges(exp_type.ReducerSearchReport)["max_degree"],
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +89,7 @@ def _thread_cap() -> int:
 
 
 class Job:
-    """Parsed job file plus resolved parameters."""
+    """Parsed job file plus resolved parameters, read by the typed readers of ``expr``."""
 
     def __init__(self, command: str, spec_path: str, args):
         self.command = command
@@ -104,81 +99,62 @@ class Job:
         except OSError as err:
             raise InputError(f"cannot read spec file '{spec_path}': {err}")
         try:
-            self.raw = json.loads(text)
+            self.raw = ex._object(json.loads(text), spec_path)
         except json.JSONDecodeError as err:
             raise InputError(
                 f"{spec_path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
             )
-        if not isinstance(self.raw, dict):
-            raise InputError(f"{spec_path}: top level must be an object")
         declared = self.raw.get("command")
         if declared is not None and declared != command:
             raise InputError(
                 f"{spec_path}: file declares command '{declared}' but '{command}' was invoked"
             )
-        self.inputs = self.raw.get("inputs", {})
-        if not isinstance(self.inputs, dict):
-            raise InputError(f"{spec_path}: 'inputs' must be an object")
-        self.params = self.raw.get("params", {})
-        if not isinstance(self.params, dict):
-            raise InputError(f"{spec_path}: 'params' must be an object")
-        self.dimension = _integer(self.raw, "dimension", "", DEFAULT_DIMENSION)
-        if self.dimension < 1:
-            raise InputError("dimension must be >= 1")
-        self.radius = args.window if args.window is not None else self.param_int("R", DEFAULT_RADIUS)
-        if self.radius < 0:
-            raise InputError("window radius must be >= 0")
-        self.epsilon = args.epsilon if args.epsilon is not None else self.param_float("epsilon", None)
+        self.inputs = ex._object(self.raw.get("inputs", {}), "inputs")
+        overrides = {"R": args.window, "epsilon": args.epsilon}
+        params = ex._object(self.raw.get("params", {}), "params")
+        self.params = {**params, **{k: v for k, v in overrides.items() if v is not None}}
+        self.dimension = ex._integer(
+            self.raw, "dimension", "", DEFAULT_DIMENSION, ex._ranges(SlowSequence)["dimension"]
+        )
+        self.radius = self.param_int("R", DEFAULT_RADIUS)
+        self.epsilon = self.param_float("epsilon", None)
         self.threads = _thread_cap()
 
     # -- typed accessors ----------------------------------------------
 
-    def param_float(self, name: str, default=_REQUIRED) -> float:
-        return _number(self.params, name, "params", default)
+    def param_float(self, name: str, default=ex._REQUIRED, rule=None) -> float:
+        return ex._number(self.params, name, "params", default, rule or _PARAM_RANGES.get(name))
 
-    def param_int(self, name: str, default=_REQUIRED) -> int:
-        return _integer(self.params, name, "params", default)
-
-    def input_obj(self, name: str):
-        if name not in self.inputs:
-            raise InputError(f"inputs.{name}: required")
-        return self.inputs[name]
+    def param_int(self, name: str, default=ex._REQUIRED, rule=None) -> int:
+        return ex._integer(self.params, name, "params", default, rule or _PARAM_RANGES.get(name))
 
     def slow(self, name: str) -> SlowSequence:
-        return SlowSequence.from_json(self.input_obj(name), self.dimension, path=f"inputs.{name}")
+        raw = ex._expect(self.inputs, name, "inputs")
+        return SlowSequence.from_json(raw, self.dimension, path=f"inputs.{name}")
 
-    def slow_family(self, name: str) -> list[SlowSequence]:
-        raw = self.input_obj(name)
-        if not isinstance(raw, list) or not raw:
-            raise InputError(f"inputs.{name}: expected a non-empty array of sequences")
+    def slow_family(self, name: str, length: int | None = None) -> list[SlowSequence]:
+        items = ex._array(ex._expect(self.inputs, name, "inputs"), f"inputs.{name}", length)
         return [
             SlowSequence.from_json(item, self.dimension, path=f"inputs.{name}[{i}]")
-            for i, item in enumerate(raw)
+            for i, item in enumerate(items)
         ]
 
     def fast(self, name: str) -> FastSequence:
-        return FastSequence.from_json(self.input_obj(name), self.dimension, path=f"inputs.{name}")
+        raw = ex._expect(self.inputs, name, "inputs")
+        return FastSequence.from_json(raw, self.dimension, path=f"inputs.{name}")
 
     def basis(self) -> fourier.PeriodBasis:
-        raw = self.input_obj("period_matrix")
-        if not isinstance(raw, list):
-            raise InputError("inputs.period_matrix: expected a matrix (array of rows)")
-        return fourier.PeriodBasis(raw)
+        raw = ex._expect(self.inputs, "period_matrix", "inputs")
+        n = len(ex._array(raw, "inputs.period_matrix"))
+        return fourier.PeriodBasis(ex._reals(raw, "inputs.period_matrix", (n, n)))
 
     def samples(self, dimension: int) -> np.ndarray:
-        raw = self.input_obj("samples")
+        raw = ex._expect(self.inputs, "samples", "inputs")
         if isinstance(raw, dict):
-            if "file" not in raw or "shape" not in raw:
-                raise InputError("inputs.samples: binary form needs 'file' and 'shape'")
-            entries = raw["shape"]
-            if not isinstance(entries, list):
-                raise InputError(f"inputs.samples.shape: expected an array, got {type(entries).__name__}")
-            entries = dict(enumerate(entries))
-            shape = tuple(_integer(entries, i, "inputs.samples.shape") for i in entries)
-            name = _expect(raw, "file", "inputs.samples")
-            if not isinstance(name, str):
-                raise InputError(f"inputs.samples.file: expected a string, got {type(name).__name__}")
-            path = Path(name)
+            shape = ex._expect(raw, "shape", "inputs.samples")
+            shape = ex._nested(shape, "inputs.samples.shape", (dimension,), ex._int)
+            name = ex._expect(raw, "file", "inputs.samples")
+            path = Path(ex._typed(name, "inputs.samples.file", str, "a string"))
             if not path.is_absolute():
                 path = self.path.parent / path
             try:
@@ -191,7 +167,9 @@ class Job:
                     f"inputs.samples: file holds {flat.size} values, shape needs {expected}"
                 )
             return flat.reshape(shape)
-        return np.asarray(_parse_complex_array(raw, dimension, "inputs.samples"), dtype=np.complex128)
+        # Inline: a cubic array nested `dimension` deep.
+        cube = (len(ex._array(raw, "inputs.samples")),) * dimension
+        return np.asarray(ex._nested(raw, "inputs.samples", cube, ex._complex), dtype=np.complex128)
 
     def echo_inputs(self) -> dict:
         echoed = {}
@@ -210,26 +188,6 @@ class Job:
             else:
                 echoed[key] = value
         return echoed
-
-
-def _parse_complex_leaf(value, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise InputError(f"{where}: expected a number or an [re, im] pair")
-
-
-def _parse_complex_array(raw, depth: int, where: str):
-    if depth == 0:
-        return _parse_complex_leaf(raw, where)
-    if not isinstance(raw, list) or not raw:
-        raise InputError(f"{where}: expected a non-empty array nested {depth} deep")
-    return [_parse_complex_array(item, depth - 1, f"{where}[{i}]") for i, item in enumerate(raw)]
 
 
 def _witness_json(witness: CoronaWitness) -> dict:
@@ -310,7 +268,7 @@ def _run_bezout_solve(job: Job):
 
 def _run_bezout_verify(job: Job):
     family = job.slow_family("a")
-    cofactors = job.slow_family("b")
+    cofactors = job.slow_family("b", length=len(family))
     residual = verify_bezout(family, cofactors, job.radius, job.threads)
     tolerance = job.param_float("tolerance", 1e-12)
     results = {
@@ -324,7 +282,7 @@ def _run_bezout_verify(job: Job):
 def _run_reduce(job: Job):
     a1, a2 = job.slow("a1"), job.slow("a2")
     b1, b2 = job.slow("b1"), job.slow("b2")
-    epsilon = job.epsilon if job.epsilon is not None else 0.25
+    epsilon = job.param_float("epsilon", 0.25, stable_rank.REDUCTION_EPSILON)
     tolerance = job.param_float("tolerance", 1e-12)
     trace = reduce_pair(a1, a2, b1, b2, epsilon, job.radius, tolerance, job.threads)
 
@@ -370,16 +328,17 @@ def _run_reduce(job: Job):
 
 def _run_approx(job: Job):
     seq = job.slow("a")
-    epsilons = job.params.get("epsilons")
-    if epsilons is None:
-        epsilons = [job.epsilon if job.epsilon is not None else 0.25]
-    if not isinstance(epsilons, list) or not epsilons:
-        raise InputError("params.epsilons: expected a non-empty array")
+    level = ex._ranges(ex.Clip)["eps"]
+    if "epsilons" in job.params:
+        raw = ex._array(job.params["epsilons"], "params.epsilons")
+        epsilons = [ex._real(eps, f"params.epsilons[{i}]", level) for i, eps in enumerate(raw)]
+    else:
+        epsilons = [job.param_float("epsilon", 0.25, level)]
     items = []
     ok = True
     points, norms = ball(seq.dimension, job.radius)
     base = _eval_points(seq.expr, points, norms, job.threads)
-    for clipped, witness in approx_by_invertibles(seq, [float(e) for e in epsilons]):
+    for clipped, witness in approx_by_invertibles(seq, epsilons):
         moved = _eval_points(clipped.expr, points, norms, job.threads)
         max_change = float(np.abs(moved - base).max())
         eps = witness.delta
@@ -450,13 +409,15 @@ def _run_fourier_coeffs(job: Job):
 
 def _run_fourier_synth(job: Job):
     basis = job.basis()
-    coeffs = fourier.CoefficientMap.from_json(job.input_obj("coeffs"))
-    raw_points = job.input_obj("points")
-    if not isinstance(raw_points, list) or not raw_points:
-        raise InputError("inputs.points: expected a non-empty array of points")
-    points = np.asarray(raw_points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None] if basis.dimension == 1 else points[None, :]
+    d = basis.dimension
+    coeffs = fourier.CoefficientMap.from_json(ex._expect(job.inputs, "coeffs", "inputs"), "inputs.coeffs")
+    if coeffs.dimension != d:
+        raise InputError(f"inputs.coeffs.dimension: must be {d}, got {coeffs.dimension}")
+    # Points are rows of d numbers; a flat array is one point per entry in dimension 1, else one point.
+    raw = ex._expect(job.inputs, "points", "inputs")
+    rows = isinstance(raw, list) and raw and isinstance(raw[0], list)
+    shape = (None, d) if rows else ((None,) if d == 1 else (d,))
+    points = ex._reals(raw, "inputs.points", shape).reshape(-1, d)
     values = fourier.synthesize(basis, coeffs, points)
     results = {"values": [_complex_pair(complex(v)) for v in np.atleast_1d(values)]}
     return results, None
@@ -545,7 +506,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="periodist", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name in COMMANDS:
+    for name in _HANDLERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--spec", required=True, help="job file (JSON)")
         cmd.add_argument("--window", type=int, default=None, help="truncation radius override")

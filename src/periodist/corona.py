@@ -34,24 +34,17 @@ from .sequences import SlowSequence, _eval_points, combine
 # Witness provenance labels.
 WINDOW_VERIFIED = "window-verified"
 CERTIFIED = "certified"
+_STATUSES = ex.Range(f"'{WINDOW_VERIFIED}' or '{CERTIFIED}'", (WINDOW_VERIFIED, CERTIFIED).__contains__)
 
 
 @dataclass(frozen=True)
-class CoronaWitness:
+class CoronaWitness(ex.Ranged):
     """Floor claim sum |a_i(n)| >= delta * (1 + |n|_1)^(-K)."""
 
-    delta: float
-    K: int
-    status: str = WINDOW_VERIFIED
-    radius: int = 0
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise InputError("witness delta must be > 0")
-        if self.K < 0:
-            raise InputError("witness order K must be >= 0")
-        if self.status not in (WINDOW_VERIFIED, CERTIFIED):
-            raise InputError(f"unknown witness status '{self.status}'")
+    delta: float = ex.ranged(ex.POSITIVE)
+    K: int = ex.ranged(ex.NONNEG)
+    status: str = ex.ranged(_STATUSES, WINDOW_VERIFIED)
+    radius: int = ex.ranged(ex.NONNEG, 0)
 
     def floor_at(self, norms: np.ndarray) -> np.ndarray:
         return self.delta * (1.0 + norms) ** (-float(self.K))
@@ -97,7 +90,7 @@ def check_corona_window(
     witness = CoronaWitness(delta, K)
     total = combined_modulus(family, radius, threads)
     points, norms = ball(family[0].dimension, radius)
-    bad = total < witness.floor_at(norms)
+    bad = ~(total >= witness.floor_at(norms))  # NaN is a violation
     if bad.any():
         where = int(np.argmax(bad))
         return WindowCheck(False, tuple(int(c) for c in points[where]))
@@ -113,16 +106,8 @@ def certify_witness(family: list[SlowSequence]) -> CoronaWitness | None:
     largest delta) is returned.
     """
     _family_dimension(family)
-    best: tuple[float, int] | None = None
-    for member in family:
-        bound = ex.lower_bound_cert(member.expr)
-        if bound is None:
-            continue
-        if best is None or (bound[1], -bound[0]) < (best[1], -best[0]):
-            best = bound
-    if best is None:
-        return None
-    return CoronaWitness(best[0], best[1], status=CERTIFIED)
+    bound = ex.lower_bound_cert(ex.Add(tuple(ex.Abs(m.expr) for m in family)))
+    return None if bound is None else CoronaWitness(*bound, status=CERTIFIED)
 
 
 def solve_bezout(

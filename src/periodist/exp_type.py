@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import expr as ex
 from .errors import InputError
 
 _EXACT_TYPES = (int, Fraction)
@@ -66,8 +67,7 @@ class Poly:
         return len(self.coeffs) - 1
 
     def coefficient(self, power: int):
-        if power < 0:
-            raise InputError("coefficient power must be >= 0")
+        ex.NONNEG.check(power, "power")
         return self.coeffs[power] if power < len(self.coeffs) else (
             Fraction(0) if self.exact else complex(0)
         )
@@ -167,10 +167,10 @@ def _polish_root(poly: Poly, root: complex, steps: int = 3) -> complex:
 
 
 @dataclass(frozen=True)
-class ReducerSearchReport:
+class ReducerSearchReport(ex.Ranged):
     """Outcome of sweeping single-multiplier combinations f + h * g."""
 
-    max_degree: int
+    max_degree: int = ex.ranged(ex.NONNEG)
     candidates_checked: int
     units_found: int
     all_nonconstant: bool
@@ -192,8 +192,7 @@ def polynomial_reducer_search(
     combination additionally gets a numerically confirmed root; a root
     certifies a zero, and zero-free is exactly what a unit would need.
     """
-    if max_degree < 0:
-        raise InputError("max_degree must be >= 0")
+    ex.NONNEG.check(max_degree, "max_degree")
     if f is None or g is None:
         _, _, f, g = standard_identity()
     lo, hi = coefficient_range

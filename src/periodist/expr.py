@@ -47,13 +47,29 @@ few nodes more.
 Each node class is the one place its kind is defined: it declares its
 wire ``kind``, its fields (which the JSON wire format mirrors), its grid
 evaluation and its certificate rule.
+
+Input ranges are declared once, as ``ranged(RULE)`` on the dataclass
+field that carries them: construction checks them, and the JSON readers
+at the end of this module apply the same rule, naming the JSON path
+(``inputs.x.expr.eps: must be > 0, got -0.1``).  The declared ranges:
+
+    > 0        ExpDecay.rate, Clip.eps, Recip.delta, GrowthCertificate.M,
+               DecayBound.C, DecayBound.rate, CoronaWitness.delta
+    >= 0       Coord.axis, PolyEnv.k, Recip.K, GrowthCertificate.k, DecayBound.j,
+               FastSequence.support, CoronaWitness.K, CoronaWitness.radius,
+               ReducerSearchReport.max_degree
+    >= 1       SlowSequence, FastSequence and CoefficientMap .dimension
+    finite     Const.re, Const.im
+    one of     CoronaWitness.status: 'window-verified' or 'certified'
+    non-empty  Add.args, Mul.args
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -72,7 +88,49 @@ def _angle(values: np.ndarray) -> np.ndarray:
     return np.where(values == 0, 0.0, out)
 
 
-class Node:
+class Range(typing.NamedTuple):
+    """A named input range: ``holds(value)`` is true inside it."""
+
+    text: str
+    holds: typing.Callable[[typing.Any], bool]
+
+    def check(self, value, where: str):
+        if not self.holds(value):
+            raise InputError(f"{where}: must be {self.text}, got {value}")
+        return value
+
+
+POSITIVE = Range("> 0", lambda v: v > 0)
+NONNEG = Range(">= 0", lambda v: v >= 0)
+AT_LEAST_ONE = Range(">= 1", lambda v: v >= 1)
+FINITE = Range("finite", math.isfinite)
+NON_EMPTY = Range("non-empty", lambda v: len(v) > 0)
+
+
+def ranged(rule: Range, default=MISSING, **metadata):
+    """A dataclass field that declares its input range; a field whose default is None may be None."""
+    if default is None:
+        rule = Range(rule.text, lambda v, holds=rule.holds: v is None or holds(v))
+    return field(default=default, metadata={"range": rule, **metadata})
+
+
+@functools.cache
+def _ranges(cls) -> dict[str, Range]:
+    """The range each field of a dataclass declares, by field name."""
+    return {f.name: f.metadata["range"] for f in fields(cls) if "range" in f.metadata}
+
+
+class Ranged:
+    """Base of the dataclasses whose fields declare input ranges; construction checks them."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        for name, rule in _ranges(type(self)).items():
+            rule.check(getattr(self, name), name)
+
+
+class Node(Ranged):
     """Base class for expression-tree nodes."""
 
     __slots__ = ()
@@ -99,8 +157,8 @@ class Node:
 class Const(Node):
     kind = "const"
 
-    re: float
-    im: float = 0.0
+    re: float = ranged(FINITE)
+    im: float = ranged(FINITE, 0.0)
 
     @property
     def value(self) -> complex:
@@ -119,11 +177,7 @@ class Const(Node):
 class Coord(Node):
     kind = "coord"
 
-    axis: int
-
-    def __post_init__(self):
-        if self.axis < 0:
-            raise InputError("coordinate axis must be >= 0")
+    axis: int = ranged(NONNEG)
 
     def _cert_from(self, child_certs):
         return (1.0, 1)
@@ -151,11 +205,7 @@ class Norm1(Node):
 class PolyEnv(Node):
     kind = "polyenv"
 
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise InputError("polynomial envelope order must be >= 0")
+    k: int = ranged(NONNEG)
 
     def _cert_from(self, child_certs):
         return (1.0, self.k)
@@ -168,11 +218,7 @@ class PolyEnv(Node):
 class ExpDecay(Node):
     kind = "expdecay"
 
-    rate: float
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise InputError("decay rate must be > 0")
+    rate: float = ranged(POSITIVE)
 
     def _cert_from(self, child_certs):
         return (1.0, 0)
@@ -186,11 +232,7 @@ class Add(Node):
     kind = "add"
     writes_first = True
 
-    args: tuple[Node, ...]
-
-    def __post_init__(self):
-        if len(self.args) < 1:
-            raise InputError("sum needs at least one argument")
+    args: tuple[Node, ...] = ranged(NON_EMPTY)
 
     def children(self):
         return self.args
@@ -210,11 +252,7 @@ class Mul(Node):
     kind = "mul"
     writes_first = True
 
-    args: tuple[Node, ...]
-
-    def __post_init__(self):
-        if len(self.args) < 1:
-            raise InputError("product needs at least one argument")
+    args: tuple[Node, ...] = ranged(NON_EMPTY)
 
     def children(self):
         return self.args
@@ -317,11 +355,7 @@ class Clip(Node):
     kind = "clip"
 
     arg: Node
-    eps: float
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise InputError("clip level must be > 0")
+    eps: float = ranged(POSITIVE)
 
     def children(self):
         return (self.arg,)
@@ -348,14 +382,8 @@ class Recip(Node):
     kind = "recip"
 
     arg: Node
-    delta: float = field(metadata={"wire": "witness"})
-    K: int = field(metadata={"wire": "witness"})
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise InputError("inverse witness delta must be > 0")
-        if self.K < 0:
-            raise InputError("inverse witness order must be >= 0")
+    delta: float = ranged(POSITIVE, wire="witness")
+    K: int = ranged(NONNEG, wire="witness")
 
     def children(self):
         return (self.arg,)
@@ -451,6 +479,17 @@ def _fold(order: list[tuple[Node, tuple[Node, ...]]], rule) -> dict[int, typing.
     for n, kids in order:
         memo[id(n)] = rule(n, [memo[id(c)] for c in kids])
     return memo
+
+
+@dataclass(frozen=True)
+class GrowthCertificate(Ranged):
+    """Claim |a(n)| <= M * (1 + |n|_1)^k."""
+
+    M: float = ranged(POSITIVE)
+    k: int = ranged(NONNEG)
+
+    def bound_at(self, norms: np.ndarray) -> np.ndarray:
+        return self.M * (1.0 + norms) ** self.k
 
 
 def _cert_rule(node: Node, child_certs: list[tuple[float, int]]) -> tuple[float, int]:
@@ -550,10 +589,13 @@ def lower_bound_cert(node: Node) -> tuple[float, int] | None:
 CertClaim = tuple[Node, float, int, str]
 
 
-def _wire_fields(cls) -> tuple[tuple[str, object, str | None], ...]:
-    """(name, type, nested wire object or None) for each field, in order."""
+@functools.cache
+def _wire_fields(cls) -> tuple[tuple[str, object, str | None, Range | None], ...]:
+    """(name, type, nested wire object or None, declared range or None) for each field."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name], f.metadata.get("wire")) for f in fields(cls))
+    return tuple(
+        (f.name, hints[f.name], f.metadata.get("wire"), f.metadata.get("range")) for f in fields(cls)
+    )
 
 
 # The kind table: every node class with its wire fields, built once.
@@ -566,7 +608,7 @@ def to_json(node: Node) -> dict:
     if type(node) not in _WIRE:
         raise InputError(f"cannot serialize node of type {type(node).__name__}")
     out = {"kind": node.kind}
-    for name, hint, group in _WIRE[type(node)]:
+    for name, hint, group, _ in _WIRE[type(node)]:
         value = getattr(node, name)
         if hint is Node:
             value = to_json(value)
@@ -577,8 +619,10 @@ def to_json(node: Node) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Typed readers for JSON objects.  Every error names the JSON path of the
-# offending field; ``path`` is the path of ``obj`` ("" at the top level).
+# Typed readers for JSON values: the one validation layer for job files.
+# Every error names the JSON path of the offending value; ``path`` is the
+# path of the value (or of ``obj``; "" at the top level).  A ``rule`` is a
+# declared range, taken from the field the value is read into.
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
@@ -596,45 +640,104 @@ def _expect(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _typed(value, path: str, types, what: str, rule: Range | None = None):
+    # JSON true and false are no numbers, although Python's bool is an int.
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise InputError(f"{path}: expected {what}, got {type(value).__name__}")
+    return rule.check(value, path) if rule else value
+
+
 def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise InputError(f"{path}: expected an object, got {type(value).__name__}")
+    return _typed(value, path, dict, "an object")
+
+
+def _array(value, path: str, length: int | None = None, rule: Range | None = NON_EMPTY) -> list:
+    """An array, of exactly ``length`` entries when given."""
+    _typed(value, path, list, "an array", rule)
+    if length is not None and len(value) != length:
+        raise InputError(f"{path}: expected {length} entries, got {len(value)}")
     return value
 
 
-def _number(obj: dict, key: str, path: str, default=_REQUIRED) -> float:
+def _real(value, path: str, rule: Range | None = None) -> float:
+    try:
+        return float(_typed(value, path, (int, float), "a number", rule))
+    except OverflowError:
+        raise InputError(f"{path}: number out of range") from None
+
+
+def _int(value, path: str, rule: Range | None = None) -> int:
+    return _typed(value, path, int, "an integer", rule)
+
+
+def _reals(value, path: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    """``_nested`` with ``_real`` leaves, as a float array.  Well-formed input passes a
+    whole-array check instead of the walk, which then runs only to name the bad entry."""
+    level = [value]
+    for n in shape:
+        if not all(type(v) is list and v and n in (None, len(v)) for v in level):
+            break
+        level = [x for v in level for x in v]
+    else:
+        if all(type(x) is float or type(x) is int and x.bit_length() < 1000 for x in level):
+            return np.array(value, dtype=float)
+    return np.array(_nested(value, path, shape, _real), dtype=float)
+
+
+def _complex(value, path: str) -> complex:
+    """A number, or an ``[re, im]`` pair."""
+    if isinstance(value, list):
+        return complex(*_nested(value, path, (2,), _real))
+    return complex(_real(value, path))
+
+
+def _nested(value, path: str, shape: tuple[int | None, ...], leaf) -> list:
+    """Nested arrays ``len(shape)`` deep, level i of ``shape[i]`` entries (at
+    least one when None), with every innermost entry read by ``leaf``."""
+    if not shape:
+        return leaf(value, path)
+    items = _array(value, path, shape[0])
+    return [_nested(item, _at(path, i), shape[1:], leaf) for i, item in enumerate(items)]
+
+
+def _index(key: str, path: str, dimension: int) -> tuple[int, ...]:
+    """An object key ``"m1,...,md"`` as a lattice index of ``dimension`` entries."""
+    try:
+        index = tuple(int(part) for part in key.split(","))
+    except ValueError:
+        index = ()
+    if len(index) != dimension:
+        raise InputError(f"{path}: key must be {dimension} comma-separated integers")
+    return index
+
+
+def _member(leaf, obj: dict, key: str, path: str, default=_REQUIRED, rule: Range | None = None):
+    """``obj[key]`` read by ``leaf``; ``default`` when the key is absent and a default is given."""
     if key not in obj and default is not _REQUIRED:
         return default
-    v = _expect(obj, key, path)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InputError(f"{_at(path, key)}: expected a number, got {type(v).__name__}")
-    return float(v)
+    return leaf(_expect(obj, key, path), _at(path, key), rule)
 
 
-def _integer(obj: dict, key: str, path: str, default=_REQUIRED) -> int:
-    if key not in obj and default is not _REQUIRED:
-        return default
-    v = _expect(obj, key, path)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise InputError(f"{_at(path, key)}: expected an integer, got {type(v).__name__}")
-    return v
-
-
+_number = functools.partial(_member, _real)
+_integer = functools.partial(_member, _int)
 _SCALAR_READERS = {float: _number, int: _integer}
+
+
+def _read_fields(cls, obj: dict, path: str) -> list:
+    """The scalar fields of ``cls`` read from ``obj``, each with its type and declared range."""
+    return [_SCALAR_READERS[hint](obj, name, path, rule=rule) for name, hint, _, rule in _wire_fields(cls)]
 
 
 def _read_cert(obj: dict, path: str) -> tuple[float, int]:
     """The claimed growth certificate ``obj["cert"]`` as (M, k)."""
     where = _at(path, "cert")
-    cert = _object(_expect(obj, "cert", path), where)
-    claimed_m, claimed_k = _number(cert, "M", where), _integer(cert, "k", where)
-    if not claimed_m > 0 or claimed_k < 0:
-        raise InputError(f"{where}: need M > 0 and k >= 0")
-    return claimed_m, claimed_k
+    return tuple(_read_fields(GrowthCertificate, _object(_expect(obj, "cert", path), where), where))
 
 
-def parse_node(obj, path: str = "expr") -> tuple[Node, tuple[float, int], list[CertClaim]]:
-    """Parse the JSON wire format.
+def parse_node(
+    obj, path: str = "expr", dimension=math.inf
+) -> tuple[Node, tuple[float, int], list[CertClaim]]:
+    """Parse the JSON wire format; coordinate axes must lie below ``dimension``.
 
     Returns ``(node, effective_cert, claims)`` where ``effective_cert`` is the
     composed growth certificate with any user-supplied "cert" overrides
@@ -649,28 +752,27 @@ def parse_node(obj, path: str = "expr") -> tuple[Node, tuple[float, int], list[C
     values: list = []
     child_certs: list[tuple[float, int]] = []
     claims: list[CertClaim] = []
-    for name, hint, group in _WIRE[cls]:
+    for name, hint, group, rule in _WIRE[cls]:
         where = _at(path, group) if group else path
         source = _object(_expect(obj, group, path), where) if group else obj
         if hint in _SCALAR_READERS:
-            values.append(_SCALAR_READERS[hint](source, name, where))
+            values.append(_SCALAR_READERS[hint](source, name, where, rule=rule))
             continue
-        raw = _expect(source, name, where)
+        raw, here = _expect(source, name, where), _at(where, name)
         if hint is Node:
-            items = [(raw, f"{where}.{name}")]
-        elif not isinstance(raw, list) or not raw:
-            raise InputError(f"{where}.{name}: expected a non-empty array")
+            items = [(raw, here)]
         else:
-            items = [(child, f"{where}.{name}[{i}]") for i, child in enumerate(raw)]
+            items = [(child, _at(here, i)) for i, child in enumerate(_array(raw, here, rule=rule))]
         nodes = []
         for child, child_path in items:
-            child_node, child_cert, child_claims = parse_node(child, child_path)
+            child_node, child_cert, child_claims = parse_node(child, child_path, dimension)
             nodes.append(child_node)
             child_certs.append(child_cert)
             claims.extend(child_claims)
         values.append(nodes[0] if hint is Node else tuple(nodes))
     node = cls(*values)
-
+    if isinstance(node, Coord) and node.axis >= dimension:
+        raise DimensionMismatch(f"{path}.axis: must be < {dimension}, the dimension, got {node.axis}")
     effective = node._cert_from(child_certs)
     if "cert" in obj:
         effective = _read_cert(obj, path)

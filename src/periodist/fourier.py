@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as ex
 from .errors import InputError, MathFailure
-from .expr import evaluate_grid
 from .lattice import LatticeIndex
 from .sequences import (
     FastSequence,
@@ -94,8 +94,7 @@ def dual_point(basis: PeriodBasis, index: LatticeIndex) -> np.ndarray:
 
 def sample_grid(basis: PeriodBasis, count: int) -> np.ndarray:
     """Sampling points x_j = A^T (j / count), shape (count,)*d + (d,)."""
-    if count < 1:
-        raise InputError("grid count must be >= 1")
+    ex.AT_LEAST_ONE.check(count, "count")
     d = basis.dimension
     axes = [np.arange(count, dtype=float) / count] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -103,14 +102,15 @@ def sample_grid(basis: PeriodBasis, count: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoefficientMap:
+class CoefficientMap(ex.Ranged):
     """Finitely stored coefficient sequence with a growth certificate."""
 
     coeffs: dict[LatticeIndex, complex]
-    dimension: int
+    dimension: int = ex.ranged(ex.AT_LEAST_ONE)
     cert: GrowthCertificate
 
     def __post_init__(self):
+        super().__post_init__()
         for index in self.coeffs:
             if len(index) != self.dimension:
                 raise InputError("coefficient index has the wrong dimension")
@@ -132,7 +132,7 @@ class CoefficientMap:
         """Certificate soundness on every stored index."""
         for index, value in self.coeffs.items():
             norm = sum(abs(c) for c in index)
-            if abs(value) > self.cert.M * (1.0 + norm) ** self.cert.k * (1.0 + 1e-12):
+            if not abs(value) <= self.cert.M * (1.0 + norm) ** self.cert.k * (1.0 + 1e-12):
                 return False
         return True
 
@@ -147,19 +147,15 @@ class CoefficientMap:
         }
 
     @staticmethod
-    def from_json(obj) -> "CoefficientMap":
-        if not isinstance(obj, dict) or "coeffs" not in obj:
-            raise InputError("coefficient map: expected an object with 'coeffs'")
-        dimension = int(obj.get("dimension", 1))
-        coeffs = {}
-        for key, value in obj["coeffs"].items():
-            try:
-                index = tuple(int(part) for part in str(key).split(","))
-            except ValueError as err:
-                raise InputError(f"coefficient map: bad index key '{key}'") from err
-            if not isinstance(value, (list, tuple)) or len(value) != 2:
-                raise InputError(f"coefficient map: value for '{key}' must be [re, im]")
-            coeffs[index] = complex(float(value[0]), float(value[1]))
+    def from_json(obj, path: str = "coefficient map") -> "CoefficientMap":
+        """Parse ``{"dimension": d, "coeffs": {"m1,...,md": [re, im]}}``, naming paths below ``path``."""
+        obj = ex._object(obj, path)
+        dimension = ex._integer(obj, "dimension", path, 1, ex._ranges(CoefficientMap)["dimension"])
+        where = ex._at(path, "coeffs")
+        coeffs = {
+            ex._index(key, ex._at(where, key), dimension): ex._complex(value, ex._at(where, key))
+            for key, value in ex._object(ex._expect(obj, "coeffs", path), where).items()
+        }
         return CoefficientMap.from_dict(coeffs, dimension)
 
 
@@ -244,13 +240,12 @@ def distribution_action(
         return pairing(coeffs, test, radius, threads)
     if coeffs.dimension != test.dimension:
         raise InputError("coefficient map and test data dimensions differ")
-    if radius < 0:
-        raise InputError("radius must be >= 0")
+    ex.NONNEG.check(radius, "radius")
     items = coeffs.items_in_scan_order()
     inside = [(index, value) for index, value in items if sum(abs(c) for c in index) <= radius]
     points = np.array([index for index, _ in inside], dtype=np.int64).reshape(-1, test.dimension)
     total = complex(0.0)
-    for (_, value), sample in zip(inside, evaluate_grid(test.expr, points)):
+    for (_, value), sample in zip(inside, ex.evaluate_grid(test.expr, points)):
         total += value * complex(sample)
     if len(inside) == len(items):
         tail = 0.0

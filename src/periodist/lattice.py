@@ -21,6 +21,7 @@ exhaustive enumeration (see the test suite).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -107,8 +108,14 @@ def shell(dimension: int, radius: int) -> np.ndarray:
 
 
 def shell_count(dimension: int, radius: int) -> int:
-    """Exact number of lattice points with 1-norm exactly `radius`."""
-    return int(shell(dimension, radius).shape[0])
+    """Exact number of lattice points with 1-norm exactly `radius`; no ball is built.
+
+    Points with k nonzero coordinates: C(d, k) axes, 2^k signs, C(r-1, k-1) compositions of r.
+    """
+    d, r = dimension, radius
+    if d < 1 or r < 0:
+        raise ValueError("need dimension >= 1 and radius >= 0")
+    return 1 if r == 0 else sum(math.comb(d, k) * 2**k * math.comb(r - 1, k - 1) for k in range(1, d + 1))
 
 
 def ball_iter(dimension: int, radius: int):

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CertificateError, DimensionMismatch, InputError
+from .expr import GrowthCertificate
 from .lattice import LatticeIndex, ball
 
 # Relative inflation applied to certified bounds.  Large enough to absorb
@@ -60,6 +61,14 @@ def _eval_points(node: ex.Node, points: np.ndarray, norms: np.ndarray, threads: 
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _eval_at(seq, index: LatticeIndex) -> complex:
+    """The value of a sequence at one lattice index of its dimension."""
+    index = tuple(int(c) for c in index)
+    if len(index) != seq.dimension:
+        raise DimensionMismatch(f"index has dimension {len(index)}, sequence has {seq.dimension}")
+    return ex.evaluate(seq.expr, index)
+
+
 def window_values(node: ex.Node, dimension: int, radius: int, threads: int = 1) -> np.ndarray:
     """Values of a tree over the 1-norm ball, in canonical scan order."""
     points, norms = ball(dimension, radius)
@@ -73,8 +82,7 @@ def window_values(node: ex.Node, dimension: int, radius: int, threads: int = 1) 
 
 def poly_exp_sup(order: int, rate: float, start: float = 0.0) -> float:
     """Certified sup over real r >= start of (1+r)^order * exp(-rate*r)."""
-    if not rate > 0:
-        raise InputError("rate must be > 0")
+    ex.POSITIVE.check(rate, "rate")
     peak = order / rate - 1.0
     if peak <= start:
         value = (1.0 + start) ** order * math.exp(-rate * start)
@@ -90,8 +98,7 @@ def poly_exp_series_bound(order: int, rate: float) -> float:
     between exp(-rate) and 1, then the remainder is dominated by a
     geometric series at that threshold.
     """
-    if not rate > 0:
-        raise InputError("rate must be > 0")
+    ex.POSITIVE.check(rate, "rate")
     stop = (1.0 + math.exp(-rate)) / 2.0
     total = 0.0
     r = 0
@@ -113,23 +120,6 @@ def poly_exp_series_bound(order: int, rate: float) -> float:
 
 
 @dataclass(frozen=True)
-class GrowthCertificate:
-    """Claim |a(n)| <= M * (1 + |n|_1)^k."""
-
-    M: float
-    k: int
-
-    def __post_init__(self):
-        if not self.M > 0:
-            raise InputError("certificate constant M must be > 0")
-        if self.k < 0:
-            raise InputError("certificate order k must be >= 0")
-
-    def bound_at(self, norms: np.ndarray) -> np.ndarray:
-        return self.M * (1.0 + norms) ** self.k
-
-
-@dataclass(frozen=True)
 class CertificateCheck:
     holds: bool
     first_violation: LatticeIndex | None
@@ -137,21 +127,16 @@ class CertificateCheck:
 
 
 @dataclass(frozen=True)
-class SlowSequence:
+class SlowSequence(ex.Ranged):
     """Expression tree plus growth certificate, over Z^dimension."""
 
     expr: ex.Node
-    dimension: int
+    dimension: int = ex.ranged(ex.AT_LEAST_ONE)
     cert: GrowthCertificate
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise InputError("dimension must be >= 1")
-        axis = ex.max_axis(self.expr)
-        if axis >= self.dimension:
-            raise DimensionMismatch(
-                f"expression references axis {axis} but dimension is {self.dimension}"
-            )
+        super().__post_init__()
+        _check_axes(self.expr, self.dimension, "expr")
 
     # -- construction -------------------------------------------------
 
@@ -166,13 +151,14 @@ class SlowSequence:
         dimension: int,
         cert: GrowthCertificate,
         check_radius: int = 8,
+        where: str = "cert",
     ) -> "SlowSequence":
         """Attach a user-supplied certificate after an exhaustive window check."""
         seq = SlowSequence(tree, dimension, cert)
         check = seq.check_certificate(check_radius)
         if not check.holds:
             raise CertificateError(
-                f"claimed certificate (M={cert.M}, k={cert.k}) fails at "
+                f"{where}: claimed certificate (M={cert.M}, k={cert.k}) fails at "
                 f"lattice index {check.first_violation}"
             )
         return seq
@@ -185,19 +171,12 @@ class SlowSequence:
         error messages name fields by their JSON path below ``path``.
         """
         obj = ex._object(obj, path or "sequence")
-        tree, tree_path = _tree_of(obj, path)
-        node, (m, k), claims = ex.parse_node(tree, tree_path)
-        if tree is not obj and "cert" in obj:
+        node, (m, k), claims = _parse_tree(obj, dimension, path)
+        if "kind" not in obj and "cert" in obj:
             m, k = ex._read_cert(obj, path)
             claims = claims + [(node, m, k, ex._at(path, "cert"))]
         for sub, cm, ck, where in claims:
-            sub_seq = SlowSequence(sub, dimension, GrowthCertificate(cm, ck))
-            check = sub_seq.check_certificate(check_radius)
-            if not check.holds:
-                raise CertificateError(
-                    f"{where}: claimed certificate (M={cm}, k={ck}) fails at "
-                    f"lattice index {check.first_violation}"
-                )
+            SlowSequence.with_claimed_cert(sub, dimension, GrowthCertificate(cm, ck), check_radius, where)
         return SlowSequence(node, dimension, GrowthCertificate(m, k))
 
     def to_json(self) -> dict:
@@ -208,13 +187,7 @@ class SlowSequence:
 
     # -- evaluation ---------------------------------------------------
 
-    def eval(self, index: LatticeIndex) -> complex:
-        index = tuple(int(c) for c in index)
-        if len(index) != self.dimension:
-            raise DimensionMismatch(
-                f"index has dimension {len(index)}, sequence has {self.dimension}"
-            )
-        return ex.evaluate(self.expr, index)
+    eval = _eval_at
 
     def window(self, radius: int, threads: int = 1) -> np.ndarray:
         """Values over the 1-norm ball in canonical scan order."""
@@ -228,7 +201,7 @@ class SlowSequence:
         values = np.abs(_eval_points(self.expr, points, norms, threads))
         ratios = values / self.cert.bound_at(norms)
         max_ratio = float(ratios.max())
-        bad = ratios > 1.0 + rel_tol
+        bad = ~(ratios <= 1.0 + rel_tol)  # NaN is a violation
         if bad.any():
             where = int(np.argmax(bad))
             return CertificateCheck(False, tuple(int(c) for c in points[where]), max_ratio)
@@ -266,11 +239,17 @@ class SlowSequence:
         return _compose(ex.Recip(self.expr, delta, K), self)
 
 
-def _tree_of(obj: dict, path: str) -> tuple[object, str]:
-    """The expression tree of a sequence object (or the bare tree) and its JSON path."""
+def _check_axes(node: ex.Node, dimension: int, where: str) -> None:
+    axis = ex.max_axis(node)
+    if axis >= dimension:
+        raise DimensionMismatch(f"{where}: references axis {axis} but dimension is {dimension}")
+
+
+def _parse_tree(obj: dict, dimension: int, path: str) -> tuple[ex.Node, tuple[float, int], list]:
+    """``parse_node`` of a sequence object's tree, or of the bare tree, over Z^dimension."""
     if "kind" in obj:
-        return obj, path or "expr"
-    return ex._expect(obj, "expr", path), ex._at(path, "expr")
+        return ex.parse_node(obj, path or "expr", dimension)
+    return ex.parse_node(ex._expect(obj, "expr", path), ex._at(path, "expr"), dimension)
 
 
 def _compose(node: ex.Node, *operands: SlowSequence) -> SlowSequence:
@@ -338,24 +317,16 @@ def exp_decay_sequence(rate: float, dimension: int = 1) -> SlowSequence:
 
 
 @dataclass(frozen=True)
-class DecayBound:
+class DecayBound(ex.Ranged):
     """Envelope |b(n)| <= C * (1+|n|_1)^j * exp(-rate * |n|_1)."""
 
-    C: float
-    j: int
-    rate: float
-
-    def __post_init__(self):
-        if not self.C > 0:
-            raise InputError("decay amplitude must be > 0")
-        if self.j < 0:
-            raise InputError("decay polynomial order must be >= 0")
-        if not self.rate > 0:
-            raise InputError("decay rate must be > 0")
+    C: float = ex.ranged(ex.POSITIVE)
+    j: int = ex.ranged(ex.NONNEG)
+    rate: float = ex.ranged(ex.POSITIVE)
 
 
 @dataclass(frozen=True)
-class FastSequence:
+class FastSequence(ex.Ranged):
     """Expression tree with decay data bounding every seminorm p_k.
 
     At least one of ``decay`` (exponential envelope) or ``support``
@@ -364,38 +335,24 @@ class FastSequence:
     """
 
     expr: ex.Node
-    dimension: int
+    dimension: int = ex.ranged(ex.AT_LEAST_ONE)
     decay: DecayBound | None = None
-    support: int | None = None
+    support: int | None = ex.ranged(ex.NONNEG, None)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise InputError("dimension must be >= 1")
+        super().__post_init__()
         if self.decay is None and self.support is None:
             raise InputError("a fast sequence needs a decay envelope or a declared support")
-        if self.support is not None and self.support < 0:
-            raise InputError("support radius must be >= 0")
-        axis = ex.max_axis(self.expr)
-        if axis >= self.dimension:
-            raise DimensionMismatch(
-                f"expression references axis {axis} but dimension is {self.dimension}"
-            )
+        _check_axes(self.expr, self.dimension, "expr")
 
-    def eval(self, index: LatticeIndex) -> complex:
-        index = tuple(int(c) for c in index)
-        if len(index) != self.dimension:
-            raise DimensionMismatch(
-                f"index has dimension {len(index)}, sequence has {self.dimension}"
-            )
-        return ex.evaluate(self.expr, index)
+    eval = _eval_at
 
     def window(self, radius: int, threads: int = 1) -> np.ndarray:
         return window_values(self.expr, self.dimension, radius, threads)
 
     def seminorm_bound(self, k: int) -> float:
         """Certified upper bound on p_k(b) = sup (1+|n|_1)^k |b(n)|."""
-        if k < 0:
-            raise InputError("seminorm order must be >= 0")
+        ex.NONNEG.check(k, "k")
         best = math.inf
         if self.support is not None:
             points, norms = ball(self.dimension, self.support)
@@ -445,16 +402,14 @@ class FastSequence:
         """Parse ``{"expr": tree, "decay": {"C", "j", "rate"}, "support": R}``
         (or a bare tree); errors name fields by their JSON path below ``path``."""
         obj = ex._object(obj, path or "sequence")
-        tree, tree_path = _tree_of(obj, path)
-        node, _, _ = ex.parse_node(tree, tree_path)
+        node, _, _ = _parse_tree(obj, dimension, path)
         decay = None
         if "decay" in obj:
             where = ex._at(path, "decay")
-            d = ex._object(obj["decay"], where)
-            decay = DecayBound(
-                ex._number(d, "C", where), ex._integer(d, "j", where), ex._number(d, "rate", where)
-            )
-        support = ex._integer(obj, "support", path, default=None)
+            decay = DecayBound(*ex._read_fields(DecayBound, ex._object(obj["decay"], where), where))
+        support = ex._integer(obj, "support", path, None, ex._ranges(FastSequence)["support"])
+        if decay is None and support is None:
+            raise InputError(f"{path or 'sequence'}: needs a 'decay' envelope or a declared 'support'")
         return FastSequence(node, dimension, decay=decay, support=support)
 
 
@@ -533,10 +488,8 @@ class SeminormResult:
 
 def seminorm(b: FastSequence, k: int, radius: int, threads: int = 1) -> SeminormResult:
     """Weighted sup p_k(b) over the window, plus a certified global bound."""
-    if k < 0:
-        raise InputError("seminorm order must be >= 0")
-    if radius < 0:
-        raise InputError("radius must be >= 0")
+    ex.NONNEG.check(k, "k")
+    ex.NONNEG.check(radius, "radius")
     points, norms = ball(b.dimension, radius)
     values = np.abs(_eval_points(b.expr, points, norms, threads))
     sup = float(((1.0 + norms) ** k * values).max())
@@ -568,8 +521,7 @@ def pairing(a: SlowSequence, b: FastSequence, radius: int, threads: int = 1) -> 
     """
     if a.dimension != b.dimension:
         raise DimensionMismatch("pairing arguments must share a dimension")
-    if radius < 0:
-        raise InputError("radius must be >= 0")
+    ex.NONNEG.check(radius, "radius")
     points, norms = ball(a.dimension, radius)
     left = _eval_points(a.expr, points, norms, threads)
     right = _eval_points(b.expr, points, norms, threads)

@@ -47,6 +47,10 @@ from .sequences import (
 )
 
 
+# The clip level of a reduction: the perturbed identity keeps the floor 1 - 2*eps.
+REDUCTION_EPSILON = ex.Range("in (0, 1/2)", lambda eps: 0.0 < eps < 0.5)
+
+
 def clip_below(a: SlowSequence, eps: float) -> SlowSequence:
     """Replace values of modulus under eps by the real constant eps.
 
@@ -88,10 +92,9 @@ def reduce_pair(
     (max residual at most `tolerance`, else MathFailure).  Requires
     0 < epsilon < 1/2.
     """
-    if not (0.0 < epsilon < 0.5):
-        raise InputError("epsilon must lie strictly between 0 and 1/2")
+    REDUCTION_EPSILON.check(epsilon, "epsilon")
     residual = verify_bezout([a1, a2], [b1, b2], radius, threads)
-    if residual > tolerance:
+    if not residual <= tolerance:  # NaN fails
         raise MathFailure(
             f"cofactor identity residual {residual:.3e} exceeds tolerance {tolerance:.3e}"
         )
@@ -191,12 +194,7 @@ def approx_by_invertibles(
     Each approximant differs from `a` by at most 2 * eps pointwise and
     carries the certified floor (eps, 0).
     """
-    out = []
-    for eps in epsilons:
-        if not eps > 0:
-            raise InputError("approximation levels must be > 0")
-        out.append((a.clip_below(eps), CoronaWitness(eps, 0, status=CERTIFIED)))
-    return out
+    return [(a.clip_below(eps), CoronaWitness(eps, 0, status=CERTIFIED)) for eps in epsilons]
 
 
 @dataclass(frozen=True)

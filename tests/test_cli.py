@@ -1,9 +1,14 @@
 """Command line front end: job files, reports, exit codes."""
 
+import contextlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodist import cli
 
@@ -314,6 +319,11 @@ def test_missing_required_input_names_the_field(tmp_path, capsys):
     assert "inputs.a" in err
 
 
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+SYNTH = {"period_matrix": [[1.0]], "coeffs": {"coeffs": {"1": [1.0, 0.0]}, "dimension": 1},
+         "points": [0.0, 0.5]}
+
+# (command, JSON path the message must name, job[, test id when the path repeats])
 MALFORMED_FIELDS = [
     ("corona-check", "params.R",
      {"inputs": {"a": [{"expr": ONE}]}, "params": {"delta": 1.0, "K": 0, "R": "ten"}}),
@@ -331,16 +341,59 @@ MALFORMED_FIELDS = [
     ("check-growth", "inputs.a.expr",
      {"inputs": {"a": {"expr": {"kind": "cosine"}}}}),
     ("fourier-coeffs", "inputs.samples.shape[1]",
-     {"dimension": 2, "inputs": {"period_matrix": [[1.0, 0.0], [0.0, 1.0]],
+     {"dimension": 2, "inputs": {"period_matrix": EYE2,
                                  "samples": {"file": "s.bin", "shape": [2, "x"]}}}),
     ("fourier-coeffs", "inputs.samples.file",
-     {"dimension": 2, "inputs": {"period_matrix": [[1.0, 0.0], [0.0, 1.0]],
+     {"dimension": 2, "inputs": {"period_matrix": EYE2,
                                  "samples": {"file": 5, "shape": [2, 2]}}}),
+    # Ranges, element types and shapes of every remaining job-file field.
+    ("approx", "params.epsilons[0]",
+     {"inputs": {"a": {"expr": ZERO}}, "params": {"epsilons": ["x"]}}, "params.epsilons[0]-string"),
+    ("approx", "params.epsilons[0]",
+     {"inputs": {"a": {"expr": ZERO}}, "params": {"epsilons": [True]}}, "params.epsilons[0]-bool"),
+    ("fourier-synth", "inputs.points[1]",
+     {"inputs": {**SYNTH, "period_matrix": EYE2, "coeffs": {"coeffs": {}, "dimension": 2},
+                 "points": [[0.0, 0.1], [0.2]]}}),
+    ("fourier-synth", "inputs.points[0]", {"inputs": {**SYNTH, "points": ["a", 0.5]}}),
+    ("fourier-synth", "inputs.coeffs.dimension",
+     {"inputs": {**SYNTH, "coeffs": {"coeffs": {}, "dimension": 0}}}),
+    ("fourier-synth", "inputs.coeffs.coeffs",
+     {"inputs": {**SYNTH, "coeffs": {"coeffs": [[1.0, 0.0]]}}}, "inputs.coeffs.coeffs-list"),
+    ("fourier-synth", "inputs.coeffs.coeffs",
+     {"inputs": {**SYNTH, "coeffs": {"coeffs": {"1,x": [1.0, 0.0]}}}}, "inputs.coeffs.coeffs-key"),
+    ("fourier-synth", "inputs.coeffs.coeffs.0",
+     {"inputs": {**SYNTH, "coeffs": {"coeffs": {"0": ["a", 0]}}}}),
+    ("fourier-synth", "inputs.period_matrix[0]", {"inputs": {**SYNTH, "period_matrix": [["a"]]}}),
+    ("fourier-synth", "inputs.period_matrix[1]", {"inputs": {**SYNTH, "period_matrix": [[1.0, 0.0], [0.0]]}}),
+    ("gap", "inputs.x.expr.eps",
+     {"inputs": {"x": {"expr": {"kind": "clip", "arg": COORD, "eps": -0.1}}, "y": {"expr": COORD},
+                 "b": DECAY_HALF}}),
+    ("pair", "inputs.b.decay.rate",
+     {"inputs": {"a": {"expr": ONE}, "b": {"expr": ONE, "decay": {"C": 1.0, "j": 0, "rate": -1.0}}}},
+     "inputs.b.decay.rate-negative"),
+    ("pair", "inputs.b.support",
+     {"inputs": {"a": {"expr": ONE}, "b": {"expr": ONE, "support": -2}}}, "inputs.b.support-negative"),
+    ("pair", "inputs.b", {"inputs": {"a": {"expr": ONE}, "b": {"expr": ONE}}}, "inputs.b-no-decay"),
+    ("bezout-verify", "inputs.b",
+     {"inputs": {"a": [{"expr": ONE}, {"expr": ZERO}], "b": [{"expr": ONE}]}}, "inputs.b-short"),
+    ("check-growth", "inputs.a.expr",
+     {"inputs": {"a": {"expr": {"kind": "coord", "axis": 3}}}}, "inputs.a.expr-axis"),
+    ("reduce", "params.epsilon",
+     {"inputs": {"a1": {"expr": ONE}, "a2": {"expr": ZERO}, "b1": {"expr": ONE}, "b2": {"expr": ZERO}},
+      "params": {"epsilon": 0.7}}),
+    ("corona-check", "params.delta", {"inputs": {"a": [{"expr": ONE}]}, "params": {"delta": -1.0, "K": 0}}),
+    ("corona-check", "params.K", {"inputs": {"a": [{"expr": ONE}]}, "params": {"delta": 1.0, "K": -1}}),
+    ("pair", "dimension", {"dimension": 0, "inputs": {"a": {"expr": ONE}, "b": DECAY_HALF}},
+     "dimension-zero"),
+    ("corona-check", "params.R",
+     {"inputs": {"a": [{"expr": ONE}]}, "params": {"delta": 1.0, "K": 0, "R": -1}}, "params.R-negative"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, where, job", MALFORMED_FIELDS, ids=[case[1] for case in MALFORMED_FIELDS]
+    "command, where, job",
+    [case[:3] for case in MALFORMED_FIELDS],
+    ids=[case[3] if len(case) > 3 else case[1] for case in MALFORMED_FIELDS],
 )
 def test_malformed_field_names_its_json_path(tmp_path, capsys, command, where, job):
     spec = write_job(tmp_path, "job.json", job)
@@ -348,6 +401,82 @@ def test_malformed_field_names_its_json_path(tmp_path, capsys, command, where, j
     assert code == 1
     assert out == ""
     assert where in err
+
+
+# -- fuzz: one mutated leaf of a well-formed job ---------------------------
+
+WELL_FORMED = [
+    ("check-growth", {"inputs": {"a": {"expr": {"kind": "add", "args": [COORD, ONE]},
+                                       "cert": {"M": 2.0, "k": 1}}}, "params": {"R": 6}}),
+    ("corona-check", {"inputs": {"a": [{"expr": COORD}, {"expr": ONE}]},
+                      "params": {"delta": 0.5, "K": 0, "R": 6}}),
+    ("bezout-verify", {"inputs": {"a": [{"expr": ONE}], "b": [{"expr": ONE}]}, "params": {"R": 6}}),
+    ("reduce", {"inputs": {"a1": {"expr": ONE}, "a2": {"expr": ZERO}, "b1": {"expr": ONE},
+                           "b2": {"expr": ZERO}}, "params": {"R": 6, "epsilon": 0.25}}),
+    ("approx", {"inputs": {"a": {"expr": COORD}}, "params": {"epsilons": [1.0, 0.5], "R": 6}}),
+    ("gap", {"inputs": {"x": {"expr": {"kind": "clip", "arg": COORD, "eps": 0.25}},
+                        "y": {"expr": COORD}, "b": DECAY_HALF}, "params": {"R": 6}}),
+    ("qdemo", {"params": {"rate": 1.0, "delta": 0.5, "K": 2, "nMax": 8}}),
+    ("pair", {"dimension": 2,
+              "inputs": {"a": {"expr": {"kind": "polyenv", "k": 1}},
+                         "b": {"expr": {"kind": "recip", "arg": {"kind": "polyenv", "k": 4},
+                                        "witness": {"delta": 1.0, "K": 4}},
+                               "decay": {"C": 1.0, "j": 0, "rate": 0.5}, "support": 3}},
+              "params": {"R": 6}}),
+    ("fourier-coeffs", {"dimension": 2, "inputs": {"period_matrix": [[2.0, 1.0], [0.0, 1.0]],
+                                                   "samples": [[1.0, [0.0, 1.0]], [2.0, 3.0]]}}),
+    ("fourier-synth", {"inputs": {**SYNTH, "coeffs": {"coeffs": {"1": [1.0, 0.0], "-1": [0.5, 0.5]}}}}),
+    ("exp-demo", {"params": {"maxDegree": 1}}),
+]
+
+
+def _leaves(value, path=()):
+    """Every scalar leaf under a JSON value, as a key path."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [path]
+    return [leaf for key, item in items for leaf in _leaves(item, path + (key,))]
+
+
+def _path_text(keys) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else (f".{k}" if i else k) for i, k in enumerate(keys))
+
+
+FUZZ_LEAVES = [
+    (i, leaf) for i, (_, job) in enumerate(WELL_FORMED)
+    for top in ("inputs", "params") if top in job
+    for leaf in _leaves(job[top], (top,))
+]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(site=st.sampled_from(FUZZ_LEAVES), mutation=st.sampled_from(["type", "delete", "negative"]))
+def test_fuzzed_job_files_fail_cleanly(tmp_path_factory, site, mutation):
+    index, keys = site
+    command, job = WELL_FORMED[index]
+    job = json.loads(json.dumps(job))  # a copy that shares no subtree
+    parent = job
+    for key in keys[:-1]:
+        parent = parent[key]
+    leaf = parent[keys[-1]]
+    if mutation == "delete" and isinstance(parent, dict):
+        del parent[keys[-1]]
+    elif mutation == "negative" and isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
+        parent[keys[-1]] = -abs(leaf) - 1
+    else:
+        parent[keys[-1]] = "x"
+    spec = tmp_path_factory.mktemp("fuzz") / "job.json"
+    spec.write_text(json.dumps(job))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--spec", str(spec)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        ancestors = [_path_text(keys[:n]) for n in range(2, len(keys) + 1)]
+        assert any(re.search(re.escape(a) + r"(?![\w])", err.getvalue()) for a in ancestors), err.getvalue()
 
 
 def test_usage_errors_exit_one(capsys):

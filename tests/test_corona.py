@@ -233,3 +233,42 @@ def test_unit_inverse_on_random_shifted_norms():
         assert check.invertible
         product = (seq * check.inverse).window(30)
         assert np.abs(product - 1.0).max() <= 1e-12
+
+
+# -- NaN is never a pass ------------------------------------------------
+
+
+def nan_beyond_origin():
+    """(1 + |n|)^2000 * exp(-800 |n|): 1 at the origin, inf * 0 = NaN at every |n| >= 1."""
+    tree = ex.Mul((ex.PolyEnv(2000), ex.ExpDecay(800.0)))
+    return SlowSequence.from_expr(tree, 1)
+
+
+def test_window_check_fails_on_nan():
+    seq = nan_beyond_origin()
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.isnan(seq.window(1)[1:]).all()
+        check = check_corona_window([seq], 0.5, 0, 2)
+    assert not check.holds
+    assert check.first_violation == (-1,)
+
+
+def test_is_unit_refuses_nan():
+    with np.errstate(invalid="ignore", over="ignore"):
+        unit = is_unit(nan_beyond_origin(), CoronaWitness(0.5, 0), radius=2)
+    assert not unit.invertible
+    assert unit.inverse is None
+    assert unit.first_violation == (-1,)
+
+
+def test_certify_witness_is_the_lower_bound_of_the_combined_modulus():
+    rng = random.Random(11)
+    leaves = [
+        ex.Coord(0), ex.Norm1(), ex.Const(0.5), ex.Const(-2.0, 1.0), ex.PolyEnv(2), ex.Clip(ex.Coord(0), 0.25)
+    ]
+    for _ in range(300):
+        family = [SlowSequence.from_expr(rng.choice(leaves), 1) for _ in range(rng.randint(1, 4))]
+        bounds = [b for b in (ex.lower_bound_cert(m.expr) for m in family) if b is not None]
+        best = min(bounds, key=lambda b: (b[1], -b[0]), default=None)
+        witness = certify_witness(family)
+        assert witness is None if best is None else (witness.delta, witness.K) == best

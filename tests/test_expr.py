@@ -356,3 +356,25 @@ def test_max_axis():
     assert ex.max_axis(ex.Coord(3)) == 3
     assert ex.max_axis(ex.Add((ex.Coord(0), ex.Coord(2)))) == 2
     assert ex.max_axis(ex.Norm1()) == -1
+
+
+@pytest.mark.parametrize("re, im", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_constants_must_be_finite(re, im):
+    # A NaN constant would compose the certificate (1.0, 0) for a value it does not bound.
+    with pytest.raises(InputError, match="must be finite"):
+        ex.Const(re, im)
+    with pytest.raises(InputError, match=r"expr\.re|expr\.im"):
+        ex.parse_node({"kind": "const", "re": re, "im": im})
+
+
+def test_declared_ranges_name_the_field_and_the_value():
+    with pytest.raises(InputError, match=r"^eps: must be > 0, got -0\.1$"):
+        ex.Clip(ex.Norm1(), -0.1)
+    with pytest.raises(InputError, match=r"^args: must be non-empty"):
+        ex.Add(())
+    with pytest.raises(InputError, match=r"^inputs\.x\.expr\.eps: must be > 0, got -0\.1$"):
+        ex.parse_node({"kind": "clip", "arg": {"kind": "norm1"}, "eps": -0.1}, "inputs.x.expr")
+    with pytest.raises(InputError, match=r"^expr\.witness\.delta: must be > 0, got 0\.0$"):
+        ex.parse_node({"kind": "recip", "arg": {"kind": "norm1"}, "witness": {"delta": 0.0, "K": 0}})
+    with pytest.raises(InputError, match=r"^expr\.args: must be non-empty, got \[\]$"):
+        ex.parse_node({"kind": "add", "args": []})

@@ -227,6 +227,7 @@ def test_coefficient_map_growth_check():
     coeffs = CoefficientMap.from_dict({(4,): 3.0, (0,): 1.0}, 1)
     assert coeffs.check_growth()
     assert coeffs.cert.M == 3.0
+    assert not CoefficientMap.from_dict({(1,): complex("nan")}, 1).check_growth()
 
 
 def test_comb_is_the_all_ones_sequence():

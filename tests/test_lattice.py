@@ -54,6 +54,8 @@ def test_shell_counts():
     assert [shell_count(1, r) for r in range(4)] == [1, 2, 2, 2]
     assert [shell_count(2, r) for r in range(4)] == [1, 4, 8, 12]
     assert [shell_count(3, r) for r in range(4)] == [1, 6, 18, 38]
+    for d in range(1, 6):
+        assert [shell_count(d, r) for r in range(13)] == [len(shell(d, r)) for r in range(13)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -101,3 +103,10 @@ def test_ball_arrays_are_frozen():
 def test_norm1():
     assert norm1(()) == 0
     assert norm1((-3, 4)) == 7
+
+
+def test_shell_count_builds_no_ball():
+    before = ball.cache_info()
+    counts = [shell_count(3, r) for r in range(51)]
+    assert ball.cache_info() == before
+    assert counts[50] == 4 * 50 * 50 + 2

@@ -331,3 +331,12 @@ def test_window_is_thread_count_invariant():
     assert (seq.window(60, threads=3) == seq.window(60, threads=1)).all()
     b = fast_exp_decay(0.5)
     assert pairing(seq, b, 60, threads=3).value == pairing(seq, b, 60, threads=1).value
+
+
+def test_certificate_check_fails_on_nan():
+    seq = SlowSequence.from_expr(ex.Mul((ex.PolyEnv(2000), ex.ExpDecay(800.0))), 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        check = seq.check_certificate(2)
+    assert not check.holds
+    assert check.first_violation == (-1,)
+    assert math.isnan(check.max_ratio)

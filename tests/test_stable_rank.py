@@ -6,10 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from periodist import expr as ex
 from periodist.corona import CERTIFIED, CoronaWitness, certify_witness, is_unit, solve_bezout, verify_bezout
 from periodist.errors import InputError, MathFailure
 from periodist.lattice import ball, ball_iter
 from periodist.sequences import (
+    SlowSequence,
     combine,
     constant,
     coordinate,
@@ -272,3 +274,10 @@ def test_exp_decay_gets_arbitrarily_close_to_one():
         gaps.append(weak_star_gap(x, one, b, 60).gap)
         assert q_algebra_violation(eps, 0.5, 3, 4000) is not None
     assert gaps[1] < gaps[0]
+
+
+def test_reduce_rejects_a_nan_residual():
+    nan = SlowSequence.from_expr(ex.Mul((ex.PolyEnv(2000), ex.ExpDecay(800.0))), 1)
+    one = constant(1.0, 1)
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(MathFailure, match="residual nan"):
+        reduce_pair(nan, one, one, one, radius=2)
