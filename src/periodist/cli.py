@@ -45,8 +45,7 @@ from .corona import (
     witness_from_bezout,
 )
 from .errors import CertificateError, InputError, MathFailure, PeriodistError, WitnessViolation
-from .lattice import ball
-from .sequences import FastSequence, SlowSequence, _eval_points, combine, constant, pairing
+from .sequences import FastSequence, SlowSequence, combine, constant, pairing, window_folds
 from .stable_rank import approx_by_invertibles, q_algebra_violation, reduce_pair, weak_star_gap
 
 DEFAULT_RADIUS = 50
@@ -104,6 +103,8 @@ class Job:
             raise InputError(
                 f"{spec_path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
             )
+        except RecursionError:
+            raise InputError(f"{spec_path}: nested too deeply to decode") from None
         declared = self.raw.get("command")
         if declared is not None and declared != command:
             raise InputError(
@@ -128,31 +129,42 @@ class Job:
     def param_int(self, name: str, default=ex._REQUIRED, rule=None) -> int:
         return ex._integer(self.params, name, "params", default, rule or _PARAM_RANGES.get(name))
 
+    def _parsed(self, name: str, parse):
+        """``parse(raw, path)`` of ``inputs.<name>``; a tree too deep to parse is an input error."""
+        path = f"inputs.{name}"
+        try:
+            return parse(ex._expect(self.inputs, name, "inputs"), path)
+        except RecursionError:
+            raise InputError(f"{path}: nested too deeply to parse") from None
+
     def slow(self, name: str) -> SlowSequence:
-        raw = ex._expect(self.inputs, name, "inputs")
-        return SlowSequence.from_json(raw, self.dimension, path=f"inputs.{name}")
+        return self._parsed(name, lambda raw, path: SlowSequence.from_json(raw, self.dimension, path=path))
 
     def slow_family(self, name: str, length: int | None = None) -> list[SlowSequence]:
-        items = ex._array(ex._expect(self.inputs, name, "inputs"), f"inputs.{name}", length)
-        return [
-            SlowSequence.from_json(item, self.dimension, path=f"inputs.{name}[{i}]")
-            for i, item in enumerate(items)
-        ]
+        return self._parsed(name, lambda raw, path: [
+            SlowSequence.from_json(item, self.dimension, path=f"{path}[{i}]")
+            for i, item in enumerate(ex._array(raw, path, length))
+        ])
 
     def fast(self, name: str) -> FastSequence:
-        raw = ex._expect(self.inputs, name, "inputs")
-        return FastSequence.from_json(raw, self.dimension, path=f"inputs.{name}")
+        return self._parsed(name, lambda raw, path: FastSequence.from_json(raw, self.dimension, path=path))
 
     def basis(self) -> fourier.PeriodBasis:
         raw = ex._expect(self.inputs, "period_matrix", "inputs")
         n = len(ex._array(raw, "inputs.period_matrix"))
-        return fourier.PeriodBasis(ex._reals(raw, "inputs.period_matrix", (n, n)))
+        matrix = ex._reals(raw, "inputs.period_matrix", (n, n))
+        try:
+            return fourier.PeriodBasis(matrix)
+        except InputError as err:  # a singular matrix or an inexact inverse
+            raise InputError(f"inputs.period_matrix: {err}") from None
 
     def samples(self, dimension: int) -> np.ndarray:
         raw = ex._expect(self.inputs, "samples", "inputs")
         if isinstance(raw, dict):
             shape = ex._expect(raw, "shape", "inputs.samples")
             shape = ex._nested(shape, "inputs.samples.shape", (dimension,), ex._int)
+            if len(set(shape)) > 1:
+                raise InputError(f"inputs.samples.shape: must be cubic (equal length per axis), got {shape}")
             name = ex._expect(raw, "file", "inputs.samples")
             path = Path(ex._typed(name, "inputs.samples.file", str, "a string"))
             if not path.is_absolute():
@@ -294,9 +306,6 @@ def _run_reduce(job: Job):
         trace.normalized_first,
     )
     perturbed = combine("add", constant(1.0, a1.dimension), drift)
-    points, norms = ball(a1.dimension, job.radius)
-    perturbed_values = np.abs(_eval_points(perturbed.expr, points, norms, job.threads))
-    min_floor = float(perturbed_values.min())
     witness = trace.result_inverse_witness
     factorisation = combine(
         "mul",
@@ -304,11 +313,9 @@ def _run_reduce(job: Job):
         trace.normalizer,
         perturbed,
     )
-    delta_values = np.abs(
-        _eval_points(trace.result.expr, points, norms, job.threads)
-        - _eval_points(factorisation.expr, points, norms, job.threads)
-    )
-    factorisation_residual = float(delta_values.max())
+    trees = [perturbed.expr, trace.result.expr, factorisation.expr]
+    measures = [(np.min, lambda norms, v: np.abs(v[0])), (np.max, lambda norms, v: np.abs(v[1] - v[2]))]
+    min_floor, factorisation_residual = window_folds(trees, a1.dimension, job.radius, measures, job.threads)
     results = {
         "epsilon": trace.epsilon,
         "result": trace.result.to_json(),
@@ -336,11 +343,11 @@ def _run_approx(job: Job):
         epsilons = [job.param_float("epsilon", 0.25, level)]
     items = []
     ok = True
-    points, norms = ball(seq.dimension, job.radius)
-    base = _eval_points(seq.expr, points, norms, job.threads)
-    for clipped, witness in approx_by_invertibles(seq, epsilons):
-        moved = _eval_points(clipped.expr, points, norms, job.threads)
-        max_change = float(np.abs(moved - base).max())
+    approximants = approx_by_invertibles(seq, epsilons)
+    trees = [seq.expr] + [clipped.expr for clipped, _ in approximants]
+    moved = [(np.max, lambda norms, v, i=i: np.abs(v[i] - v[0])) for i in range(1, len(trees))]
+    changes = window_folds(trees, seq.dimension, job.radius, moved, job.threads)
+    for (clipped, witness), max_change in zip(approximants, changes):
         eps = witness.delta
         ok = ok and max_change <= 2.0 * eps
         items.append(

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DimensionMismatch, InputError, MathFailure
-from .lattice import LatticeIndex, ball
-from .sequences import SlowSequence, _eval_points, combine
+from .lattice import LatticeIndex
+from .sequences import SlowSequence, _flagged, combine, scan, window_array, window_folds
 
 # Witness provenance labels.
 WINDOW_VERIFIED = "window-verified"
@@ -67,12 +67,12 @@ def _family_dimension(family: list[SlowSequence]) -> int:
 
 def combined_modulus(family: list[SlowSequence], radius: int, threads: int = 1) -> np.ndarray:
     """sum_i |a_i(n)| over the window, in canonical scan order."""
-    dimension = _family_dimension(family)
-    points, norms = ball(dimension, radius)
-    total = np.zeros(points.shape[0])
-    for member in family:
-        total += np.abs(_eval_points(member.expr, points, norms, threads))
-    return total
+    trees, dimension = [member.expr for member in family], _family_dimension(family)
+    return window_array(trees, dimension, radius, lambda norms, values: _modulus_sum(values), threads)
+
+
+def _modulus_sum(values: list[np.ndarray]) -> np.ndarray:
+    return sum(np.abs(v) for v in values)  # 0 + |a_1| + |a_2| + ..., in member order
 
 
 def check_corona_window(
@@ -85,16 +85,17 @@ def check_corona_window(
     """Exhaustively test the corona floor on the 1-norm ball.
 
     The comparison is exact double comparison; the first violation (in
-    canonical scan order) is reported when the floor fails.
+    canonical scan order) is reported when the floor fails, and the scan
+    stops at the slice that holds it.
     """
     witness = CoronaWitness(delta, K)
-    total = combined_modulus(family, radius, threads)
-    points, norms = ball(family[0].dimension, radius)
-    bad = ~(total >= witness.floor_at(norms))  # NaN is a violation
-    if bad.any():
-        where = int(np.argmax(bad))
-        return WindowCheck(False, tuple(int(c) for c in points[where]))
-    return WindowCheck(True, None)
+
+    def first_below(points, norms, rows, values):
+        below = ~(_modulus_sum(values) >= witness.floor_at(norms[rows]))  # NaN is a violation
+        return _flagged(points, rows, below)
+
+    where = scan([m.expr for m in family], _family_dimension(family), radius, first_below, threads)
+    return WindowCheck(where is None, where)
 
 
 def certify_witness(family: list[SlowSequence]) -> CoronaWitness | None:
@@ -150,11 +151,10 @@ def verify_bezout(
     if len(family) != len(cofactors):
         raise InputError("family and cofactors must have matching lengths")
     dimension = _family_dimension(list(family) + list(cofactors))
-    points, norms = ball(dimension, radius)
     # One tree, so the denominator the cofactors share is evaluated once.
     terms = tuple(ex.Mul((a.expr, b.expr)) for a, b in zip(family, cofactors))
-    total = _eval_points(ex.Add(terms), points, norms, threads)
-    return float(np.abs(total - 1.0).max())
+    residual = (np.max, lambda norms, values: np.abs(values[0] - 1.0))
+    return window_folds([ex.Add(terms)], dimension, radius, [residual], threads)[0]
 
 
 def witness_from_bezout(cofactors: list[SlowSequence]) -> CoronaWitness:

@@ -406,21 +406,13 @@ def evaluate(node: Node, index: LatticeIndex) -> complex:
     return complex(evaluate_grid(node, point)[0])
 
 
-def evaluate_grid(node: Node, points: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate a tree on a block of lattice points (shape count x dimension)."""
+def evaluate_grid(node: Node, points: np.ndarray, norms: np.ndarray | None = None, plan=None) -> np.ndarray:
+    """Evaluate a tree on a block of lattice points (shape count x dimension);
+    ``plan``, if given, is ``_plan(node)``, made once for many blocks."""
     if norms is None:
         norms = np.abs(points).sum(axis=1)
-    order, readers = _postorder(node)
-    # A sum or product folds in its argument i at the position in the
-    # order where arguments 0..i are all computed.
-    position = {id(n): p for p, (n, _) in enumerate(order)}
-    folds: dict[int, list[tuple[Node, int, Node]]] = {}  # by position: (node, i, argument i)
-    for n, kids in order:
-        if n.writes_first:
-            ready = 0
-            for i, c in enumerate(kids):
-                ready = max(ready, position[id(c)])
-                folds.setdefault(ready, []).append((n, i, c))
+    order, readers, folds = plan or _plan(node)
+    readers = dict(readers)
     arrays: dict[int, np.ndarray] = {}
     partial: dict[int, np.ndarray] = {}  # sums and products folded so far
 
@@ -441,6 +433,23 @@ def evaluate_grid(node: Node, points: np.ndarray, norms: np.ndarray | None = Non
             else:
                 partial[id(parent)] = value.copy() if id(c) in arrays else value
     return arrays[id(node)]
+
+
+def _plan(node: Node):
+    """The schedule of ``evaluate_grid``: the post-order, the reader counts,
+    and by position in the order the arguments that sums and products fold in."""
+    order, readers = _postorder(node)
+    # A sum or product folds in its argument i at the position in the
+    # order where arguments 0..i are all computed.
+    position = {id(n): p for p, (n, _) in enumerate(order)}
+    folds: dict[int, list[tuple[Node, int, Node]]] = {}  # by position: (node, i, argument i)
+    for n, kids in order:
+        if n.writes_first:
+            ready = 0
+            for i, c in enumerate(kids):
+                ready = max(ready, position[id(c)])
+                folds.setdefault(ready, []).append((n, i, c))
+    return order, readers, folds
 
 
 def _postorder(root: Node) -> tuple[list[tuple[Node, tuple[Node, ...]]], dict[int, int]]:

@@ -14,6 +14,11 @@ copying that block of the previous ball, therefore yields the next ball
 already sorted: no bounding cube is materialised and nothing is sorted.
 Memory stays within a small multiple of the output.
 
+Built balls stay in a least-recently-used cache bounded by the bytes of
+its arrays (``_CACHE_BYTES``), not by entries; a ball larger than the
+bound is returned without being kept.  Scans read balls slice by slice,
+so this cache sets the memory held between window calls.
+
 The shell cardinality bound ``count(d, r) <= 2^d * (1+r)^(d-1)`` used by
 series tail estimates is exported here so it can be validated against
 exhaustive enumeration (see the test suite).
@@ -21,12 +26,56 @@ exhaustive enumeration (see the test suite).
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import lru_cache
+import threading
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 
 LatticeIndex = tuple[int, ...]
+
+# Bytes of ball arrays the cache may hold.  A run of jobs over windows of
+# d <= 3 and R <= 50 reuses about 10 MB of balls; one ball of 250k points
+# in d=4 takes 10 MB, so scans over many large windows keep only the last.
+_CACHE_BYTES = 16 << 20
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")  # sizes in bytes
+
+
+def _cached_by_bytes(build):
+    """LRU cache of ``build(dimension, radius)`` holding at most ``_CACHE_BYTES`` of arrays."""
+    entries: OrderedDict = OrderedDict()
+    counts = [0, 0, 0]  # hits, misses, bytes held
+    lock = threading.Lock()
+
+    @functools.wraps(build)
+    def cached(dimension: int, radius: int):
+        key = (dimension, radius)
+        with lock:
+            arrays = entries.get(key)
+            counts[arrays is None] += 1
+            if arrays is not None:
+                entries.move_to_end(key)
+                return arrays
+        arrays = build(dimension, radius)
+        size = sum(a.nbytes for a in arrays)
+        with lock:
+            if size <= _CACHE_BYTES and key not in entries:
+                entries[key] = arrays
+                counts[2] += size
+                while counts[2] > _CACHE_BYTES:
+                    counts[2] -= sum(a.nbytes for a in entries.popitem(last=False)[1])
+        return arrays
+
+    def cache_clear() -> None:
+        with lock:
+            entries.clear()
+            counts[:] = [0, 0, 0]
+
+    cached.cache_info = lambda: CacheInfo(counts[0], counts[1], _CACHE_BYTES, counts[2])
+    cached.cache_clear = cache_clear
+    return cached
 
 
 def norm1(index: LatticeIndex) -> int:
@@ -46,14 +95,14 @@ def shell_count_bound(dimension: int, radius: int) -> float:
     return float(2**dimension) * float(1 + radius) ** (dimension - 1)
 
 
-@lru_cache(maxsize=64)
+@_cached_by_bytes
 def ball(dimension: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """All lattice points with 1-norm <= radius, in canonical scan order.
 
     Returns ``(points, norms)`` where ``points`` has shape ``(count, dimension)``
     and ``norms[i]`` is the 1-norm of row i.  Rows are sorted by
     ``(norm, coordinates lexicographically)``.  Arrays are read-only and
-    cached per ``(dimension, radius)``.
+    cached per ``(dimension, radius)`` within ``_CACHE_BYTES``.
 
     The ball is built shell by shell from the 1-D ball ``0, -1, 1, -2, 2,
     ...``: each further dimension gathers, for every pair ``(r, x0)`` in

@@ -18,6 +18,12 @@ decay at order ``k + d + 1`` together with the shell-count bound
 ``2^d (1+r)^(d-1)``; the leftover geometric-type sum is dominated by
 ``1/(1+R)``.  All certified bounds are inflated by a tiny relative slack
 so double rounding can never push them below the true value.
+
+Every window quantity is one call of ``scan``, which evaluates the trees
+on the ball slice by slice and folds each slice into a first violation
+(the scan stops there), a max or min (``window_folds``), or one
+window-length array (``window_array``) whose ``np.sum`` is a window sum.
+Results are bit-identical for every slice size and thread count.
 """
 
 from __future__ import annotations
@@ -45,20 +51,68 @@ def _bump(x: float) -> float:
     return x * _SLACK
 
 
-def _eval_points(node: ex.Node, points: np.ndarray, norms: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Evaluate a tree over a block of points, optionally in parallel.
+def scan(trees: list[ex.Node], dimension: int, radius: int, step, threads: int = 1):
+    """Feed the window |n|_1 <= radius to ``step`` in slices of at most ``_CHUNK`` points.
 
-    Chunking is identical for every thread count, so results are
-    bit-for-bit reproducible regardless of the worker cap.
+    ``step(points, norms, rows, values)`` gets the whole window, the slice
+    ``rows`` of it and each tree's values there, in canonical order; its
+    first result that is not None stops the scan and is returned.  Each
+    tree's evaluation plan is made once per scan.  With ``threads > 1`` a
+    pool evaluates the slices, which are still folded in order.
     """
+    points, norms = ball(dimension, radius)
+    plans = [ex._plan(tree) for tree in trees]
+
+    def evaluate(rows: slice):
+        return rows, [ex.evaluate_grid(t, points[rows], norms[rows], p) for t, p in zip(trees, plans)]
+
     count = points.shape[0]
     slices = [slice(i, min(i + _CHUNK, count)) for i in range(0, count, _CHUNK)]
-    if threads <= 1 or len(slices) == 1:
-        parts = [ex.evaluate_grid(node, points[s], norms[s]) for s in slices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda s: ex.evaluate_grid(node, points[s], norms[s]), slices))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and len(slices) > 1 else None
+    try:
+        for rows, values in (pool.map if pool else map)(evaluate, slices):
+            found = step(points, norms, rows, values)
+            del values  # this slice's arrays go before the next slice is evaluated
+            if found is not None:
+                return found
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    return None
+
+
+def _flagged(points: np.ndarray, rows: slice, flags: np.ndarray) -> LatticeIndex | None:
+    """The point of the first true flag in the slice ``rows`` of the window, or None."""
+    return tuple(int(c) for c in points[rows.start + int(np.argmax(flags))]) if flags.any() else None
+
+
+def window_folds(trees, dimension: int, radius: int, measures, threads: int = 1) -> list[float]:
+    """For each ``(fold, measure)``, fold (``np.max`` or ``np.min``) of
+    ``measure(norms, values)`` over the window.  Slice results are
+    combined by the same fold, so NaN propagates and the value is exact."""
+    parts: list[list] = [[] for _ in measures]
+
+    def step(points, norms, rows, values):
+        for part, (fold, measure) in zip(parts, measures):
+            part.append(fold(measure(norms[rows], values)))
+
+    scan(trees, dimension, radius, step, threads)
+    return [float(part[0] if len(part) == 1 else fold(part)) for part, (fold, _) in zip(parts, measures)]
+
+
+def window_array(trees, dimension: int, radius: int, measure, threads: int = 1) -> np.ndarray:
+    """``measure(norms, values)`` over the window as one array, in canonical scan order;
+    a window sum is ``np.sum`` of it, so it rounds as one sum over the window."""
+    out: list[np.ndarray] = []
+
+    def step(points, norms, rows, values):
+        part = measure(norms[rows], values)
+        if not out:
+            out.append(np.empty(norms.shape[0], part.dtype))
+        out[0][rows] = part
+
+    scan(trees, dimension, radius, step, threads)
+    return out[0]
 
 
 def _eval_at(seq, index: LatticeIndex) -> complex:
@@ -71,8 +125,13 @@ def _eval_at(seq, index: LatticeIndex) -> complex:
 
 def window_values(node: ex.Node, dimension: int, radius: int, threads: int = 1) -> np.ndarray:
     """Values of a tree over the 1-norm ball, in canonical scan order."""
-    points, norms = ball(dimension, radius)
-    return _eval_points(node, points, norms, threads)
+    return window_array([node], dimension, radius, lambda norms, values: values[0], threads)
+
+
+def _weighted_sup(b, k: int, radius: int, threads: int = 1) -> float:
+    """sup of (1+|n|_1)^k |b(n)| over the window."""
+    measure = (np.max, lambda norms, values: (1.0 + norms) ** k * np.abs(values[0]))
+    return window_folds([b.expr], b.dimension, radius, [measure], threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +256,15 @@ class SlowSequence(ex.Ranged):
         self, radius: int, rel_tol: float = 1e-12, threads: int = 1
     ) -> CertificateCheck:
         """Exhaustively check the certificate on the window of this radius."""
-        points, norms = ball(self.dimension, radius)
-        values = np.abs(_eval_points(self.expr, points, norms, threads))
-        ratios = values / self.cert.bound_at(norms)
-        max_ratio = float(ratios.max())
-        bad = ~(ratios <= 1.0 + rel_tol)  # NaN is a violation
-        if bad.any():
-            where = int(np.argmax(bad))
-            return CertificateCheck(False, tuple(int(c) for c in points[where]), max_ratio)
-        return CertificateCheck(True, None, max_ratio)
+        maxima, found = [], [None]
+
+        def step(points, norms, rows, values):  # never stops: max_ratio covers the whole window
+            ratios = np.abs(values[0]) / self.cert.bound_at(norms[rows])
+            maxima.append(ratios.max())
+            found[0] = found[0] or _flagged(points, rows, ~(ratios <= 1.0 + rel_tol))  # NaN is a violation
+
+        scan([self.expr], self.dimension, radius, step, threads)
+        return CertificateCheck(found[0] is None, found[0], float(np.max(maxima)))
 
     # -- pointwise algebra (certificates compose at the sequence level,
     #    so claimed certificates on the operands are respected) --------
@@ -254,9 +313,15 @@ def _parse_tree(obj: dict, dimension: int, path: str) -> tuple[ex.Node, tuple[fl
 
 def _compose(node: ex.Node, *operands: SlowSequence) -> SlowSequence:
     """`node` over the operands' trees, certified by its own ``_cert_from`` rule
-    applied to the operands' certificates (claimed ones included)."""
+    applied to the operands' certificates (claimed ones included).
+
+    ``__post_init__`` is skipped: the operands' axes are already checked
+    and ``node`` adds none, so walking the whole tree again would be waste.
+    """
     m, k = node._cert_from([(s.cert.M, s.cert.k) for s in operands])
-    return SlowSequence(node, operands[0].dimension, GrowthCertificate(m, k))
+    seq = object.__new__(SlowSequence)
+    vars(seq).update(expr=node, dimension=operands[0].dimension, cert=GrowthCertificate(m, k))
+    return seq
 
 
 _UNARY_OPS = ("neg", "conj", "abs", "phase")
@@ -355,37 +420,30 @@ class FastSequence(ex.Ranged):
         ex.NONNEG.check(k, "k")
         best = math.inf
         if self.support is not None:
-            points, norms = ball(self.dimension, self.support)
-            values = np.abs(_eval_points(self.expr, points, norms))
-            best = min(best, _bump(float(((1.0 + norms) ** k * values).max())))
+            best = min(best, _bump(_weighted_sup(self, k, self.support)))
         if self.decay is not None:
             best = min(best, _bump(self.decay.C * poly_exp_sup(k + self.decay.j, self.decay.rate)))
         return best
 
     def abs_sum_bound(self) -> float:
         """Certified upper bound on the full sum of |b(n)| over Z^d."""
-        best = math.inf
-        if self.support is not None:
-            points, norms = ball(self.dimension, self.support)
-            values = np.abs(_eval_points(self.expr, points, norms))
-            best = min(best, _bump(float(values.sum())))
-        if self.decay is not None:
-            d, j = self.dimension, self.decay.j
-            series = poly_exp_series_bound(d - 1 + j, self.decay.rate)
-            best = min(best, _bump(self.decay.C * 2**d * series))
-        return best
+        return self._sum_bound(lambda norms, values: np.abs(values[0]), 0)
 
     def weighted_abs_sum_bound(self) -> float:
         """Certified upper bound on the sum of |n|_1 * |b(n)| over Z^d."""
+        # r * count(d, r) <= 2^d (1+r)^d, absorbing one envelope power.
+        return self._sum_bound(lambda norms, values: norms * np.abs(values[0]), 1)
+
+    def _sum_bound(self, measure, power: int) -> float:
+        """The smaller of the sum of ``measure`` over a declared support and the
+        envelope series with ``power`` more powers of (1+r)."""
         best = math.inf
         if self.support is not None:
-            points, norms = ball(self.dimension, self.support)
-            values = np.abs(_eval_points(self.expr, points, norms))
-            best = min(best, _bump(float((norms * values).sum())))
+            values = window_array([self.expr], self.dimension, self.support, measure)
+            best = min(best, _bump(float(values.sum())))
         if self.decay is not None:
             d, j = self.dimension, self.decay.j
-            # r * count(d, r) <= 2^d (1+r)^d, absorbing one envelope power.
-            series = poly_exp_series_bound(d + j, self.decay.rate)
+            series = poly_exp_series_bound(d - 1 + power + j, self.decay.rate)
             best = min(best, _bump(self.decay.C * 2**d * series))
         return best
 
@@ -490,9 +548,7 @@ def seminorm(b: FastSequence, k: int, radius: int, threads: int = 1) -> Seminorm
     """Weighted sup p_k(b) over the window, plus a certified global bound."""
     ex.NONNEG.check(k, "k")
     ex.NONNEG.check(radius, "radius")
-    points, norms = ball(b.dimension, radius)
-    values = np.abs(_eval_points(b.expr, points, norms, threads))
-    sup = float(((1.0 + norms) ** k * values).max())
+    sup = _weighted_sup(b, k, radius, threads)
     if b.support is not None and b.support <= radius:
         outside = 0.0
     elif b.decay is not None:
@@ -519,13 +575,15 @@ def pairing(a: SlowSequence, b: FastSequence, radius: int, threads: int = 1) -> 
     certificate of ``a``, the decay of ``b`` at order k + d + 1, and the
     shell-count bound.  A declared support inside the window makes it 0.
     """
+    return _pairing(a, b, radius, lambda norms, values: values[0] * values[1], threads)
+
+
+def _pairing(a: SlowSequence, b: FastSequence, radius: int, product, threads: int = 1) -> PairingResult:
+    """``pairing`` with the window products ``product(norms, [a values, b values])``."""
     if a.dimension != b.dimension:
         raise DimensionMismatch("pairing arguments must share a dimension")
     ex.NONNEG.check(radius, "radius")
-    points, norms = ball(a.dimension, radius)
-    left = _eval_points(a.expr, points, norms, threads)
-    right = _eval_points(b.expr, points, norms, threads)
-    value = complex(np.sum(left * right))
+    value = complex(np.sum(window_array([a.expr, b.expr], a.dimension, radius, product, threads)))
     if b.support is not None and b.support <= radius:
         tail = 0.0
     else:

@@ -33,17 +33,16 @@ import numpy as np
 from . import expr as ex
 from .corona import CERTIFIED, CoronaWitness, check_corona_window, is_unit, verify_bezout
 from .errors import InputError, MathFailure
-from .lattice import LatticeIndex, ball
+from .lattice import LatticeIndex
 from .sequences import (
     FastSequence,
     PairingResult,
     SlowSequence,
     _bump,
-    _eval_points,
+    _pairing,
     combine,
     constant,
     exp_decay_sequence,
-    pairing,
 )
 
 
@@ -236,10 +235,16 @@ def weak_star_gap(
     no global difference bound is recognised the bound is infinite.
     """
     diff = combine("add", x, combine("neg", y))
-    result: PairingResult = pairing(diff, b, radius, threads)
+    sups: list = []
+
+    def product(norms, values):
+        sups.append(np.abs(values[0]).max())
+        return values[0] * values[1]
+
+    # One scan yields the pairing and the window sup of the difference.
+    result: PairingResult = _pairing(diff, b, radius, product, threads)
     gap = abs(result.value)
-    points, norms = ball(diff.dimension, radius)
-    sup_window = float(np.abs(_eval_points(diff.expr, points, norms, threads)).max())
+    sup_window = float(np.max(sups))
     global_sup = _uniform_diff_bound(x, y, diff)
     extended = max(_bump(sup_window), global_sup) if math.isfinite(global_sup) else math.inf
     bound = extended * b.abs_sum_bound() if math.isfinite(extended) else math.inf

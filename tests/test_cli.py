@@ -387,6 +387,14 @@ MALFORMED_FIELDS = [
      "dimension-zero"),
     ("corona-check", "params.R",
      {"inputs": {"a": [{"expr": ONE}]}, "params": {"delta": 1.0, "K": 0, "R": -1}}, "params.R-negative"),
+    # Checks made past the readers, by fourier, on a matrix or shape they accepted.
+    ("fourier-synth", "inputs.period_matrix: period matrix is numerically singular",
+     {"inputs": {**SYNTH, "period_matrix": [[1.0, 2.0], [2.0, 4.0]],
+                 "coeffs": {"coeffs": {}, "dimension": 2}, "points": [[0.0, 0.1]]}},
+     "inputs.period_matrix-singular"),
+    ("fourier-coeffs", "inputs.samples.shape: must be cubic",
+     {"dimension": 2, "inputs": {"period_matrix": EYE2, "samples": {"file": "s.bin", "shape": [2, 3]}}},
+     "inputs.samples.shape-not-cubic"),
 ]
 
 
@@ -542,3 +550,35 @@ def test_thread_env_is_recorded_but_neutral(tmp_path, capsys, monkeypatch):
     a, b = json.loads(base), json.loads(threaded)
     assert a["threads"] == 1 and b["threads"] == 4
     assert a["results"] == b["results"]
+
+
+def _deep_job(tmp_path, depth: int) -> str:
+    # Written by hand: json.dumps itself recurses once per level.
+    tree = '{"kind": "neg", "arg": ' * depth + json.dumps(COORD) + "}" * depth
+    path = tmp_path / f"deep-{depth}.json"
+    path.write_text('{"inputs": {"a": {"expr": ' + tree + '}}, "params": {"R": 4}}')
+    return str(path)
+
+
+@pytest.mark.parametrize("depth", [1500, 5000])
+def test_deeply_nested_job_is_an_input_error(tmp_path, capsys, depth):
+    spec = _deep_job(tmp_path, depth)
+    code, out, err = run(capsys, ["check-growth", "--spec", spec])
+    assert code == 1
+    assert out == ""
+    assert "nested too deeply" in err and spec in err
+    assert "Traceback" not in err
+
+
+def test_deep_tree_the_decoder_accepts_but_the_parser_cannot(tmp_path, capsys, monkeypatch):
+    spec = _deep_job(tmp_path, 200)
+    code, out, _ = run(capsys, ["check-growth", "--spec", spec])
+    assert code == 0 and json.loads(out)["results"]["holds"] is True
+    # A parse that runs out of stack names the input it was reading.
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli.SlowSequence, "from_json", staticmethod(too_deep))
+    code, out, err = run(capsys, ["check-growth", "--spec", spec])
+    assert (code, out) == (1, "")
+    assert "inputs.a: nested too deeply to parse" in err

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from periodist import lattice
 from periodist.lattice import ball, ball_iter, norm1, shell, shell_count, shell_count_bound
 
 
@@ -110,3 +111,44 @@ def test_shell_count_builds_no_ball():
     counts = [shell_count(3, r) for r in range(51)]
     assert ball.cache_info() == before
     assert counts[50] == 4 * 50 * 50 + 2
+
+
+def test_ball_cache_is_bounded_by_bytes(monkeypatch):
+    limit = 40_000
+    monkeypatch.setattr(lattice, "_CACHE_BYTES", limit)
+    ball.cache_clear()
+    try:
+        sizes = {}
+        for d, r in [(2, 10), (2, 20), (3, 6), (2, 21), (1, 50), (3, 8), (2, 10), (2, 25)]:
+            points, norms = ball(d, r)
+            sizes[d, r] = points.nbytes + norms.nbytes
+            info = ball.cache_info()
+            assert info.currsize <= info.maxsize == limit
+        assert ball.cache_info().misses == 8 and ball.cache_info().hits == 0  # (2, 10) was evicted
+        assert sizes[2, 25] <= limit
+        held = ball.cache_info().currsize
+        ball(2, 25)  # the last one built is kept
+        assert ball.cache_info().hits == 1
+        # A window above the limit is returned but not kept.
+        points, norms = ball(2, 60)
+        assert points.nbytes + norms.nbytes > limit
+        assert [tuple(p) for p in points[:3]] == [(0, 0), (-1, 0), (0, -1)]
+        assert ball.cache_info().currsize == held
+        misses = ball.cache_info().misses
+        ball(2, 60)
+        assert ball.cache_info().misses == misses + 1
+        ball.cache_clear()
+        assert ball.cache_info() == (0, 0, limit, 0)
+        ball(2, 25)
+        assert ball.cache_info().misses == 1
+    finally:
+        ball.cache_clear()
+
+
+def test_ball_cache_keeps_the_recently_used():
+    ball.cache_clear()
+    first, _ = ball(3, 10)
+    for r in range(40, 50):
+        ball(2, r)
+        assert ball(3, 10)[0] is first  # touched each time, never the oldest
+    assert ball.cache_info().currsize <= lattice._CACHE_BYTES

@@ -1,0 +1,181 @@
+"""The streaming scan kernel: slice-size invariance, early exit, bounded memory."""
+
+import json
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from periodist import cli, corona, sequences
+from periodist import expr as ex
+from periodist.lattice import ball
+from periodist.sequences import DecayBound, FastSequence, GrowthCertificate, SlowSequence
+from periodist.stable_rank import weak_star_gap
+
+UNCHUNKED = 1 << 30
+
+
+def random_tree(rng: random.Random, dimension: int, depth: int = 3) -> ex.Node:
+    """A random tree of the kinds that evaluate everywhere (no reciprocals)."""
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.randrange(5)
+        if pick == 0:
+            return ex.Coord(rng.randrange(dimension))
+        if pick == 1:
+            return ex.Norm1()
+        if pick == 2:
+            return ex.PolyEnv(rng.randint(0, 2))
+        if pick == 3:
+            return ex.ExpDecay(rng.uniform(0.05, 1.0))
+        return ex.Const(rng.uniform(-2, 2), rng.uniform(-1, 1))
+    pick = rng.randrange(6)
+    if pick < 2:
+        args = tuple(random_tree(rng, dimension, depth - 1) for _ in range(rng.randint(2, 3)))
+        return (ex.Add, ex.Mul)[pick](args)
+    if pick == 5:
+        return ex.Clip(random_tree(rng, dimension, depth - 1), rng.uniform(0.1, 3.0))
+    return (ex.Neg, ex.Conj, ex.Abs)[pick - 2](random_tree(rng, dimension, depth - 1))
+
+
+# A tree that is NaN at every |n|_1 >= 1: inf * 0.
+NAN_TREE = ex.Mul((ex.PolyEnv(2000), ex.ExpDecay(800.0)))
+
+
+def slow(tree, dimension):
+    return SlowSequence.from_expr(tree, dimension)
+
+
+def window_results(seed: int) -> list:
+    """Every window consumer on random trees of one seed, as exact text and bytes."""
+    rng = random.Random(seed)
+    d = rng.choice((1, 2))
+    R = {1: 40, 2: 9}[d]
+    family = [slow(random_tree(rng, d), d) for _ in range(rng.randint(1, 3))]
+    cofactors = [slow(random_tree(rng, d), d) for _ in family]
+    a, x = slow(random_tree(rng, d), d), slow(random_tree(rng, d), d)
+    b = FastSequence(random_tree(rng, d), d, decay=DecayBound(1.0, 0, 0.5), support=rng.randint(0, R))
+    claimed = SlowSequence(a.expr, d, GrowthCertificate(rng.uniform(0.5, 4.0), rng.randint(0, 2)))
+    # A floor the combined modulus crosses somewhere inside the window.
+    floor = float(np.median(corona.combined_modulus(family, R)))
+    out = [
+        corona.check_corona_window(family, floor, 0, R),
+        corona.check_corona_window(family, floor, 1, R),
+        corona.is_unit(a, corona.CoronaWitness(floor, 0), R).first_violation,
+        corona.combined_modulus(family, R).tobytes(),
+        corona.verify_bezout(family, cofactors, R),
+        claimed.check_certificate(R),
+        sequences.seminorm(b, 2, R),
+        sequences.pairing(a, b, R),
+        weak_star_gap(x, a, b, R),
+        b.seminorm_bound(1),
+        b.abs_sum_bound(),
+        b.weighted_abs_sum_bound(),
+        sequences.window_values(a.expr, d, R).tobytes(),
+    ]
+    return [repr(item) for item in out]
+
+
+def nan_results() -> list:
+    seq = slow(NAN_TREE, 1)
+    fast = FastSequence(NAN_TREE, 1, support=30)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = [
+            corona.check_corona_window([seq], 0.5, 0, 30),
+            seq.check_certificate(30),
+            corona.verify_bezout([seq], [seq], 30),
+            sequences.seminorm(fast, 1, 30),
+            sequences.pairing(seq, fast, 30),
+            fast.abs_sum_bound(),
+        ]
+    return [repr(item) for item in out]
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_every_consumer_is_bit_identical_across_slice_sizes(monkeypatch, chunk):
+    monkeypatch.setattr(sequences, "_CHUNK", UNCHUNKED)
+    expected = [window_results(seed) for seed in range(12)] + [nan_results()]
+    monkeypatch.setattr(sequences, "_CHUNK", chunk)
+    assert [window_results(seed) for seed in range(12)] + [nan_results()] == expected
+    assert "nan" in expected[-1][1]  # max_ratio over a NaN window stays NaN
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("r", [2, 6])
+def test_first_violation_straddling_slices(monkeypatch, chunk, r):
+    # The floor fails on the whole shell r; in d=2 shell 2 holds rows 5-12
+    # and shell 6 rows 61-84, across the slice boundaries at 7 and 64.
+    gap = ex.Abs(ex.Add((ex.Norm1(), ex.Const(-float(r)))))
+    family = [slow(gap, 2), slow(ex.Const(0.0), 2)]
+    # 1 / (| |n|_1 - r | + 1/4) exceeds 1 on shell r only.
+    hump = SlowSequence(ex.Recip(ex.Add((gap, ex.Const(0.25))), 0.25, 0), 2, GrowthCertificate(1.0, 0))
+    results = []
+    for size in (UNCHUNKED, chunk):
+        monkeypatch.setattr(sequences, "_CHUNK", size)
+        results.append([
+            corona.check_corona_window(family, 0.5, 0, 12),
+            corona.check_corona_window(family, 0.5, 0, 12, threads=2),
+            corona.is_unit(family[0], corona.CoronaWitness(0.5, 0), 12).first_violation,
+            hump.check_certificate(12),
+        ])
+    assert results[0] == results[1]
+    assert results[1][0].first_violation == results[1][1].first_violation == (-r, 0)
+    assert results[1][3].first_violation == (-r, 0)
+
+
+def cli_report(tmp_path, command, job) -> bytes:
+    spec = tmp_path / f"{command}.json"
+    spec.write_text(json.dumps(job))
+    out = tmp_path / f"{command}.out"
+    assert cli.main([command, "--spec", str(spec), "--out", str(out)]) in (0, 2)
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_cli_window_diagnostics_are_bit_identical(tmp_path, monkeypatch, chunk):
+    coord = {"kind": "coord", "axis": 0}
+    zero, one = ({"kind": "const", "re": c, "im": 0.0} for c in (0.0, 1.0))
+    shifted = {"kind": "add", "args": [{"kind": "coord", "axis": 1}, {"kind": "const", "re": 0.5, "im": 0.0}]}
+    jobs = {
+        # coord * 0 + 1 * 1 = 1: a unimodular pair with exact cofactors.
+        "reduce": {"dimension": 2, "params": {"R": 12, "epsilon": 0.25},
+                   "inputs": {"a1": {"expr": coord}, "a2": {"expr": one},
+                              "b1": {"expr": zero}, "b2": {"expr": one}}},
+        "approx": {"dimension": 2, "inputs": {"a": {"expr": {"kind": "mul", "args": [coord, shifted]}}},
+                   "params": {"R": 12, "epsilons": [0.25, 1.0, 4.0]}},
+    }
+    monkeypatch.setattr(sequences, "_CHUNK", UNCHUNKED)
+    expected = {command: cli_report(tmp_path, command, job) for command, job in jobs.items()}
+    monkeypatch.setattr(sequences, "_CHUNK", chunk)
+    assert {command: cli_report(tmp_path, command, job) for command, job in jobs.items()} == expected
+
+
+def test_corona_check_stops_at_the_first_failing_slice(monkeypatch):
+    monkeypatch.setattr(sequences, "_CHUNK", 7)
+    points, _ = ball(1, 20)
+    assert points.shape[0] >= 4 * 7
+    calls = []
+
+    def counted(node, points, norms=None, plan=None, original=ex.evaluate_grid):
+        calls.append(points.shape[0])
+        return original(node, points, norms, plan)
+
+    monkeypatch.setattr(ex, "evaluate_grid", counted)
+    check = corona.check_corona_window([slow(ex.Coord(0), 1)], 0.5, 0, 20)  # fails at n = 0
+    assert check.first_violation == (0,)
+    assert calls == [7]
+
+
+def test_pairing_memory_is_the_window_products_plus_a_few_slices():
+    d, R = 2, 350
+    points, norms = ball(d, R)  # cached, as a scan finds it
+    a = slow(ex.Add((ex.Norm1(), ex.Coord(0), ex.Const(1.0))), d)
+    b = FastSequence(ex.Mul((ex.Const(2.0), ex.ExpDecay(0.05))), d, decay=DecayBound(2.0, 0, 0.05))
+    tracemalloc.start()
+    try:
+        sequences.pairing(a, b, R)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = sequences._CHUNK * np.dtype(np.complex128).itemsize
+    assert peak <= points.nbytes + norms.nbytes + 4 * chunk_bytes

@@ -112,6 +112,24 @@ def test_dimension_mismatch_raises():
         constant(1.0, 2).eval((1,))
 
 
+def test_combining_does_not_walk_the_operands_for_axes(monkeypatch):
+    a, b = coordinate(1, 2), norm_sequence(2)
+
+    def refuse(node):
+        raise AssertionError("max_axis walked a combined tree")
+
+    monkeypatch.setattr(ex, "max_axis", refuse)
+    total = combine("add", a, b)
+    assert total.eval((3, -4)) == -4.0 + 7.0
+    assert combine("mul", total, a).clip_below(0.5).reciprocal(0.5, 2).dimension == 2
+    # A raw tree built directly is still checked against the dimension.
+    monkeypatch.undo()
+    with pytest.raises(DimensionMismatch):
+        SlowSequence(ex.Add((ex.Coord(2), ex.Norm1())), 2, GrowthCertificate(2.0, 1))
+    with pytest.raises(DimensionMismatch):
+        FastSequence(ex.Mul((ex.Coord(3), ex.ExpDecay(1.0))), 2, decay=DecayBound(1.0, 1, 1.0))
+
+
 # -- growth certificates ------------------------------------------------
 
 
