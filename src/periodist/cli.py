@@ -529,6 +529,29 @@ def main(argv=None) -> int:
     try:
         job = Job(args.command, args.spec, args)
         results, verdict = _HANDLERS[args.command](job)
+        report = {
+            "command": job.command,
+            "dimension": job.dimension,
+            "params": {
+                "R": job.radius,
+                **({"epsilon": job.epsilon} if job.epsilon is not None else {}),
+                **{
+                    key: value
+                    for key, value in sorted(job.params.items())
+                    if key not in ("R", "epsilon")
+                },
+            },
+            "defaults": {"R": DEFAULT_RADIUS, "dimension": DEFAULT_DIMENSION},
+            "threads": job.threads,
+            "inputs": job.echo_inputs(),
+            "results": results,
+            "verdict": verdict,
+        }
+        payload = render_report(report, args.format)
+    except RecursionError:
+        # Reports echo their trees, and to_json and json.dumps recurse once per level.
+        print("periodist: input error: report nested too deeply to render", file=sys.stderr)
+        return 1
     except (InputError, CertificateError) as err:
         print(f"periodist: input error: {err}", file=sys.stderr)
         return 1
@@ -538,25 +561,6 @@ def main(argv=None) -> int:
     except PeriodistError as err:
         print(f"periodist: input error: {err}", file=sys.stderr)
         return 1
-    report = {
-        "command": job.command,
-        "dimension": job.dimension,
-        "params": {
-            "R": job.radius,
-            **({"epsilon": job.epsilon} if job.epsilon is not None else {}),
-            **{
-                key: value
-                for key, value in sorted(job.params.items())
-                if key not in ("R", "epsilon")
-            },
-        },
-        "defaults": {"R": DEFAULT_RADIUS, "dimension": DEFAULT_DIMENSION},
-        "threads": job.threads,
-        "inputs": job.echo_inputs(),
-        "results": results,
-        "verdict": verdict,
-    }
-    payload = render_report(report, args.format)
     if args.out:
         Path(args.out).write_bytes(payload.encode())
     else:

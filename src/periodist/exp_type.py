@@ -37,12 +37,13 @@ class Poly:
     """Polynomial with coefficients in ascending degree order.
 
     Coefficients are kept as exact Fractions when every input is an int
-    or a Fraction, and as complex doubles otherwise.  Instances are
+    or a Fraction, and as complex doubles otherwise; ``values`` holds
+    them as complex doubles either way, for evaluation.  Instances are
     immutable; arithmetic returns new polynomials with trailing zeros
     stripped.
     """
 
-    __slots__ = ("coeffs", "exact")
+    __slots__ = ("coeffs", "exact", "values")
 
     def __init__(self, coefficients):
         items = list(coefficients)
@@ -57,6 +58,7 @@ class Poly:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "values", tuple(map(complex, cleaned)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -77,10 +79,10 @@ class Poly:
             return NotImplemented
         if len(self.coeffs) != len(other.coeffs):
             return False
-        return all(complex(a) == complex(b) for a, b in zip(self.coeffs, other.coeffs))
+        return all(a == b for a, b in zip(self.values, other.values))
 
     def __hash__(self):
-        return hash(tuple(complex(c) for c in self.coeffs))
+        return hash(self.values)
 
     def __add__(self, other: "Poly") -> "Poly":
         width = max(len(self.coeffs), len(other.coeffs))
@@ -110,8 +112,8 @@ class Poly:
 
     def __call__(self, z: complex) -> complex:
         value = complex(0)
-        for c in reversed(self.coeffs):
-            value = value * z + complex(c)
+        for c in reversed(self.values):
+            value = value * z + c
         return value
 
     def derivative(self) -> "Poly":
@@ -156,8 +158,7 @@ def poly_bezout_check(p: Poly, q: Poly, f: Poly, g: Poly) -> PolyBezoutCheck:
     return PolyBezoutCheck(residual, float(top), residual.exact)
 
 
-def _polish_root(poly: Poly, root: complex, steps: int = 3) -> complex:
-    derivative = poly.derivative()
+def _polish_root(poly: Poly, derivative: Poly, root: complex, steps: int = 3) -> complex:
     for _ in range(steps):
         slope = derivative(root)
         if slope == 0:
@@ -223,10 +224,11 @@ def polynomial_reducer_search(
         for power, expected in pinned.items():
             if complex(combination.coefficient(power)) != expected:
                 raise InputError("low coefficients moved; shift structure violated")
-        roots = np.roots([complex(c) for c in reversed(combination.coeffs)])
+        roots = np.roots(combination.values[::-1])
+        derivative = combination.derivative()
         best = None
         for candidate_root in roots:
-            polished = _polish_root(combination, complex(candidate_root))
+            polished = _polish_root(combination, derivative, complex(candidate_root))
             residual = abs(combination(polished))
             if best is None or residual < best:
                 best = residual

@@ -44,6 +44,10 @@ Nodes are not interned: the sharing that reductions create is already
 shared objects, and merging structurally equal ones would save only a
 few nodes more.
 
+``Arg`` and ``Phase`` of a real argument (every imaginary part zero, no
+part NaN) are a two-value select by sign: the general formulas' own
+values at 0 and at pi, without an arctan2 or a complex exp per point.
+
 Each node class is the one place its kind is defined: it declares its
 wire ``kind``, its fields (which the JSON wire format mirrors), its grid
 evaluation and its certificate rule.
@@ -81,11 +85,28 @@ def _angle(values: np.ndarray) -> np.ndarray:
     """Principal argument in (-pi, pi], with the convention Arg(0) = 0.
 
     A negative-zero imaginary part would flip the branch cut for negative
-    reals, so real values are normalised to +0.0 imaginary first.
+    reals, so adding +0.0 turns it into +0.0 first; arctan2 then writes
+    into that sum, the one array the call allocates.
     """
-    cleaned = np.where(values.imag == 0, values.real + 0.0j, values)
-    out = np.angle(cleaned)
-    return np.where(values == 0, 0.0, out)
+    out = values.imag + 0.0
+    np.arctan2(out, values.real, out=out)
+    out[values == 0] = 0.0
+    return out
+
+
+def _real_select(values: np.ndarray, pair: np.ndarray) -> np.ndarray | None:
+    """``pair[0]`` where a real argument is >= 0 and ``pair[1]`` where it is
+    < 0, in a new array (the argument's may have other readers); None when
+    some imaginary part is nonzero or NaN, or some real part is NaN.
+    """
+    if values.imag.any() or np.isnan(values.real).any():
+        return None
+    return pair.take((values.real < 0).view(np.uint8))
+
+
+# Arg and Phase of a real argument: the general formulas at 0 and at pi.
+_ARG_OF_SIGN = np.array([0.0, np.pi], dtype=np.complex128)
+_PHASE_OF_SIGN = np.exp(-1j * np.array([0.0, np.pi]))
 
 
 class Range(typing.NamedTuple):
@@ -331,7 +352,8 @@ class Arg(Node):
         return (math.pi, 0)
 
     def _eval_grid(self, points, norms, values):
-        return _angle(values[0]).astype(np.complex128)
+        out = _real_select(values[0], _ARG_OF_SIGN)
+        return _angle(values[0]).astype(np.complex128) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -347,7 +369,8 @@ class Phase(Node):
         return (1.0, 0)
 
     def _eval_grid(self, points, norms, values):
-        return np.exp(-1j * _angle(values[0]))
+        out = _real_select(values[0], _PHASE_OF_SIGN)
+        return np.exp(-1j * _angle(values[0])) if out is None else out
 
 
 @dataclass(frozen=True)

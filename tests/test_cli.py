@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -582,3 +586,47 @@ def test_deep_tree_the_decoder_accepts_but_the_parser_cannot(tmp_path, capsys, m
     code, out, err = run(capsys, ["check-growth", "--spec", spec])
     assert (code, out) == (1, "")
     assert "inputs.a: nested too deeply to parse" in err
+
+
+def _deep_bezout_job(tmp_path, depth: int) -> str:
+    # a[0] is -(...(-n)...) nested `depth` deep, beside the constant 1.
+    tree = '{"kind": "neg", "arg": ' * depth + json.dumps(COORD) + "}" * depth
+    path = tmp_path / f"deep-bezout-{depth}.json"
+    path.write_text('{"inputs": {"a": [{"expr": ' + tree + "}, " + json.dumps({"expr": ONE})
+                    + ']}, "params": {"R": 10, "delta": 1, "K": 0}}')
+    return str(path)
+
+
+def _cli_process(argv):
+    """``python -m periodist.cli`` in a fresh interpreter: the stack depth a user has."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "periodist.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("depth, what", [(980, "report nested too deeply to render"),
+                                         (5000, "nested too deeply to decode")])
+def test_report_too_deep_to_render_is_an_input_error(tmp_path, depth, what):
+    code, out, err = _cli_process(["bezout-solve", "--spec", _deep_bezout_job(tmp_path, depth)])
+    assert (code, out) == (1, "")
+    assert err.startswith("periodist: input error: ") and what in err
+    assert "Traceback" not in err
+
+
+def test_deep_report_that_renders_still_passes(tmp_path):
+    code, out, _ = _cli_process(["bezout-solve", "--spec", _deep_bezout_job(tmp_path, 200)])
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
+def test_report_too_deep_to_render_writes_no_report(tmp_path, capsys, monkeypatch):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    spec, report = _deep_bezout_job(tmp_path, 3), tmp_path / "report.json"
+    monkeypatch.setattr(cli.json, "dumps", too_deep)
+    code, out, err = run(capsys, ["bezout-solve", "--spec", spec, "--out", str(report)])
+    assert (code, out) == (1, "")
+    assert err == "periodist: input error: report nested too deeply to render\n"
+    assert not report.exists()

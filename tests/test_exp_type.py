@@ -61,6 +61,14 @@ def test_call_matches_numpy_polyval():
         assert p(z) == pytest.approx(np.polyval(coeffs[::-1], z), rel=1e-13)
 
 
+def test_exact_polys_evaluate_their_coefficients_as_complex_doubles():
+    p = Poly([Fraction(1, 3), -2, Fraction(5, 7)])
+    assert p.exact and p.values == (complex(1 / 3), -2 + 0j, complex(5 / 7))
+    z = 0.25 - 1.5j
+    assert p(z) == (complex(Fraction(5, 7)) * z + complex(-2)) * z + complex(Fraction(1, 3))
+    assert Poly([0.5, 1j]).values == (0.5 + 0j, 1j)
+
+
 def test_derivative():
     p = Poly([5, 3, 0, 2])  # 5 + 3z + 2z^3
     assert p.derivative().coeffs == (3, 0, 6)

@@ -7,6 +7,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from periodist import expr as ex
 from periodist.errors import CertificateError, InputError, WitnessViolation
@@ -58,6 +61,106 @@ def test_abs_arg_phase_conventions():
 def test_negative_real_with_signed_zero_imag():
     # complex(-3, -0.0) must still report +pi, not -pi
     assert ev(ex.Arg(ex.Const(-3.0, -0.0)), (0,)) == cmath.pi
+
+
+# -- Arg and Phase: the real-argument select against the old formulas ----
+
+
+def old_angle(values):
+    cleaned = np.where(values.imag == 0, values.real + 0.0j, values)
+    return np.where(values == 0, 0.0, np.angle(cleaned))
+
+
+def old_arg(values):
+    return old_angle(values).astype(np.complex128)
+
+
+def old_phase(values):
+    return np.exp(-1j * old_angle(values))
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def assert_bit_identical(values):
+    """Arg, Phase and _angle equal the old formulas bit for bit, and leave the argument as it was."""
+    kept = values.copy()
+    for node, old in ((ex.Arg(ex.Coord(0)), old_arg), (ex.Phase(ex.Coord(0)), old_phase)):
+        new = node._eval_grid(None, None, [values])
+        assert new.dtype == np.complex128
+        assert np.array_equal(bits(new), bits(old(values)))
+    assert np.array_equal(bits(ex._angle(values)), bits(old_angle(values)))
+    assert np.array_equal(bits(values), bits(kept))
+
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e-310, -1e-310, 3.5, -2.25]
+
+
+def test_angle_arg_phase_match_old_formulas_on_special_values():
+    grid = np.array([complex(re, im) for re in SPECIAL for im in SPECIAL], dtype=np.complex128)
+    assert_bit_identical(grid)
+    # every real part with a +0.0 and a -0.0 imaginary part, alone (the
+    # select) and beside a nonzero imaginary part (the general path)
+    for im in (0.0, -0.0):
+        real = np.array([complex(re, im) for re in SPECIAL if not math.isnan(re)], dtype=np.complex128)
+        assert ex._real_select(real, ex._ARG_OF_SIGN) is not None
+        assert_bit_identical(real)
+        assert_bit_identical(np.append(real, 1j))
+    # slice lengths past numpy's SIMD block sizes, and a strided view
+    rng = np.random.default_rng(7)
+    reals = rng.choice(np.array([x for x in SPECIAL if not math.isnan(x)]), 65_536).astype(np.complex128)
+    assert_bit_identical(reals)
+    assert_bit_identical(reals[::3])
+    assert_bit_identical(rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000))
+    assert_bit_identical(np.array([], dtype=np.complex128))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.integers(1, 80), elements=st.floats(allow_subnormal=True)),
+    st.sampled_from(["zero", "negative-zero", "random"]),
+    st.data(),
+)
+def test_angle_arg_phase_match_old_formulas(re, imag_kind, data):
+    if imag_kind == "random":
+        im = data.draw(hnp.arrays(np.float64, re.shape, elements=st.floats(allow_subnormal=True)))
+    else:
+        im = np.full(re.shape, 0.0 if imag_kind == "zero" else -0.0)
+    values = re + 0j
+    values.imag = im
+    assert_bit_identical(values)
+
+
+def test_real_nan_and_complex_arguments_take_the_general_path(monkeypatch):
+    calls = []
+    angle = ex._angle
+    monkeypatch.setattr(ex, "_angle", lambda values: calls.append(len(values)) or angle(values))
+    nodes = (ex.Arg(ex.Coord(0)), ex.Phase(ex.Coord(0)))
+    real_nan = np.array([1.0, math.nan, -2.0], dtype=np.complex128)
+    complex_ = np.array([1.0, -2.0 + 1e-300j], dtype=np.complex128)
+    for values in (real_nan, complex_):
+        calls.clear()
+        for node in nodes:
+            node._eval_grid(None, None, [values])
+        assert calls == [len(values)] * 2
+        assert_bit_identical(values)
+    calls.clear()
+    real = np.array([1.0, -0.0, -2.0, -math.inf], dtype=np.complex128)
+    arg, phase = (node._eval_grid(None, None, [real]) for node in nodes)
+    assert calls == []
+    assert np.array_equal(bits(arg), bits(np.array([0, 0, math.pi, math.pi], dtype=np.complex128)))
+    assert np.array_equal(bits(phase), bits(old_phase(real)))
+
+
+def test_phase_leaves_a_shared_argument_for_its_other_reader():
+    # x is read by Phase and by the sum; the sum reads x after Phase does
+    x = ex.Add((ex.Coord(0), ex.Const(-1.0)))
+    tree = ex.Add((ex.Phase(x), ex.Arg(x), x))
+    points = np.arange(-4, 5, dtype=np.int64).reshape(-1, 1)
+    shifted = np.arange(-5, 4).astype(np.complex128)
+    expected = old_phase(shifted) + old_arg(shifted) + shifted
+    assert np.array_equal(bits(ex.evaluate_grid(tree, points)), bits(expected))
 
 
 def test_clip_replaces_strictly_below_level():
