@@ -72,7 +72,11 @@ def combined_modulus(family: list[SlowSequence], radius: int, threads: int = 1) 
 
 
 def _modulus_sum(values: list[np.ndarray]) -> np.ndarray:
-    return sum(np.abs(v) for v in values)  # 0 + |a_1| + |a_2| + ..., in member order
+    """|a_1| + |a_2| + ..., in member order, added into the first modulus."""
+    total = np.abs(values[0])
+    for v in values[1:]:
+        total += np.abs(v)
+    return total
 
 
 def check_corona_window(

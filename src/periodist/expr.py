@@ -44,9 +44,25 @@ Nodes are not interned: the sharing that reductions create is already
 shared objects, and merging structurally equal ones would save only a
 few nodes more.
 
-``Arg`` and ``Phase`` of a real argument (every imaginary part zero, no
-part NaN) are a two-value select by sign: the general formulas' own
-values at 0 and at pi, without an arctan2 or a complex exp per point.
+Real values travel in float64.  A node whose value is real at every
+point produces a float64 array: a ``Const`` whose imaginary part is +0.0,
+the leaves ``Coord``, ``Norm1``, ``PolyEnv`` and ``ExpDecay``, ``Abs`` and
+``Arg``, and ``Add``, ``Mul``, ``Neg``, ``Conj``, ``Clip`` and ``Recip`` of
+real arguments.  An array turns complex128 in two places only: a sum or
+product that folds in a complex argument, where numpy promotes the real
+accumulator to x + 0j, and ``Phase``.  ``evaluate_grid`` returns
+complex128 whatever the lane, converting a real result to x + 0j.  As in
+C99 Annex G, a real operand is never promoted on its own, so a real-valued
+tree has imaginary part +0.0 (a complex path could leave -0.0, as in
+-(x + 0j)), and a non-finite real intermediate follows real arithmetic:
+2 * inf is inf, where (inf + 0j) * (2 + 0j) is inf + nan j.  Where every
+intermediate is finite, values equal those of a complex path, and the
+bits differ at most in the sign of an exactly-zero part.
+
+``Arg`` and ``Phase`` of a real argument (a float64 array, or every
+imaginary part zero; no part NaN) are a two-value select by sign: the
+general formulas' own values at 0 and at pi, without an arctan2 or a
+complex exp per point.
 
 Each node class is the one place its kind is defined: it declares its
 wire ``kind``, its fields (which the JSON wire format mirrors), its grid
@@ -99,13 +115,27 @@ def _real_select(values: np.ndarray, pair: np.ndarray) -> np.ndarray | None:
     < 0, in a new array (the argument's may have other readers); None when
     some imaginary part is nonzero or NaN, or some real part is NaN.
     """
-    if values.imag.any() or np.isnan(values.real).any():
+    if values.dtype.kind == "c":
+        if values.imag.any():
+            return None
+        values = values.real
+    if np.isnan(values).any():
         return None
-    return pair.take((values.real < 0).view(np.uint8))
+    return pair.take((values < 0).view(np.uint8))
+
+
+def _accumulate(ufunc, values: list[np.ndarray]) -> np.ndarray:
+    """``values`` folded left to right by ``ufunc``, in place in the first array;
+    a real accumulator that meets a complex value becomes a new complex array,
+    numpy promoting each x to x + 0j."""
+    out = values[0]
+    for v in values[1:]:
+        out = ufunc(out, v, out=None if v.dtype.kind == "c" and out.dtype.kind != "c" else out)
+    return out
 
 
 # Arg and Phase of a real argument: the general formulas at 0 and at pi.
-_ARG_OF_SIGN = np.array([0.0, np.pi], dtype=np.complex128)
+_ARG_OF_SIGN = np.array([0.0, np.pi])
 _PHASE_OF_SIGN = np.exp(-1j * np.array([0.0, np.pi]))
 
 
@@ -191,6 +221,8 @@ class Const(Node):
         return (mag if mag > 0 else 1.0, 0)
 
     def _eval_grid(self, points, norms, values):
+        if self.im == 0 and math.copysign(1.0, self.im) > 0:
+            return np.full(points.shape[0], self.re, dtype=np.float64)
         return np.full(points.shape[0], self.value, dtype=np.complex128)
 
 
@@ -208,7 +240,7 @@ class Coord(Node):
             raise DimensionMismatch(
                 f"coordinate axis {self.axis} out of range for dimension {points.shape[1]}"
             )
-        return points[:, self.axis].astype(np.complex128)
+        return points[:, self.axis].astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -219,7 +251,7 @@ class Norm1(Node):
         return (1.0, 1)
 
     def _eval_grid(self, points, norms, values):
-        return norms.astype(np.complex128)
+        return norms.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -232,7 +264,7 @@ class PolyEnv(Node):
         return (1.0, self.k)
 
     def _eval_grid(self, points, norms, values):
-        return ((1.0 + norms) ** self.k).astype(np.complex128)
+        return (1.0 + norms) ** self.k
 
 
 @dataclass(frozen=True)
@@ -245,7 +277,7 @@ class ExpDecay(Node):
         return (1.0, 0)
 
     def _eval_grid(self, points, norms, values):
-        return np.exp(-self.rate * norms).astype(np.complex128)
+        return np.exp(-self.rate * norms)
 
 
 @dataclass(frozen=True)
@@ -262,10 +294,7 @@ class Add(Node):
         return (sum(m for m, _ in child_certs), max(k for _, k in child_certs))
 
     def _eval_grid(self, points, norms, values):
-        out = values[0]
-        for v in values[1:]:
-            out += v
-        return out
+        return _accumulate(np.add, values)
 
 
 @dataclass(frozen=True)
@@ -285,10 +314,7 @@ class Mul(Node):
         return (m, sum(k for _, k in child_certs))
 
     def _eval_grid(self, points, norms, values):
-        out = values[0]
-        for v in values[1:]:
-            out *= v
-        return out
+        return _accumulate(np.multiply, values)
 
 
 @dataclass(frozen=True)
@@ -336,7 +362,7 @@ class Abs(Node):
         return child_certs[0]
 
     def _eval_grid(self, points, norms, values):
-        return np.abs(values[0]).astype(np.complex128)
+        return np.abs(values[0])
 
 
 @dataclass(frozen=True)
@@ -353,7 +379,7 @@ class Arg(Node):
 
     def _eval_grid(self, points, norms, values):
         out = _real_select(values[0], _ARG_OF_SIGN)
-        return _angle(values[0]).astype(np.complex128) if out is None else out
+        return _angle(values[0]) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -389,7 +415,7 @@ class Clip(Node):
 
     def _eval_grid(self, points, norms, values):
         v = values[0]
-        return np.where(np.abs(v) >= self.eps, v, complex(self.eps))
+        return np.where(np.abs(v) >= self.eps, v, self.eps)
 
 
 @dataclass(frozen=True)
@@ -455,7 +481,7 @@ def evaluate_grid(node: Node, points: np.ndarray, norms: np.ndarray | None = Non
                 partial[id(parent)] = parent._eval_grid(points, norms, [partial[id(parent)], value])
             else:
                 partial[id(parent)] = value.copy() if id(c) in arrays else value
-    return arrays[id(node)]
+    return arrays[id(node)].astype(np.complex128, copy=False)
 
 
 def _plan(node: Node):

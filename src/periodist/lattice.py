@@ -12,6 +12,10 @@ and a point ``(x0, y)`` of the d-dimensional shell r is a point y of the
 pairs ``(r, x0)`` with r ascending and x0 ascending, and for each pair
 copying that block of the previous ball, therefore yields the next ball
 already sorted: no bounding cube is materialised and nothing is sorted.
+The ball is held as one array per coordinate while it grows: each step
+gathers every column with one 1-D ``take`` of the same index, and the last
+step writes its columns straight into the ``(count, d)`` array, so that
+array is written once, at the end.
 Memory stays within a small multiple of the output.
 
 Built balls stay in a least-recently-used cache bounded by the bytes of
@@ -108,17 +112,19 @@ def ball(dimension: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     ...``: each further dimension gathers, for every pair ``(r, x0)`` in
     ascending order, shell ``r - |x0|`` of the previous ball (one contiguous
     slice) behind a leading column x0.  The gather index and the leading
-    column are built with ``np.repeat`` over the pairs, so the only Python
-    loop is over dimensions.
+    column are built with ``np.repeat`` over the pairs, and every earlier
+    column is gathered with one 1-D ``take`` of that index, so the Python
+    loops are over dimensions only.  The last dimension's columns are
+    gathered straight into the C-contiguous ``points`` array.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     if radius < 0:
         raise ValueError("radius must be >= 0")
     steps = np.arange(1, radius + 1, dtype=np.int64)
-    points = np.zeros((2 * radius + 1, 1), dtype=np.int64)
-    points[1::2, 0] = -steps
-    points[2::2, 0] = steps
+    first = np.zeros(2 * radius + 1, dtype=np.int64)
+    first[1::2] = -steps
+    first[2::2] = steps
     counts = np.full(radius + 1, 2, dtype=np.int64)
     counts[0] = 1
     shells = np.arange(radius + 1, dtype=np.int64)
@@ -128,23 +134,35 @@ def ball(dimension: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
         pair_r = np.repeat(shells, 2 * shells + 1)
         pair_x0 = np.arange(pair_r.size, dtype=np.int64) - pair_r * pair_r - pair_r
         source = pair_r - np.abs(pair_x0)
-    for axis in range(1, dimension):
-        lengths = counts[source]
-        starts = np.cumsum(counts) - counts
-        total = int(lengths.sum())
-        # Row j of block p reads row starts[source[p]] + j of the previous ball.
-        offsets = np.cumsum(lengths) - lengths
-        gather = np.repeat(starts[source] - offsets, lengths)
-        gather += np.arange(total, dtype=np.int64)
-        grown = np.empty((total, axis + 1), dtype=np.int64)
-        grown[:, 1:] = points[gather]
-        grown[:, 0] = np.repeat(pair_x0, lengths)
-        points = grown
-        counts = np.add.reduceat(lengths, shells * shells)
+    # The ball so far is its leading column, the index ``gather`` and the
+    # columns behind the lead that ``gather`` reads from.
+    lead, gather, columns = first, None, []
+    for _ in range(1, dimension):
+        columns = [lead] + [column.take(gather) for column in columns]
+        lead, gather, counts = _next_dimension(counts, shells, pair_x0, source)
+    # The last gather writes into points one column at a time, so no more
+    # than one gathered column is held beside it.
+    points = np.empty((lead.size, dimension), dtype=np.int64)
+    points[:, 0] = lead
+    for axis, column in enumerate(columns, 1):
+        points[:, axis] = column.take(gather)
     norms = np.repeat(shells, counts)
     points.setflags(write=False)
     norms.setflags(write=False)
     return points, norms
+
+
+def _next_dimension(counts, shells, pair_x0, source):
+    """One more dimension on a ball with shell sizes ``counts``: the new
+    leading column, the row of the previous ball behind each new point (the
+    gather index), and the new shell sizes."""
+    lengths = counts[source]
+    starts = np.cumsum(counts) - counts
+    # Row j of block p reads row starts[source[p]] + j of the previous ball.
+    offsets = np.cumsum(lengths) - lengths
+    gather = np.repeat(starts[source] - offsets, lengths)
+    gather += np.arange(gather.size, dtype=np.int64)
+    return np.repeat(pair_x0, lengths), gather, np.add.reduceat(lengths, shells * shells)
 
 
 def shell(dimension: int, radius: int) -> np.ndarray:

@@ -102,11 +102,15 @@ def window_folds(trees, dimension: int, radius: int, measures, threads: int = 1)
 
 def window_array(trees, dimension: int, radius: int, measure, threads: int = 1) -> np.ndarray:
     """``measure(norms, values)`` over the window as one array, in canonical scan order;
-    a window sum is ``np.sum`` of it, so it rounds as one sum over the window."""
+    a window sum is ``np.sum`` of it, so it rounds as one sum over the window.  A window
+    of one slice returns that slice's array itself."""
     out: list[np.ndarray] = []
 
     def step(points, norms, rows, values):
         part = measure(norms[rows], values)
+        if len(part) == norms.shape[0]:  # the window is one slice
+            out.append(part)
+            return
         if not out:
             out.append(np.empty(norms.shape[0], part.dtype))
         out[0][rows] = part

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from periodist import expr as ex
 from periodist.errors import CertificateError, InputError, WitnessViolation
 from periodist.lattice import ball
-from periodist.sequences import SlowSequence
+from periodist.sequences import DecayBound, FastSequence, SlowSequence, pairing
 
 
 def ev(node, index):
@@ -84,12 +84,19 @@ def bits(values):
 
 
 def assert_bit_identical(values):
-    """Arg, Phase and _angle equal the old formulas bit for bit, and leave the argument as it was."""
+    """Arg (real) and Phase (complex) equal the old formulas bit for bit, on the
+    argument and, when it has no nonzero imaginary part, on its real lane; _angle
+    does too, and the argument is left as it was."""
     kept = values.copy()
-    for node, old in ((ex.Arg(ex.Coord(0)), old_arg), (ex.Phase(ex.Coord(0)), old_phase)):
-        new = node._eval_grid(None, None, [values])
-        assert new.dtype == np.complex128
-        assert np.array_equal(bits(new), bits(old(values)))
+    arguments = [values]
+    if not values.imag.any():
+        arguments.append(values.real.copy())
+    for argument in arguments:
+        same = argument.astype(np.complex128)
+        for node, old in ((ex.Arg(ex.Coord(0)), old_angle), (ex.Phase(ex.Coord(0)), old_phase)):
+            new = node._eval_grid(None, None, [argument])
+            assert new.dtype == old(same).dtype
+            assert np.array_equal(bits(new), bits(old(same)))
     assert np.array_equal(bits(ex._angle(values)), bits(old_angle(values)))
     assert np.array_equal(bits(values), bits(kept))
 
@@ -149,7 +156,7 @@ def test_real_nan_and_complex_arguments_take_the_general_path(monkeypatch):
     real = np.array([1.0, -0.0, -2.0, -math.inf], dtype=np.complex128)
     arg, phase = (node._eval_grid(None, None, [real]) for node in nodes)
     assert calls == []
-    assert np.array_equal(bits(arg), bits(np.array([0, 0, math.pi, math.pi], dtype=np.complex128)))
+    assert np.array_equal(bits(arg), bits(np.array([0, 0, math.pi, math.pi])))
     assert np.array_equal(bits(phase), bits(old_phase(real)))
 
 
@@ -330,6 +337,166 @@ def random_tree(rng, dimension, depth):
     if inner == 4:
         return ex.Phase(random_tree(rng, dimension, depth - 1))
     return ex.Clip(random_tree(rng, dimension, depth - 1), 0.5)
+
+
+# -- the float lane against the complex path ----------------------------
+
+
+def complex_path(node, points, norms):
+    """A tree's values by the node formulas that cast every leaf to complex128
+    and run every node in complex arithmetic, and the mask of the points where
+    every intermediate value is finite."""
+    memo = {}
+
+    def go(n):
+        if id(n) in memo:
+            return memo[id(n)]
+        kids = [go(c) for c in n.children()]
+        if isinstance(n, ex.Const):
+            out = np.full(len(points), n.value, dtype=np.complex128)
+        elif isinstance(n, ex.Coord):
+            out = points[:, n.axis].astype(np.complex128)
+        elif isinstance(n, ex.Norm1):
+            out = norms.astype(np.complex128)
+        elif isinstance(n, ex.PolyEnv):
+            out = ((1.0 + norms) ** n.k).astype(np.complex128)
+        elif isinstance(n, ex.ExpDecay):
+            out = np.exp(-n.rate * norms).astype(np.complex128)
+        elif isinstance(n, (ex.Add, ex.Mul)):
+            out = kids[0].copy()
+            for v in kids[1:]:
+                if isinstance(n, ex.Add):
+                    out += v
+                else:
+                    out *= v
+        elif isinstance(n, ex.Neg):
+            out = -kids[0]
+        elif isinstance(n, ex.Conj):
+            out = np.conj(kids[0])
+        elif isinstance(n, ex.Abs):
+            out = np.abs(kids[0]).astype(np.complex128)
+        elif isinstance(n, ex.Arg):
+            out = old_arg(kids[0])
+        elif isinstance(n, ex.Phase):
+            out = old_phase(kids[0])
+        elif isinstance(n, ex.Clip):
+            out = np.where(np.abs(kids[0]) >= n.eps, kids[0], complex(n.eps))
+        else:
+            out = 1.0 / kids[0]  # Recip
+        memo[id(n)] = out
+        return out
+
+    with np.errstate(all="ignore"):
+        values = go(node)
+    return values, np.logical_and.reduce([np.isfinite(v) for v in memo.values()])
+
+
+def lane_dag(rng, dimension, steps, overflow):
+    """A DAG over every node kind with real and complex constants; with
+    ``overflow``, leaves that reach inf (PolyEnv(400)) or 0 (ExpDecay(800))."""
+    leaves = (
+        lambda: ex.Const(rng.randint(-4, 4) / 2.0),
+        lambda: ex.Const(rng.randint(-4, 4) / 2.0, rng.choice([-0.0, 0.5, -1.5])),
+        lambda: ex.Coord(rng.randrange(dimension)),
+        lambda: ex.Norm1(),
+        lambda: ex.PolyEnv(rng.choice([0, 1, 2, 400] if overflow else [0, 1, 2])),
+        lambda: ex.ExpDecay(rng.choice([0.25, 1.5, 800.0] if overflow else [0.25, 1.5])),
+    )
+    pool = [rng.choice(leaves)() for _ in range(4)]
+    for _ in range(steps):
+        x, y = rng.choice(pool), rng.choice(pool)
+        shapes = (
+            lambda: ex.Add((x, y)),
+            lambda: ex.Add((x, y, x)),
+            lambda: ex.Mul((x, y)),
+            lambda: ex.Mul((y, y, x)),
+            lambda: ex.Neg(x),
+            lambda: ex.Conj(x),
+            lambda: ex.Abs(x),
+            lambda: ex.Arg(x),
+            lambda: ex.Phase(x),
+            lambda: ex.Clip(x, 0.5),
+            lambda: ex.Recip(ex.Clip(x, 0.5), 0.5, 0),  # never 0, so never raises
+            rng.choice(leaves),
+        )
+        pool.append(rng.choice(shapes)())
+    return ex.Add((pool[-1], ex.Mul((pool[-2], pool[-3]))))
+
+
+def assert_equal_but_zero_signs(new, old):
+    """Equal values, and bits that differ only where both parts are zero."""
+    assert (new == old).all()
+    for part in (new.real, old.real), (new.imag, old.imag):
+        differ = bits(part[0]) != bits(part[1])
+        assert (part[0][differ] == 0).all() and (part[1][differ] == 0).all()
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["finite-leaves", "overflowing-leaves"])
+def test_float_lane_matches_the_complex_path_where_intermediates_are_finite(overflow):
+    rng = random.Random(409)
+    points, norms = ball(2, 4)  # holds 0, negative values and Coord 0
+    finite_trees = zero_sign_trees = 0
+    for _ in range(400):
+        node = lane_dag(rng, dimension=2, steps=10, overflow=overflow)
+        with np.errstate(all="ignore"):
+            new = ex.evaluate_grid(node, points, norms)
+        old, finite = complex_path(node, points, norms)
+        assert new.dtype == np.complex128
+        assert_equal_but_zero_signs(new[finite], old[finite])
+        finite_trees += bool(finite.all())
+        zero_sign_trees += not np.array_equal(bits(new[finite]), bits(old[finite]))
+    if not overflow:
+        assert finite_trees == 400
+    assert zero_sign_trees > 0  # the lanes differ, in the signs of zeros only
+
+
+def test_real_nodes_take_the_float_lane_and_evaluate_grid_returns_complex():
+    points, norms = ball(2, 3)
+    real = ex.Coord(0)
+    values = [real._eval_grid(points, norms, [])]
+    for node in ALL_KINDS + [ex.Const(2.0), ex.Const(2.0, -0.0), ex.Arg(real), ex.Abs(real)]:
+        assert ex.evaluate_grid(node, points, norms).dtype == np.complex128
+    lane = [
+        (ex.Const(2.0), np.float64),
+        (ex.Const(2.0, -0.0), np.complex128),  # only +0.0 makes a constant real
+        (ex.Const(1.5, -0.5), np.complex128),
+        (ex.Coord(0), np.float64),
+        (ex.Norm1(), np.float64),
+        (ex.PolyEnv(2), np.float64),
+        (ex.ExpDecay(0.75), np.float64),
+    ]
+    for node, dtype in lane:
+        assert node._eval_grid(points, norms, []).dtype == dtype
+    for node in (ex.Neg(real), ex.Conj(real), ex.Abs(real), ex.Arg(real), ex.Clip(real, 0.5)):
+        assert node._eval_grid(points, norms, values).dtype == np.float64
+    assert ex.Recip(real, 1.0, 0)._eval_grid(points, norms, [values[0] + 10.0]).dtype == np.float64
+    assert ex.Phase(real)._eval_grid(points, norms, values).dtype == np.complex128
+    # a sum or product turns complex where it meets a complex argument, as x + 0j
+    mixed = ex.Add((real, ex.Const(0.0, 1.0)))
+    assert np.array_equal(bits(ex.evaluate_grid(mixed, points, norms)), bits(points[:, 0] + 1j))
+
+
+def test_pairing_of_real_factors_sums_terms_with_positive_zero_imaginary_parts():
+    a = SlowSequence.from_expr(ex.Neg(ex.Norm1()), 2)
+    b = FastSequence(ex.ExpDecay(1.0), 2, decay=DecayBound(1.0, 0, 1.0))
+    value = pairing(a, b, 6).value
+    assert value.real < 0 and value.imag == 0 and math.copysign(1.0, value.imag) == 1.0
+    # the terms it sums: the complex path multiplied -n - 0j by e + 0j, which
+    # made every imaginary part -0.0; the float lane promotes -n * e to x + 0j
+    points, norms = ball(2, 6)
+    new = ex.evaluate_grid(a.expr, points, norms) * ex.evaluate_grid(b.expr, points, norms)
+    old = complex_path(a.expr, points, norms)[0] * complex_path(b.expr, points, norms)[0]
+    assert not np.signbit(new.imag).any() and np.signbit(old.imag).all()
+    assert np.sum(new) == np.sum(old) == value
+
+
+def test_phase_of_an_overflowing_real_product_is_one():
+    node = ex.Phase(ex.Mul((ex.PolyEnv(400), ex.Const(2.0))))
+    with np.errstate(over="ignore"):
+        assert ex.evaluate(node, (5,)) == 1  # 2 * 6^400 overflows to +inf, a positive real
+    # the complex path made (inf + 0j) * (2 + 0j) = inf + nan j, whose phase is nan
+    points = np.array([[5]], dtype=np.int64)
+    assert np.isnan(complex_path(node, points, np.array([5]))[0]).all()
 
 
 # -- growth certificates ------------------------------------------------

@@ -28,6 +28,8 @@ def test_ball_matches_box_enumeration(d, r):
     assert points.dtype == np.int64
     assert norms.dtype == np.int64
     assert points.shape == (len(expected), d)
+    assert points.flags.c_contiguous
+    assert not points.flags.writeable and not norms.flags.writeable
     assert [tuple(row) for row in points] == expected
     assert norms.tolist() == [sum(abs(c) for c in p) for p in expected]
 
