@@ -5,6 +5,8 @@ Usage:
     periodist <command> --spec job.json [--window R] [--epsilon E]
                         [--format json|csv] [--out path]
 
+Options may come before or after the command.
+
 The job file carries a ``dimension``, an ``inputs`` object with named
 sequences (expression trees in the wire format), and a ``params`` object
 with command-specific numbers (delta, K, epsilon, R, N, rate, maxDegree,
@@ -511,15 +513,12 @@ def render_report(report: dict, fmt: str) -> str:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="periodist", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    sub.required = True
-    for name in _HANDLERS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--spec", required=True, help="job file (JSON)")
-        cmd.add_argument("--window", type=int, default=None, help="truncation radius override")
-        cmd.add_argument("--epsilon", type=float, default=None, help="epsilon override")
-        cmd.add_argument("--format", choices=("json", "csv"), default="json")
-        cmd.add_argument("--out", default=None, help="write the report here instead of stdout")
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("--spec", required=True, help="job file (JSON)")
+    parser.add_argument("--window", type=int, default=None, help="truncation radius override")
+    parser.add_argument("--epsilon", type=float, default=None, help="epsilon override")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     return parser
 
 

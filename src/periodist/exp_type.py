@@ -12,8 +12,10 @@ coefficient of h up by three degrees, so the combination always keeps
 constant coefficient -1 and degree-one coefficient 1, stays nonconstant,
 and therefore has a root.
 
-Coefficient arithmetic is exact (rational) whenever the inputs are ints
-or fractions; otherwise complex double precision is used.
+Coefficient arithmetic is exact whenever the inputs are ints or
+Fractions: ints stay Python ints, and a Fraction appears only where an
+input or a product holds one.  Otherwise complex double precision is
+used.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ def _is_exact(value) -> bool:
 class Poly:
     """Polynomial with coefficients in ascending degree order.
 
-    Coefficients are kept as exact Fractions when every input is an int
-    or a Fraction, and as complex doubles otherwise; ``values`` holds
-    them as complex doubles either way, for evaluation.  Instances are
-    immutable; arithmetic returns new polynomials with trailing zeros
-    stripped.
+    Coefficients are exact, kept as given (ints and Fractions), when
+    every input is an int or a Fraction, and complex doubles otherwise;
+    ``values`` holds them as complex doubles either way, for evaluation,
+    equality and hashing.  Instances are immutable; arithmetic returns
+    new polynomials with trailing zeros stripped.
     """
 
     __slots__ = ("coeffs", "exact", "values")
@@ -48,13 +50,8 @@ class Poly:
     def __init__(self, coefficients):
         items = list(coefficients)
         exact = all(_is_exact(c) for c in items)
-        if exact:
-            cleaned = [Fraction(c) for c in items]
-            zero = Fraction(0)
-        else:
-            cleaned = [complex(c) for c in items]
-            zero = complex(0)
-        while cleaned and cleaned[-1] == zero:
+        cleaned = items if exact else [complex(c) for c in items]
+        while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
         object.__setattr__(self, "exact", exact)
@@ -71,7 +68,7 @@ class Poly:
     def coefficient(self, power: int):
         ex.NONNEG.check(power, "power")
         return self.coeffs[power] if power < len(self.coeffs) else (
-            Fraction(0) if self.exact else complex(0)
+            0 if self.exact else complex(0)
         )
 
     def __eq__(self, other):
@@ -103,7 +100,7 @@ class Poly:
         if not self.coeffs or not other.coeffs:
             return Poly([])
         out = [
-            Fraction(0) if (self.exact and other.exact) else complex(0)
+            0 if (self.exact and other.exact) else complex(0)
         ] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -219,6 +216,8 @@ def polynomial_reducer_search(
             rest //= span
         combination = f + Poly(digits) * g
         if combination.degree < 1:
+            # A nonzero constant is a unit; the zero polynomial is not.
+            units_found += combination.degree == 0
             all_nonconstant = False
             continue
         for power, expected in pinned.items():

@@ -502,6 +502,27 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_options_may_come_before_the_command(tmp_path, capsys):
+    spec = write_job(tmp_path, "job.json", {"inputs": {"a": {"expr": ONE}, "b": DECAY_HALF}, "params": {"R": 10}})
+    usual = run(capsys, ["pair", "--spec", spec])
+    assert usual[0] == 0
+    assert run(capsys, ["--spec", spec, "pair"]) == usual
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert len(cli._HANDLERS) == 12 and all(name in out for name in cli._HANDLERS)
+
+
+def test_usage_error_message_names_the_program(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["check-growth"])
+    assert capsys.readouterr().err == "periodist: error: the following arguments are required: --spec\n"
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     spec = write_job(
         tmp_path,

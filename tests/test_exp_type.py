@@ -30,9 +30,17 @@ def test_exact_fraction_arithmetic():
     p = Poly([Fraction(1, 3)])
     q = Poly([0, 3])
     assert (p * q).coefficient(1) == Fraction(1, 1)
+    assert type((p * q).coefficient(1)) is Fraction
     assert (p * q).exact
     assert Poly([1, 1]).exact
     assert not Poly([1.5]).exact
+
+
+def test_int_inputs_stay_ints():
+    p = Poly([3, -1, 2]) * Poly([1, 1]) + Poly([0, 5]) - Poly([1])
+    assert p.exact and p.coeffs == (2, 7, 1, 2)
+    assert all(type(c) is int for c in p.coeffs + (-p).coeffs + p.derivative().coeffs)
+    assert type(p.coefficient(9)) is int
 
 
 def test_mul_matches_convolution_oracle():
@@ -165,6 +173,25 @@ def test_search_with_narrow_range_and_degree():
     assert report.units_found == 0
     assert report.all_nonconstant
     assert report.max_root_residual <= 1e-9
+
+
+def test_fraction_sweep_reports_as_the_int_sweep():
+    _, _, f, g = standard_identity()
+    exact_f, exact_g = Poly(map(Fraction, f.coeffs)), Poly(map(Fraction, g.coeffs))
+    assert all(type(c) is Fraction for c in exact_f.coeffs + exact_g.coeffs)
+    ints = polynomial_reducer_search(2)
+    fractions = polynomial_reducer_search(2, f=exact_f, g=exact_g)
+    assert fractions == ints
+    assert fractions.max_root_residual.hex() == ints.max_root_residual.hex()
+
+
+def test_constant_combinations_count_as_units():
+    # h = 0 leaves the nonzero constant 1, a unit.
+    report = polynomial_reducer_search(1, f=one(), g=monomial(1))
+    assert report.units_found == 1 and not report.all_nonconstant
+    # h = -1 leaves the zero polynomial, which is constant but not a unit.
+    report = polynomial_reducer_search(1, f=monomial(1), g=monomial(1))
+    assert report.units_found == 0 and not report.all_nonconstant
 
 
 def test_search_validates_inputs():
