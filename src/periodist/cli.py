@@ -18,9 +18,6 @@ and are byte-identical across repeated runs on the same inputs.
 Exit codes: 0 on success, 1 on input errors (malformed files, rejected
 certificates), 2 on mathematical failure (a violated floor, a residual
 above tolerance, a missing violation for the floor demo).
-
-The environment variable PERIODIST_THREADS caps worker parallelism for
-window scans; it never changes any reported number.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -39,6 +35,7 @@ import numpy as np
 from . import exp_type, fourier, stable_rank
 from . import expr as ex
 from .corona import (
+    WINDOW_VERIFIED,
     CoronaWitness,
     certify_witness,
     check_corona_window,
@@ -79,16 +76,6 @@ def _finite_or_none(value: float):
     return value if math.isfinite(value) else None
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("PERIODIST_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"PERIODIST_THREADS must be an integer, got '{raw}'")
-
-
 class Job:
     """Parsed job file plus resolved parameters, read by the typed readers of ``expr``."""
 
@@ -121,7 +108,6 @@ class Job:
         )
         self.radius = self.param_int("R", DEFAULT_RADIUS)
         self.epsilon = self.param_float("epsilon", None)
-        self.threads = _thread_cap()
 
     # -- typed accessors ----------------------------------------------
 
@@ -221,7 +207,7 @@ def _witness_json(witness: CoronaWitness) -> dict:
 
 def _run_check_growth(job: Job):
     seq = job.slow("a")
-    check = seq.check_certificate(job.radius, threads=job.threads)
+    check = seq.check_certificate(job.radius)
     results = {
         "cert": {"M": seq.cert.M, "k": seq.cert.k},
         "holds": check.holds,
@@ -235,7 +221,7 @@ def _run_corona_check(job: Job):
     family = job.slow_family("a")
     delta = job.param_float("delta")
     order = job.param_int("K")
-    check = check_corona_window(family, delta, order, job.radius, job.threads)
+    check = check_corona_window(family, delta, order, job.radius)
     results = {
         "delta": delta,
         "K": order,
@@ -246,16 +232,10 @@ def _run_corona_check(job: Job):
 
 
 def _resolve_witness(job: Job, family: list[SlowSequence]) -> CoronaWitness:
+    """The witness of ``params.delta`` and ``params.K``, still to be checked on the
+    window, or else a certified one."""
     if "delta" in job.params or "K" in job.params:
-        delta = job.param_float("delta")
-        order = job.param_int("K")
-        check = check_corona_window(family, delta, order, job.radius, job.threads)
-        if not check.holds:
-            raise MathFailure(
-                f"corona floor (delta={delta}, K={order}) fails at "
-                f"lattice index {check.first_violation}"
-            )
-        return CoronaWitness(delta, order, radius=job.radius)
+        return CoronaWitness(job.param_float("delta"), job.param_int("K"), radius=job.radius)
     witness = certify_witness(family)
     if witness is None:
         raise MathFailure(
@@ -267,8 +247,9 @@ def _resolve_witness(job: Job, family: list[SlowSequence]) -> CoronaWitness:
 def _run_bezout_solve(job: Job):
     family = job.slow_family("a")
     witness = _resolve_witness(job, family)
-    cofactors = solve_bezout(family, witness)
-    residual = verify_bezout(family, cofactors, job.radius, job.threads)
+    verify_radius = job.radius if witness.status == WINDOW_VERIFIED else None
+    cofactors = solve_bezout(family, witness, verify_radius=verify_radius)
+    residual = verify_bezout(family, cofactors, job.radius)
     tolerance = job.param_float("tolerance", 1e-12)
     results = {
         "witness": _witness_json(witness),
@@ -283,7 +264,7 @@ def _run_bezout_solve(job: Job):
 def _run_bezout_verify(job: Job):
     family = job.slow_family("a")
     cofactors = job.slow_family("b", length=len(family))
-    residual = verify_bezout(family, cofactors, job.radius, job.threads)
+    residual = verify_bezout(family, cofactors, job.radius)
     tolerance = job.param_float("tolerance", 1e-12)
     results = {
         "max_residual": residual,
@@ -298,7 +279,7 @@ def _run_reduce(job: Job):
     b1, b2 = job.slow("b1"), job.slow("b2")
     epsilon = job.param_float("epsilon", 0.25, stable_rank.REDUCTION_EPSILON)
     tolerance = job.param_float("tolerance", 1e-12)
-    trace = reduce_pair(a1, a2, b1, b2, epsilon, job.radius, tolerance, job.threads)
+    trace = reduce_pair(a1, a2, b1, b2, epsilon, job.radius, tolerance)
 
     # Window diagnostics: the perturbed identity floor and the agreement
     # of the result with its invertible factorisation.
@@ -317,7 +298,7 @@ def _run_reduce(job: Job):
     )
     trees = [perturbed.expr, trace.result.expr, factorisation.expr]
     measures = [(np.min, lambda norms, v: np.abs(v[0])), (np.max, lambda norms, v: np.abs(v[1] - v[2]))]
-    min_floor, factorisation_residual = window_folds(trees, a1.dimension, job.radius, measures, job.threads)
+    min_floor, factorisation_residual = window_folds(trees, a1.dimension, job.radius, measures)
     results = {
         "epsilon": trace.epsilon,
         "result": trace.result.to_json(),
@@ -348,7 +329,7 @@ def _run_approx(job: Job):
     approximants = approx_by_invertibles(seq, epsilons)
     trees = [seq.expr] + [clipped.expr for clipped, _ in approximants]
     moved = [(np.max, lambda norms, v, i=i: np.abs(v[i] - v[0])) for i in range(1, len(trees))]
-    changes = window_folds(trees, seq.dimension, job.radius, moved, job.threads)
+    changes = window_folds(trees, seq.dimension, job.radius, moved)
     for (clipped, witness), max_change in zip(approximants, changes):
         eps = witness.delta
         ok = ok and max_change <= 2.0 * eps
@@ -366,7 +347,7 @@ def _run_approx(job: Job):
 def _run_gap(job: Job):
     x, y = job.slow("x"), job.slow("y")
     test = job.fast("b")
-    result = weak_star_gap(x, y, test, job.radius, job.threads)
+    result = weak_star_gap(x, y, test, job.radius)
     bound = _finite_or_none(result.bound)
     results = {
         "gap": result.gap,
@@ -435,7 +416,7 @@ def _run_fourier_synth(job: Job):
 def _run_pair(job: Job):
     seq = job.slow("a")
     test = job.fast("b")
-    result = pairing(seq, test, job.radius, job.threads)
+    result = pairing(seq, test, job.radius)
     results = {
         "value": _complex_pair(result.value),
         "tail_bound": result.tail_bound,
@@ -541,7 +522,7 @@ def main(argv=None) -> int:
                 },
             },
             "defaults": {"R": DEFAULT_RADIUS, "dimension": DEFAULT_DIMENSION},
-            "threads": job.threads,
+            "threads": 1,
             "inputs": job.echo_inputs(),
             "results": results,
             "verdict": verdict,

@@ -65,10 +65,10 @@ def _family_dimension(family: list[SlowSequence]) -> int:
     return dimension
 
 
-def combined_modulus(family: list[SlowSequence], radius: int, threads: int = 1) -> np.ndarray:
+def combined_modulus(family: list[SlowSequence], radius: int) -> np.ndarray:
     """sum_i |a_i(n)| over the window, in canonical scan order."""
     trees, dimension = [member.expr for member in family], _family_dimension(family)
-    return window_array(trees, dimension, radius, lambda norms, values: _modulus_sum(values), threads)
+    return window_array(trees, dimension, radius, lambda norms, values: _modulus_sum(values))
 
 
 def _modulus_sum(values: list[np.ndarray]) -> np.ndarray:
@@ -98,7 +98,7 @@ def check_corona_window(
         below = ~(_modulus_sum(values) >= witness.floor_at(norms[rows]))  # NaN is a violation
         return _flagged(points, rows, below)
 
-    where = scan([m.expr for m in family], _family_dimension(family), radius, first_below, threads)
+    where = scan([m.expr for m in family], _family_dimension(family), radius, first_below)
     return WindowCheck(where is None, where)
 
 
@@ -119,7 +119,6 @@ def solve_bezout(
     family: list[SlowSequence],
     witness: CoronaWitness,
     verify_radius: int | None = None,
-    threads: int = 1,
 ) -> list[SlowSequence]:
     """Closed-form cofactors b_i with sum b_i * a_i = 1.
 
@@ -131,9 +130,7 @@ def solve_bezout(
     """
     dimension = _family_dimension(family)
     if verify_radius is not None:
-        check = check_corona_window(
-            family, witness.delta, witness.K, verify_radius, threads
-        )
+        check = check_corona_window(family, witness.delta, witness.K, verify_radius)
         if not check.holds:
             raise MathFailure(
                 f"corona floor (delta={witness.delta}, K={witness.K}) fails at "
@@ -158,7 +155,7 @@ def verify_bezout(
     # One tree, so the denominator the cofactors share is evaluated once.
     terms = tuple(ex.Mul((a.expr, b.expr)) for a, b in zip(family, cofactors))
     residual = (np.max, lambda norms, values: np.abs(values[0] - 1.0))
-    return window_folds([ex.Add(terms)], dimension, radius, [residual], threads)[0]
+    return window_folds([ex.Add(terms)], dimension, radius, [residual])[0]
 
 
 def witness_from_bezout(cofactors: list[SlowSequence]) -> CoronaWitness:
@@ -195,7 +192,7 @@ def is_unit(
     explicit inverse phase(a) / |a| is returned with growth certificate
     (1/delta, K).  On failure no inverse is produced.
     """
-    check = check_corona_window([a], witness.delta, witness.K, radius, threads)
+    check = check_corona_window([a], witness.delta, witness.K, radius)
     if not check.holds:
         return UnitCheck(False, None, check.first_violation)
     return UnitCheck(True, solve_bezout([a], witness)[0], None)

@@ -35,7 +35,7 @@ from .sequences import (
     GrowthCertificate,
     PairingResult,
     SlowSequence,
-    _bump,
+    _tail_bound,
     constant,
     pairing,
 )
@@ -43,21 +43,24 @@ from .sequences import (
 NORMALIZATION = "forward-1/N^d"
 ALIASING_NOTE = "frequencies outside the centred window alias; caller keeps spectra inside"
 
+# A period matrix with |det| below this is rejected as numerically singular.
+_DET_TOL = 1e-9
+
 
 class PeriodBasis:
     """Invertible period matrix with its validated inverse.
 
-    The determinant must stay away from zero (|det| >= det_tol, default
-    1e-9) and the computed inverse must reproduce the identity to 1e-12
-    per entry, otherwise the basis is rejected.
+    The determinant must stay away from zero (|det| >= 1e-9) and the
+    computed inverse must reproduce the identity to 1e-12 per entry,
+    otherwise the basis is rejected.
     """
 
-    def __init__(self, matrix, det_tol: float = 1e-9):
+    def __init__(self, matrix):
         array = np.asarray(matrix, dtype=float)
         if array.ndim != 2 or array.shape[0] != array.shape[1] or array.shape[0] < 1:
             raise InputError("period matrix must be square and non-empty")
         det = float(np.linalg.det(array))
-        if abs(det) < det_tol:
+        if abs(det) < _DET_TOL:
             raise InputError(f"period matrix is numerically singular (|det| = {abs(det):.3e})")
         inverse = np.linalg.inv(array)
         residual = float(np.abs(array @ inverse - np.eye(array.shape[0])).max())
@@ -226,7 +229,6 @@ def distribution_action(
     coeffs: "CoefficientMap | SlowSequence",
     test: FastSequence,
     radius: int,
-    threads: int = 1,
 ) -> PairingResult:
     """Action of a coefficient sequence on samples of a test function.
 
@@ -237,7 +239,7 @@ def distribution_action(
     of certified tail bound.
     """
     if isinstance(coeffs, SlowSequence):
-        return pairing(coeffs, test, radius, threads)
+        return pairing(coeffs, test, radius)
     if coeffs.dimension != test.dimension:
         raise InputError("coefficient map and test data dimensions differ")
     ex.NONNEG.check(radius, "radius")
@@ -247,10 +249,5 @@ def distribution_action(
     total = complex(0.0)
     for (_, value), sample in zip(inside, ex.evaluate_grid(test.expr, points)):
         total += value * complex(sample)
-    if len(inside) == len(items):
-        tail = 0.0
-    else:
-        d = coeffs.dimension
-        heavy = test.seminorm_bound(coeffs.cert.k + d + 1)
-        tail = _bump(coeffs.cert.M * heavy * 2**d / (1.0 + radius))
+    tail = 0.0 if len(inside) == len(items) else _tail_bound(coeffs.cert, test, radius)
     return PairingResult(total, radius, tail)

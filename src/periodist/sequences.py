@@ -20,16 +20,19 @@ decay at order ``k + d + 1`` together with the shell-count bound
 so double rounding can never push them below the true value.
 
 Every window quantity is one call of ``scan``, which evaluates the trees
-on the ball slice by slice and folds each slice into a first violation
-(the scan stops there), a max or min (``window_folds``), or one
-window-length array (``window_array``) whose ``np.sum`` is a window sum.
-Results are bit-identical for every slice size and thread count.
+on the ball slice by slice on the calling thread and folds each slice into
+a first violation (the scan stops there), a max or min (``window_folds``),
+or one window-length array (``window_array``) whose ``np.sum`` is a window
+sum.  Results are bit-identical for every slice size.
+
+``check_corona_window``, ``verify_bezout``, ``is_unit``, ``pairing``,
+``seminorm``, ``weak_star_gap`` and ``SlowSequence.check_certificate``
+accept a ``threads`` argument that is unused: callers still pass it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,38 +49,34 @@ _SLACK = 1.0 + 1e-11
 
 _CHUNK = 1 << 16
 
+# Radius of the window on which a claimed growth certificate is checked.
+CLAIM_CHECK_RADIUS = 8
+
+# Relative tolerance of the certificate check: |a(n)| may exceed the bound by this much.
+_CERT_REL_TOL = 1e-12
+
 
 def _bump(x: float) -> float:
     return x * _SLACK
 
 
-def scan(trees: list[ex.Node], dimension: int, radius: int, step, threads: int = 1):
+def scan(trees: list[ex.Node], dimension: int, radius: int, step):
     """Feed the window |n|_1 <= radius to ``step`` in slices of at most ``_CHUNK`` points.
 
     ``step(points, norms, rows, values)`` gets the whole window, the slice
     ``rows`` of it and each tree's values there, in canonical order; its
     first result that is not None stops the scan and is returned.  Each
-    tree's evaluation plan is made once per scan.  With ``threads > 1`` a
-    pool evaluates the slices, which are still folded in order.
+    tree's evaluation plan is made once per scan.
     """
     points, norms = ball(dimension, radius)
     plans = [ex._plan(tree) for tree in trees]
-
-    def evaluate(rows: slice):
-        return rows, [ex.evaluate_grid(t, points[rows], norms[rows], p) for t, p in zip(trees, plans)]
-
-    count = points.shape[0]
-    slices = [slice(i, min(i + _CHUNK, count)) for i in range(0, count, _CHUNK)]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and len(slices) > 1 else None
-    try:
-        for rows, values in (pool.map if pool else map)(evaluate, slices):
-            found = step(points, norms, rows, values)
-            del values  # this slice's arrays go before the next slice is evaluated
-            if found is not None:
-                return found
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    for start in range(0, points.shape[0], _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        values = [ex.evaluate_grid(t, points[rows], norms[rows], p) for t, p in zip(trees, plans)]
+        found = step(points, norms, rows, values)
+        del values  # this slice's arrays go before the next slice is evaluated
+        if found is not None:
+            return found
     return None
 
 
@@ -86,7 +85,7 @@ def _flagged(points: np.ndarray, rows: slice, flags: np.ndarray) -> LatticeIndex
     return tuple(int(c) for c in points[rows.start + int(np.argmax(flags))]) if flags.any() else None
 
 
-def window_folds(trees, dimension: int, radius: int, measures, threads: int = 1) -> list[float]:
+def window_folds(trees, dimension: int, radius: int, measures) -> list[float]:
     """For each ``(fold, measure)``, fold (``np.max`` or ``np.min``) of
     ``measure(norms, values)`` over the window.  Slice results are
     combined by the same fold, so NaN propagates and the value is exact."""
@@ -96,11 +95,11 @@ def window_folds(trees, dimension: int, radius: int, measures, threads: int = 1)
         for part, (fold, measure) in zip(parts, measures):
             part.append(fold(measure(norms[rows], values)))
 
-    scan(trees, dimension, radius, step, threads)
+    scan(trees, dimension, radius, step)
     return [float(part[0] if len(part) == 1 else fold(part)) for part, (fold, _) in zip(parts, measures)]
 
 
-def window_array(trees, dimension: int, radius: int, measure, threads: int = 1) -> np.ndarray:
+def window_array(trees, dimension: int, radius: int, measure) -> np.ndarray:
     """``measure(norms, values)`` over the window as one array, in canonical scan order;
     a window sum is ``np.sum`` of it, so it rounds as one sum over the window.  A window
     of one slice returns that slice's array itself."""
@@ -115,7 +114,7 @@ def window_array(trees, dimension: int, radius: int, measure, threads: int = 1) 
             out.append(np.empty(norms.shape[0], part.dtype))
         out[0][rows] = part
 
-    scan(trees, dimension, radius, step, threads)
+    scan(trees, dimension, radius, step)
     return out[0]
 
 
@@ -127,15 +126,15 @@ def _eval_at(seq, index: LatticeIndex) -> complex:
     return ex.evaluate(seq.expr, index)
 
 
-def window_values(node: ex.Node, dimension: int, radius: int, threads: int = 1) -> np.ndarray:
+def window_values(node: ex.Node, dimension: int, radius: int) -> np.ndarray:
     """Values of a tree over the 1-norm ball, in canonical scan order."""
-    return window_array([node], dimension, radius, lambda norms, values: values[0], threads)
+    return window_array([node], dimension, radius, lambda norms, values: values[0])
 
 
-def _weighted_sup(b, k: int, radius: int, threads: int = 1) -> float:
+def _weighted_sup(b, k: int, radius: int) -> float:
     """sup of (1+|n|_1)^k |b(n)| over the window."""
     measure = (np.max, lambda norms, values: (1.0 + norms) ** k * np.abs(values[0]))
-    return window_folds([b.expr], b.dimension, radius, [measure], threads)[0]
+    return window_folds([b.expr], b.dimension, radius, [measure])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +212,12 @@ class SlowSequence(ex.Ranged):
         tree: ex.Node,
         dimension: int,
         cert: GrowthCertificate,
-        check_radius: int = 8,
         where: str = "cert",
     ) -> "SlowSequence":
-        """Attach a user-supplied certificate after an exhaustive window check."""
+        """Attach a user-supplied certificate after an exhaustive check on the
+        window of radius ``CLAIM_CHECK_RADIUS``."""
         seq = SlowSequence(tree, dimension, cert)
-        check = seq.check_certificate(check_radius)
+        check = seq.check_certificate(CLAIM_CHECK_RADIUS)
         if not check.holds:
             raise CertificateError(
                 f"{where}: claimed certificate (M={cert.M}, k={cert.k}) fails at "
@@ -227,7 +226,7 @@ class SlowSequence(ex.Ranged):
         return seq
 
     @staticmethod
-    def from_json(obj, dimension: int, check_radius: int = 8, path: str = "") -> "SlowSequence":
+    def from_json(obj, dimension: int, path: str = "") -> "SlowSequence":
         """Parse the wire format; claimed certificates are window-checked.
 
         ``obj`` is a bare tree or ``{"expr": tree, "cert": {"M", "k"}}``;
@@ -239,7 +238,7 @@ class SlowSequence(ex.Ranged):
             m, k = ex._read_cert(obj, path)
             claims = claims + [(node, m, k, ex._at(path, "cert"))]
         for sub, cm, ck, where in claims:
-            SlowSequence.with_claimed_cert(sub, dimension, GrowthCertificate(cm, ck), check_radius, where)
+            SlowSequence.with_claimed_cert(sub, dimension, GrowthCertificate(cm, ck), where)
         return SlowSequence(node, dimension, GrowthCertificate(m, k))
 
     def to_json(self) -> dict:
@@ -252,22 +251,20 @@ class SlowSequence(ex.Ranged):
 
     eval = _eval_at
 
-    def window(self, radius: int, threads: int = 1) -> np.ndarray:
+    def window(self, radius: int) -> np.ndarray:
         """Values over the 1-norm ball in canonical scan order."""
-        return window_values(self.expr, self.dimension, radius, threads)
+        return window_values(self.expr, self.dimension, radius)
 
-    def check_certificate(
-        self, radius: int, rel_tol: float = 1e-12, threads: int = 1
-    ) -> CertificateCheck:
+    def check_certificate(self, radius: int, threads: int = 1) -> CertificateCheck:
         """Exhaustively check the certificate on the window of this radius."""
         maxima, found = [], [None]
 
         def step(points, norms, rows, values):  # never stops: max_ratio covers the whole window
             ratios = np.abs(values[0]) / self.cert.bound_at(norms[rows])
             maxima.append(ratios.max())
-            found[0] = found[0] or _flagged(points, rows, ~(ratios <= 1.0 + rel_tol))  # NaN is a violation
+            found[0] = found[0] or _flagged(points, rows, ~(ratios <= 1.0 + _CERT_REL_TOL))  # NaN is a violation
 
-        scan([self.expr], self.dimension, radius, step, threads)
+        scan([self.expr], self.dimension, radius, step)
         return CertificateCheck(found[0] is None, found[0], float(np.max(maxima)))
 
     # -- pointwise algebra (certificates compose at the sequence level,
@@ -416,8 +413,8 @@ class FastSequence(ex.Ranged):
 
     eval = _eval_at
 
-    def window(self, radius: int, threads: int = 1) -> np.ndarray:
-        return window_values(self.expr, self.dimension, radius, threads)
+    def window(self, radius: int) -> np.ndarray:
+        return window_values(self.expr, self.dimension, radius)
 
     def seminorm_bound(self, k: int) -> float:
         """Certified upper bound on p_k(b) = sup (1+|n|_1)^k |b(n)|."""
@@ -552,7 +549,7 @@ def seminorm(b: FastSequence, k: int, radius: int, threads: int = 1) -> Seminorm
     """Weighted sup p_k(b) over the window, plus a certified global bound."""
     ex.NONNEG.check(k, "k")
     ex.NONNEG.check(radius, "radius")
-    sup = _weighted_sup(b, k, radius, threads)
+    sup = _weighted_sup(b, k, radius)
     if b.support is not None and b.support <= radius:
         outside = 0.0
     elif b.decay is not None:
@@ -579,19 +576,21 @@ def pairing(a: SlowSequence, b: FastSequence, radius: int, threads: int = 1) -> 
     certificate of ``a``, the decay of ``b`` at order k + d + 1, and the
     shell-count bound.  A declared support inside the window makes it 0.
     """
-    return _pairing(a, b, radius, lambda norms, values: values[0] * values[1], threads)
+    return _pairing(a, b, radius, lambda norms, values: values[0] * values[1])
 
 
-def _pairing(a: SlowSequence, b: FastSequence, radius: int, product, threads: int = 1) -> PairingResult:
+def _pairing(a: SlowSequence, b: FastSequence, radius: int, product) -> PairingResult:
     """``pairing`` with the window products ``product(norms, [a values, b values])``."""
     if a.dimension != b.dimension:
         raise DimensionMismatch("pairing arguments must share a dimension")
     ex.NONNEG.check(radius, "radius")
-    value = complex(np.sum(window_array([a.expr, b.expr], a.dimension, radius, product, threads)))
-    if b.support is not None and b.support <= radius:
-        tail = 0.0
-    else:
-        d = a.dimension
-        heavy = b.seminorm_bound(a.cert.k + d + 1)
-        tail = _bump(a.cert.M * heavy * 2**d / (1.0 + radius))
+    value = complex(np.sum(window_array([a.expr, b.expr], a.dimension, radius, product)))
+    tail = 0.0 if b.support is not None and b.support <= radius else _tail_bound(a.cert, b, radius)
     return PairingResult(value, radius, tail)
+
+
+def _tail_bound(cert: GrowthCertificate, b: FastSequence, radius: int) -> float:
+    """Certified bound on the sum of |a(n) b(n)| over |n|_1 > radius for ``a`` of growth
+    ``cert``: M * p-bound(k + d + 1) * 2^d / (1 + radius)."""
+    d = b.dimension
+    return _bump(cert.M * b.seminorm_bound(cert.k + d + 1) * 2**d / (1.0 + radius))

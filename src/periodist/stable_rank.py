@@ -83,7 +83,6 @@ def reduce_pair(
     epsilon: float = 0.25,
     radius: int = 50,
     tolerance: float = 1e-12,
-    threads: int = 1,
 ) -> ReductionTrace:
     """Single-multiplier reduction of a unimodular pair.
 
@@ -92,7 +91,7 @@ def reduce_pair(
     0 < epsilon < 1/2.
     """
     REDUCTION_EPSILON.check(epsilon, "epsilon")
-    residual = verify_bezout([a1, a2], [b1, b2], radius, threads)
+    residual = verify_bezout([a1, a2], [b1, b2], radius)
     if not residual <= tolerance:  # NaN fails
         raise MathFailure(
             f"cofactor identity residual {residual:.3e} exceeds tolerance {tolerance:.3e}"
@@ -148,7 +147,6 @@ def reduce_tuple(
     epsilon: float = 0.25,
     radius: int = 50,
     tolerance: float = 1e-12,
-    threads: int = 1,
 ) -> TupleReduction:
     """Shorten a unimodular (N+1)-tuple to a unimodular N-tuple (N >= 2).
 
@@ -169,8 +167,8 @@ def reduce_tuple(
     pieces.append(combine("mul", last_cof, last))
     complement = pieces[0] if len(pieces) == 1 else combine("add", *pieces)
     one = constant(1.0, pivot.dimension)
-    trace = reduce_pair(pivot, complement, pivot_cof, one, epsilon, radius, tolerance, threads)
-    unit = is_unit(trace.result, trace.result_inverse_witness, radius, threads)
+    trace = reduce_pair(pivot, complement, pivot_cof, one, epsilon, radius, tolerance)
+    unit = is_unit(trace.result, trace.result_inverse_witness, radius)
     if not unit.invertible:
         raise MathFailure(
             f"reduced pivot lost its floor at lattice index {unit.first_violation}"
@@ -242,7 +240,7 @@ def weak_star_gap(
         return values[0] * values[1]
 
     # One scan yields the pairing and the window sup of the difference.
-    result: PairingResult = _pairing(diff, b, radius, product, threads)
+    result: PairingResult = _pairing(diff, b, radius, product)
     gap = abs(result.value)
     sup_window = float(np.max(sups))
     global_sup = _uniform_diff_bound(x, y, diff)

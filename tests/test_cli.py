@@ -116,14 +116,15 @@ def test_solve_without_witness_certifies(tmp_path, capsys):
 
 
 def test_solve_witness_failure_is_math_error(tmp_path, capsys):
+    # A supplied (delta, K) is checked on the window before any cofactor is built.
     spec = write_job(
         tmp_path,
         "job.json",
         {"inputs": {"a": [{"expr": COORD}]}, "params": {"delta": 1.0, "K": 0}},
     )
-    code, _, err = run(capsys, ["bezout-solve", "--spec", spec])
-    assert code == 2
-    assert "mathematical failure" in err
+    code, out, err = run(capsys, ["bezout-solve", "--spec", spec])
+    assert (code, out) == (2, "")
+    assert err == "periodist: mathematical failure: corona floor (delta=1.0, K=0) fails at lattice index (0,)\n"
 
 
 def test_reduce_command(tmp_path, capsys):
@@ -561,20 +562,21 @@ def test_window_flag_overrides_params(tmp_path, capsys):
     assert json.loads(out)["params"]["R"] == 5
 
 
-def test_thread_env_is_recorded_but_neutral(tmp_path, capsys, monkeypatch):
+def test_report_bytes_ignore_thread_env(tmp_path, capsys, monkeypatch):
     spec = write_job(
         tmp_path,
         "job.json",
-        {"inputs": {"a": {"expr": COORD}, "b": DECAY_HALF}, "params": {"R": 30}},
+        {"dimension": 2, "inputs": {"a": [{"expr": COORD}, {"expr": ONE}]}, "params": {"delta": 1.0, "K": 0, "R": 30}},
     )
-    code, base, _ = run(capsys, ["pair", "--spec", spec])
-    assert code == 0
-    monkeypatch.setenv("PERIODIST_THREADS", "4")
-    code, threaded, _ = run(capsys, ["pair", "--spec", spec])
-    assert code == 0
-    a, b = json.loads(base), json.loads(threaded)
-    assert a["threads"] == 1 and b["threads"] == 4
-    assert a["results"] == b["results"]
+    reports = []
+    for env in (None, "4"):
+        if env is not None:
+            monkeypatch.setenv("PERIODIST_THREADS", env)
+        out = tmp_path / f"report-{env}.json"
+        assert run(capsys, ["corona-check", "--spec", spec, "--out", str(out)])[0] == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["threads"] == 1
 
 
 def _deep_job(tmp_path, depth: int) -> str:

@@ -114,13 +114,36 @@ def test_first_violation_straddling_slices(monkeypatch, chunk, r):
         monkeypatch.setattr(sequences, "_CHUNK", size)
         results.append([
             corona.check_corona_window(family, 0.5, 0, 12),
-            corona.check_corona_window(family, 0.5, 0, 12, threads=2),
             corona.is_unit(family[0], corona.CoronaWitness(0.5, 0), 12).first_violation,
             hump.check_certificate(12),
         ])
     assert results[0] == results[1]
-    assert results[1][0].first_violation == results[1][1].first_violation == (-r, 0)
-    assert results[1][3].first_violation == (-r, 0)
+    assert results[1][0].first_violation == results[1][1] == (-r, 0)
+    assert results[1][2].first_violation == (-r, 0)
+
+
+def kept_threads_results(threads: tuple) -> list:
+    """The seven entry points that still accept ``threads``, called as the benchmark calls them."""
+    d, R = 2, 9
+    family = [slow(ex.Coord(0), d), slow(ex.Const(1.0), d)]
+    cofactors = corona.solve_bezout(family, corona.CoronaWitness(1.0, 0))
+    a, x = slow(ex.Add((ex.Norm1(), ex.Const(1.0))), d), slow(ex.Coord(1), d)
+    b = FastSequence(ex.ExpDecay(0.5), d, decay=DecayBound(1.0, 0, 0.5))
+    return [
+        corona.check_corona_window(family, 0.5, 0, R, *threads),
+        corona.verify_bezout(family, cofactors, R, *threads),
+        a.check_certificate(R, **{"threads": t for t in threads}),
+        sequences.pairing(a, b, R, *threads),
+        sequences.seminorm(b, 2, R, *threads),
+        corona.is_unit(a, corona.CoronaWitness(1.0, 0), R, *threads),
+        weak_star_gap(x, a, b, R, *threads),
+    ]
+
+
+def test_kept_threads_argument_changes_nothing(monkeypatch):
+    # The benchmark still passes threads to these seven; the argument is unused.
+    monkeypatch.setattr(sequences, "_CHUNK", 7)
+    assert kept_threads_results((2,)) == kept_threads_results(())
 
 
 def cli_report(tmp_path, command, job) -> bytes:

@@ -344,13 +344,6 @@ def test_pairing_linearity():
         assert abs(lhs - rhs) <= 1e-10 * (abs(rhs) + 1.0)
 
 
-def test_window_is_thread_count_invariant():
-    seq = (coordinate(0) + constant(1.0 + 0.5j, 1)) * norm_sequence(1)
-    assert (seq.window(60, threads=3) == seq.window(60, threads=1)).all()
-    b = fast_exp_decay(0.5)
-    assert pairing(seq, b, 60, threads=3).value == pairing(seq, b, 60, threads=1).value
-
-
 def test_certificate_check_fails_on_nan():
     seq = SlowSequence.from_expr(ex.Mul((ex.PolyEnv(2000), ex.ExpDecay(800.0))), 1)
     with np.errstate(invalid="ignore", over="ignore"):
