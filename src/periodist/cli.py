@@ -135,7 +135,17 @@ class Job:
         ])
 
     def fast(self, name: str) -> FastSequence:
-        return self._parsed(name, lambda raw, path: FastSequence.from_json(raw, self.dimension, path=path))
+        """``inputs.<name>``; no bound scans past the window R, so a declared support
+        past R is dropped for the decay envelope, and rejected without one."""
+        seq = self._parsed(name, lambda raw, path: FastSequence.from_json(raw, self.dimension, path=path))
+        if seq.support is None or seq.support <= self.radius:
+            return seq
+        if seq.decay is None:
+            raise InputError(
+                f"inputs.{name}.support: must be <= {self.radius}, the window R, "
+                f"unless a decay envelope is given, got {seq.support}"
+            )
+        return FastSequence(seq.expr, seq.dimension, decay=seq.decay)
 
     def basis(self) -> fourier.PeriodBasis:
         raw = ex._expect(self.inputs, "period_matrix", "inputs")
@@ -149,8 +159,10 @@ class Job:
     def samples(self, dimension: int) -> np.ndarray:
         raw = ex._expect(self.inputs, "samples", "inputs")
         if isinstance(raw, dict):
-            shape = ex._expect(raw, "shape", "inputs.samples")
-            shape = ex._nested(shape, "inputs.samples.shape", (dimension,), ex._int)
+            shape = ex._nested(
+                ex._expect(raw, "shape", "inputs.samples"), "inputs.samples.shape", (dimension,),
+                lambda value, where: ex._int(value, where, ex.AT_LEAST_ONE),
+            )
             if len(set(shape)) > 1:
                 raise InputError(f"inputs.samples.shape: must be cubic (equal length per axis), got {shape}")
             name = ex._expect(raw, "file", "inputs.samples")
@@ -179,11 +191,9 @@ class Job:
                     echoed[key] = {"source": str(value.get("file")), "shape": value.get("shape")}
                 else:
                     shape, node = [], value
-                    for _ in range(self.dimension):
-                        if not isinstance(node, list):
-                            break
+                    while isinstance(node, list) and len(shape) < self.dimension:
                         shape.append(len(node))
-                        node = node[0]
+                        node = node[0] if node else None
                     echoed[key] = {"source": "inline", "shape": shape}
             else:
                 echoed[key] = value

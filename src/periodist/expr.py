@@ -20,7 +20,7 @@ inputs, and no symbolic simplification is attempted.  The node kinds are
                          |a(n)| >= delta * (1 + |n|_1)^(-K)
 
 Every tree composes a growth certificate (M, k) claiming
-``|value(n)| <= M * (1 + |n|_1)^k``.  Certificates are syntactic claims:
+``|value(n)| <= M * (1 + |n|_1)^k``.  Certificates are syntactic bounds:
 they are exact in real arithmetic and are additionally spot-checked on
 finite windows by the callers that rely on them.
 
@@ -422,7 +422,7 @@ class Clip(Node):
 class Recip(Node):
     """Pointwise reciprocal, annotated with a lower-bound witness.
 
-    The witness claims |arg(n)| >= delta * (1 + |n|_1)^(-K), which makes
+    The witness asserts |arg(n)| >= delta * (1 + |n|_1)^(-K), which makes
     (1/delta, K) a growth certificate for the reciprocal.  Evaluating at a
     point where the argument vanishes raises WitnessViolation.  On the
     wire, delta and K sit in a nested "witness" object.
@@ -639,12 +639,11 @@ def lower_bound_cert(node: Node) -> tuple[float, int] | None:
 # ---------------------------------------------------------------------------
 # JSON serialization.  A node's wire object is {"kind": cls.kind} plus its
 # dataclass fields in order, children as nested objects; a field whose
-# metadata names a "wire" group sits in that nested object instead.  Any
-# node may carry an optional "cert": {"M":..., "k":...} claim which the
-# sequence layer verifies on a window before trusting.
+# metadata names a "wire" group sits in that nested object instead.  A
+# node carries no claim: a growth certificate is claimed beside a
+# sequence's "expr" (see ``SlowSequence.from_json``), and a "cert" key on
+# a node is rejected with its path.
 # ---------------------------------------------------------------------------
-
-CertClaim = tuple[Node, float, int, str]
 
 
 @functools.cache
@@ -786,30 +785,20 @@ def _read_fields(cls, obj: dict, path: str) -> list:
     return [_SCALAR_READERS[hint](obj, name, path, rule=rule) for name, hint, _, rule in _wire_fields(cls)]
 
 
-def _read_cert(obj: dict, path: str) -> tuple[float, int]:
-    """The claimed growth certificate ``obj["cert"]`` as (M, k)."""
-    where = _at(path, "cert")
-    return tuple(_read_fields(GrowthCertificate, _object(_expect(obj, "cert", path), where), where))
-
-
-def parse_node(
-    obj, path: str = "expr", dimension=math.inf
-) -> tuple[Node, tuple[float, int], list[CertClaim]]:
+def parse_node(obj, path: str = "expr", dimension=math.inf) -> Node:
     """Parse the JSON wire format; coordinate axes must lie below ``dimension``.
 
-    Returns ``(node, effective_cert, claims)`` where ``effective_cert`` is the
-    composed growth certificate with any user-supplied "cert" overrides
-    substituted in, and ``claims`` lists every overridden subtree so callers
-    can window-check the claims before relying on them.
+    A node object holding a "cert" key is rejected, naming ``<path>.cert``:
+    certificates are claimed beside a sequence's tree, not inside it.
     """
     obj = _object(obj, path)
     kind = _expect(obj, "kind", path)
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InputError(f"{path}: unknown node kind '{kind}'")
+    if "cert" in obj:
+        raise InputError(f"{_at(path, 'cert')}: not allowed on a tree node; claim it beside 'expr'")
     values: list = []
-    child_certs: list[tuple[float, int]] = []
-    claims: list[CertClaim] = []
     for name, hint, group, rule in _WIRE[cls]:
         where = _at(path, group) if group else path
         source = _object(_expect(obj, group, path), where) if group else obj
@@ -818,21 +807,13 @@ def parse_node(
             continue
         raw, here = _expect(source, name, where), _at(where, name)
         if hint is Node:
-            items = [(raw, here)]
-        else:
-            items = [(child, _at(here, i)) for i, child in enumerate(_array(raw, here, rule=rule))]
-        nodes = []
-        for child, child_path in items:
-            child_node, child_cert, child_claims = parse_node(child, child_path, dimension)
-            nodes.append(child_node)
-            child_certs.append(child_cert)
-            claims.extend(child_claims)
-        values.append(nodes[0] if hint is Node else tuple(nodes))
+            values.append(parse_node(raw, here, dimension))
+            continue
+        nodes = []  # a plain loop, not a generator: one Python frame per tree level
+        for i, child in enumerate(_array(raw, here, rule=rule)):
+            nodes.append(parse_node(child, _at(here, i), dimension))
+        values.append(tuple(nodes))
     node = cls(*values)
     if isinstance(node, Coord) and node.axis >= dimension:
         raise DimensionMismatch(f"{path}.axis: must be < {dimension}, the dimension, got {node.axis}")
-    effective = node._cert_from(child_certs)
-    if "cert" in obj:
-        effective = _read_cert(obj, path)
-        claims.append((node, *effective, path))
-    return node, effective, claims
+    return node

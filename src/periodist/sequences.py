@@ -227,19 +227,22 @@ class SlowSequence(ex.Ranged):
 
     @staticmethod
     def from_json(obj, dimension: int, path: str = "") -> "SlowSequence":
-        """Parse the wire format; claimed certificates are window-checked.
-
-        ``obj`` is a bare tree or ``{"expr": tree, "cert": {"M", "k"}}``;
-        error messages name fields by their JSON path below ``path``.
+        """Parse a bare tree, or ``{"expr": tree}`` with an optional claim
+        ``"cert": {"M", "k"}`` beside it, checked by ``with_claimed_cert``;
+        without a claim the certificate is ``composed_cert`` of the tree.
+        Error messages name fields by their JSON path below ``path``.
         """
         obj = ex._object(obj, path or "sequence")
-        node, (m, k), claims = _parse_tree(obj, dimension, path)
-        if "kind" not in obj and "cert" in obj:
-            m, k = ex._read_cert(obj, path)
-            claims = claims + [(node, m, k, ex._at(path, "cert"))]
-        for sub, cm, ck, where in claims:
-            SlowSequence.with_claimed_cert(sub, dimension, GrowthCertificate(cm, ck), where)
-        return SlowSequence(node, dimension, GrowthCertificate(m, k))
+        for key in ("decay", "support"):
+            if key in obj:
+                raise InputError(f"{ex._at(path, key)}: a slow sequence takes no {key} claim")
+        node = _parse_tree(obj, dimension, path)
+        if "cert" in obj:  # beside "expr": on a bare tree, parse_node has rejected it
+            where = ex._at(path, "cert")
+            claim = ex._read_fields(GrowthCertificate, ex._object(obj["cert"], where), where)
+            return SlowSequence.with_claimed_cert(node, dimension, GrowthCertificate(*claim), where)
+        ex.AT_LEAST_ONE.check(dimension, "dimension")  # parse_node has checked the axes
+        return _checked(node, dimension, GrowthCertificate(*ex.composed_cert(node)))
 
     def to_json(self) -> dict:
         return {
@@ -305,7 +308,7 @@ def _check_axes(node: ex.Node, dimension: int, where: str) -> None:
         raise DimensionMismatch(f"{where}: references axis {axis} but dimension is {dimension}")
 
 
-def _parse_tree(obj: dict, dimension: int, path: str) -> tuple[ex.Node, tuple[float, int], list]:
+def _parse_tree(obj: dict, dimension: int, path: str) -> ex.Node:
     """``parse_node`` of a sequence object's tree, or of the bare tree, over Z^dimension."""
     if "kind" in obj:
         return ex.parse_node(obj, path or "expr", dimension)
@@ -314,14 +317,16 @@ def _parse_tree(obj: dict, dimension: int, path: str) -> tuple[ex.Node, tuple[fl
 
 def _compose(node: ex.Node, *operands: SlowSequence) -> SlowSequence:
     """`node` over the operands' trees, certified by its own ``_cert_from`` rule
-    applied to the operands' certificates (claimed ones included).
-
-    ``__post_init__`` is skipped: the operands' axes are already checked
-    and ``node`` adds none, so walking the whole tree again would be waste.
-    """
+    applied to the operands' certificates (claimed ones included).  The
+    operands' axes are already checked and ``node`` adds none."""
     m, k = node._cert_from([(s.cert.M, s.cert.k) for s in operands])
+    return _checked(node, operands[0].dimension, GrowthCertificate(m, k))
+
+
+def _checked(node: ex.Node, dimension: int, cert: GrowthCertificate) -> SlowSequence:
+    """A sequence whose fields are checked, built without ``__post_init__``'s walk of the tree."""
     seq = object.__new__(SlowSequence)
-    vars(seq).update(expr=node, dimension=operands[0].dimension, cert=GrowthCertificate(m, k))
+    vars(seq).update(expr=node, dimension=dimension, cert=cert)
     return seq
 
 
@@ -461,7 +466,9 @@ class FastSequence(ex.Ranged):
         """Parse ``{"expr": tree, "decay": {"C", "j", "rate"}, "support": R}``
         (or a bare tree); errors name fields by their JSON path below ``path``."""
         obj = ex._object(obj, path or "sequence")
-        node, _, _ = _parse_tree(obj, dimension, path)
+        if "cert" in obj:
+            raise InputError(f"{ex._at(path, 'cert')}: a fast sequence takes no growth certificate")
+        node = _parse_tree(obj, dimension, path)
         decay = None
         if "decay" in obj:
             where = ex._at(path, "decay")

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodist import cli
+from periodist import expr as ex
+from periodist.sequences import DecayBound, FastSequence, constant, pairing
+from periodist.stable_rank import weak_star_gap
 
 COORD = {"kind": "coord", "axis": 0}
 ONE = {"kind": "const", "re": 1.0, "im": 0.0}
@@ -317,6 +321,36 @@ def test_false_certificate_claim_is_rejected(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_stray_empty_samples_are_echoed(tmp_path, capsys):
+    spec = write_job(tmp_path, "job.json", {"inputs": {"a": {"expr": ONE}, "b": DECAY_HALF, "samples": []}})
+    code, out, _ = run(capsys, ["pair", "--spec", spec])
+    assert code == 0
+    assert json.loads(out)["inputs"]["samples"] == {"source": "inline", "shape": [0]}
+
+
+TREE_CLAIM = {"kind": "mul", "args": [{**ONE, "cert": {"M": 1.0, "k": 0}}, COORD]}
+
+
+# (command, inputs, the whole message): each claim is misplaced, the last two on a tree node.
+@pytest.mark.parametrize("command, inputs, message", [
+    ("pair", {"a": {"expr": ONE}, "b": {**DECAY_HALF, "cert": {"M": 0.001, "k": 0}}},
+     "inputs.b.cert: a fast sequence takes no growth certificate"),
+    ("pair", {"a": {"expr": ONE, "decay": DECAY_HALF["decay"]}, "b": DECAY_HALF},
+     "inputs.a.decay: a slow sequence takes no decay claim"),
+    ("pair", {"a": {"expr": ONE, "support": 0}, "b": DECAY_HALF},
+     "inputs.a.support: a slow sequence takes no support claim"),
+    ("check-growth", {"a": {"expr": TREE_CLAIM}},
+     "inputs.a.expr.args[0].cert: not allowed on a tree node; claim it beside 'expr'"),
+    ("pair", {"a": {"expr": ONE}, "b": {**DECAY_HALF, "expr": TREE_CLAIM}},
+     "inputs.b.expr.args[0].cert: not allowed on a tree node; claim it beside 'expr'"),
+], ids=["cert-beside-fast", "decay-beside-slow", "support-beside-slow", "cert-in-slow-tree", "cert-in-fast-tree"])
+def test_misplaced_claim_is_rejected_with_its_path(tmp_path, capsys, command, inputs, message):
+    spec = write_job(tmp_path, "job.json", {"inputs": inputs, "params": {"R": 4}})
+    code, out, err = run(capsys, [command, "--spec", spec])
+    assert (code, out) == (1, "")
+    assert err == f"periodist: input error: {message}\n"
+
+
 def test_missing_required_input_names_the_field(tmp_path, capsys):
     spec = write_job(tmp_path, "job.json", {"inputs": {}})
     code, _, err = run(capsys, ["check-growth", "--spec", spec])
@@ -348,6 +382,9 @@ MALFORMED_FIELDS = [
     ("fourier-coeffs", "inputs.samples.shape[1]",
      {"dimension": 2, "inputs": {"period_matrix": EYE2,
                                  "samples": {"file": "s.bin", "shape": [2, "x"]}}}),
+    ("fourier-coeffs", "inputs.samples.shape[0]: must be >= 1, got 0",
+     {"dimension": 1, "inputs": {"period_matrix": [[1.0]], "samples": {"file": "s.bin", "shape": [0]}}},
+     "inputs.samples.shape-zero"),
     ("fourier-coeffs", "inputs.samples.file",
      {"dimension": 2, "inputs": {"period_matrix": EYE2,
                                  "samples": {"file": 5, "shape": [2, 2]}}}),
@@ -620,13 +657,48 @@ def _deep_bezout_job(tmp_path, depth: int) -> str:
     return str(path)
 
 
-def _cli_process(argv):
-    """``python -m periodist.cli`` in a fresh interpreter: the stack depth a user has."""
+def _cli_process(argv, address_space: int | None = None):
+    """``python -m periodist.cli`` in a fresh interpreter: the stack depth a user has.
+    ``address_space`` caps its memory in bytes, so a runaway allocation fails in it."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = None
+    if address_space is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"  # few thread buffers under the cap
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     done = subprocess.run([sys.executable, "-m", "periodist.cli", *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, timeout=120, preexec_fn=limit)
     return done.returncode, done.stdout, done.stderr
+
+
+HUGE_SUPPORT = {"expr": {"kind": "expdecay", "rate": 1.0}, "support": 10**9}
+
+
+@pytest.mark.parametrize("command", ["pair", "gap"])
+def test_support_past_the_window_needs_a_decay_envelope(tmp_path, command):
+    slow = {"a": {"expr": ONE}} if command == "pair" else {"x": {"expr": ONE}, "y": {"expr": ZERO}}
+
+    def capped(name, fast):
+        # At 1 GiB, a bound that scanned the declared support would fail instead of exhausting the host.
+        spec = write_job(tmp_path, name, {"inputs": {**slow, "b": fast}, "params": {"R": 5}})
+        return _cli_process([command, "--spec", spec], address_space=1 << 30)
+
+    code, out, err = capped("bare.json", HUGE_SUPPORT)
+    assert (code, out) == (1, "")
+    assert err == ("periodist: input error: inputs.b.support: must be <= 5, the window R, "
+                   "unless a decay envelope is given, got 1000000000\n")
+    code, out, err = capped("decay.json", {**HUGE_SUPPORT, "decay": {"C": 1.0, "j": 0, "rate": 1.0}})
+    assert (code, err) == (0, "")
+    # The support claim is dropped: the bounds past R are the envelope's.
+    envelope = FastSequence(ex.ExpDecay(1.0), 1, decay=DecayBound(1.0, 0, 1.0))
+    results = json.loads(out)["results"]
+    if command == "pair":
+        assert results["tail_bound"] == pairing(constant(1.0), envelope, 5).tail_bound
+    else:
+        assert results["bound"] == weak_star_gap(constant(1.0), constant(0.0), envelope, 5).bound
 
 
 @pytest.mark.parametrize("depth, what", [(980, "report nested too deeply to render"),

@@ -581,10 +581,9 @@ def test_kind_table_covers_every_node_class():
 @pytest.mark.parametrize("node", ALL_KINDS, ids=lambda n: type(n).__name__)
 def test_json_round_trip(node):
     wire = ex.to_json(node)
-    back, cert, claims = ex.parse_node(wire)
+    back = ex.parse_node(wire)
     assert back == node
     assert ex.to_json(back) == wire
-    assert cert == ex.composed_cert(node)
 
 
 def test_parse_reports_field_paths():
@@ -600,20 +599,23 @@ def test_parse_reports_field_paths():
         ex.parse_node({"kind": "clip", "arg": {"kind": "norm1"}, "eps": -1.0})
 
 
-def test_claimed_certificates_are_collected_and_checked():
-    wire = {
-        "kind": "add",
-        "args": [
-            {"kind": "coord", "axis": 0, "cert": {"M": 1.0, "k": 1}},
-            {"kind": "const", "re": 1.0, "im": 0.0},
-        ],
-    }
-    node, cert, claims = ex.parse_node(wire)
-    assert len(claims) == 1
-    # a false claim is rejected when the sequence is built from the wire form
-    bad = {"expr": {"kind": "norm1"}, "cert": {"M": 1.0, "k": 0}}
-    with pytest.raises(CertificateError):
-        SlowSequence.from_json(bad, 1)
+def test_node_level_cert_is_rejected_with_its_path():
+    claimed = {"kind": "coord", "axis": 0, "cert": {"M": 1.0, "k": 1}}
+    wire = {"kind": "add", "args": [claimed, {"kind": "const", "re": 1.0, "im": 0.0}]}
+    with pytest.raises(InputError, match=r"^expr\.args\[0\]\.cert: not allowed on a tree node"):
+        ex.parse_node(wire)
+    # In a sequence's tree, in a fast one's too, and on the root of a bare tree.
+    with pytest.raises(InputError, match=r"^inputs\.a\.expr\.args\[0\]\.cert: "):
+        SlowSequence.from_json({"expr": wire}, 1, "inputs.a")
+    with pytest.raises(InputError, match=r"^inputs\.b\.expr\.args\[0\]\.cert: "):
+        FastSequence.from_json({"expr": wire, "support": 0}, 1, "inputs.b")
+    with pytest.raises(InputError, match=r"^inputs\.a\.cert: not allowed on a tree node"):
+        SlowSequence.from_json(claimed, 1, "inputs.a")
+    # Beside "expr" the claim is checked: a false one is rejected at its path.
+    with pytest.raises(CertificateError, match=r"^cert: claimed certificate \(M=1\.0, k=0\) fails"):
+        SlowSequence.from_json({"expr": {"kind": "norm1"}, "cert": {"M": 1.0, "k": 0}}, 1)
+    true_claim = {"expr": {"kind": "coord", "axis": 0}, "cert": {"M": 2.0, "k": 1}}
+    assert SlowSequence.from_json(true_claim, 1).cert == ex.GrowthCertificate(2.0, 1)
 
 
 def test_nodes_are_immutable():
