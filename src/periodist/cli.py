@@ -94,6 +94,7 @@ class Job:
             )
         except RecursionError:
             raise InputError(f"{spec_path}: nested too deeply to decode") from None
+        ex._known(self.raw, ("command", "dimension", "inputs", "params"), "")
         declared = self.raw.get("command")
         if declared is not None and declared != command:
             raise InputError(

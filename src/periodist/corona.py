@@ -88,18 +88,16 @@ def check_corona_window(
 ) -> WindowCheck:
     """Exhaustively test the corona floor on the 1-norm ball.
 
-    The comparison is exact double comparison; the first violation (in
-    canonical scan order) is reported when the floor fails, and the scan
-    stops at the slice that holds it.
+    The comparison is exact double comparison, and NaN is a violation; the
+    first violation (in canonical scan order) is reported when the floor
+    fails, and the scan stops at the slice that holds it.
     """
     witness = CoronaWitness(delta, K)
-
-    def first_below(points, norms, rows, values):
-        below = ~(_modulus_sum(values) >= witness.floor_at(norms[rows]))  # NaN is a violation
-        return _flagged(points, rows, below)
-
-    where = scan([m.expr for m in family], _family_dimension(family), radius, first_below)
-    return WindowCheck(where is None, where)
+    for points, norms, rows, values in scan([m.expr for m in family], _family_dimension(family), radius):
+        where = _flagged(points[rows], ~(_modulus_sum(values) >= witness.floor_at(norms[rows])))
+        if where is not None:
+            return WindowCheck(False, where)
+    return WindowCheck(True, None)
 
 
 def certify_witness(family: list[SlowSequence]) -> CoronaWitness | None:

@@ -641,8 +641,8 @@ def lower_bound_cert(node: Node) -> tuple[float, int] | None:
 # dataclass fields in order, children as nested objects; a field whose
 # metadata names a "wire" group sits in that nested object instead.  A
 # node carries no claim: a growth certificate is claimed beside a
-# sequence's "expr" (see ``SlowSequence.from_json``), and a "cert" key on
-# a node is rejected with its path.
+# sequence's "expr" (see ``SlowSequence.from_json``); a "cert" key on a
+# node, like any key that is no wire field, is rejected with its path.
 # ---------------------------------------------------------------------------
 
 
@@ -658,6 +658,7 @@ def _wire_fields(cls) -> tuple[tuple[str, object, str | None, Range | None], ...
 # The kind table: every node class with its wire fields, built once.
 _WIRE = {cls: _wire_fields(cls) for cls in Node.__subclasses__()}
 _KINDS = {cls.kind: cls for cls in _WIRE}
+_KEYS = {cls: {"kind", *(group or name for name, _, group, _ in wire)} for cls, wire in _WIRE.items()}
 
 
 def to_json(node: Node) -> dict:
@@ -695,6 +696,13 @@ def _expect(obj: dict, key: str, path: str):
     if key not in obj:
         raise InputError(f"{_at(path, key)}: required")
     return obj[key]
+
+
+def _known(obj: dict, keys, path: str) -> None:
+    """Reject the first key of ``obj`` that is not among ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise InputError(f"{_at(path, key)}: unknown key")
 
 
 def _typed(value, path: str, types, what: str, rule: Range | None = None):
@@ -781,27 +789,35 @@ _SCALAR_READERS = {float: _number, int: _integer}
 
 
 def _read_fields(cls, obj: dict, path: str) -> list:
-    """The scalar fields of ``cls`` read from ``obj``, each with its type and declared range."""
+    """The scalar fields of ``cls``, typed and in their declared ranges, from ``obj`` with no other key."""
+    _known(obj, [name for name, *_ in _wire_fields(cls)], path)
     return [_SCALAR_READERS[hint](obj, name, path, rule=rule) for name, hint, _, rule in _wire_fields(cls)]
 
 
 def parse_node(obj, path: str = "expr", dimension=math.inf) -> Node:
     """Parse the JSON wire format; coordinate axes must lie below ``dimension``.
 
-    A node object holding a "cert" key is rejected, naming ``<path>.cert``:
-    certificates are claimed beside a sequence's tree, not inside it.
+    A key that is no wire field is rejected as ``<path>.<key>: unknown key``,
+    and a "cert" key as ``<path>.cert``: certificates are claimed beside a
+    sequence's tree, not inside it.
     """
     obj = _object(obj, path)
     kind = _expect(obj, "kind", path)
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InputError(f"{path}: unknown node kind '{kind}'")
-    if "cert" in obj:
-        raise InputError(f"{_at(path, 'cert')}: not allowed on a tree node; claim it beside 'expr'")
+    keys = _KEYS[cls]
+    if len(obj) != len(keys):  # a well-formed node holds exactly its keys
+        if "cert" in obj:
+            raise InputError(f"{_at(path, 'cert')}: not allowed on a tree node; claim it beside 'expr'")
+        _known(obj, keys, path)
     values: list = []
     for name, hint, group, rule in _WIRE[cls]:
-        where = _at(path, group) if group else path
-        source = _object(_expect(obj, group, path), where) if group else obj
+        source, where = obj, path
+        if group:
+            where = _at(path, group)
+            source = _object(_expect(obj, group, path), where)
+            _known(source, [n for n, _, g, _ in _WIRE[cls] if g == group], where)
         if hint in _SCALAR_READERS:
             values.append(_SCALAR_READERS[hint](source, name, where, rule=rule))
             continue

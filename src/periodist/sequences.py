@@ -19,11 +19,11 @@ decay at order ``k + d + 1`` together with the shell-count bound
 ``1/(1+R)``.  All certified bounds are inflated by a tiny relative slack
 so double rounding can never push them below the true value.
 
-Every window quantity is one call of ``scan``, which evaluates the trees
-on the ball slice by slice on the calling thread and folds each slice into
-a first violation (the scan stops there), a max or min (``window_folds``),
-or one window-length array (``window_array``) whose ``np.sum`` is a window
-sum.  Results are bit-identical for every slice size.
+Every window quantity is a plain ``for`` loop over ``scan``, which yields
+the ball slice by slice with the trees' values there: a check returns at
+its first violation, ``window_folds`` folds a max or min, and
+``window_array`` fills one window-length array whose ``np.sum`` is a
+window sum.  Results are bit-identical for every slice size.
 
 ``check_corona_window``, ``verify_bezout``, ``is_unit``, ``pairing``,
 ``seminorm``, ``weak_star_gap`` and ``SlowSequence.check_certificate``
@@ -60,29 +60,26 @@ def _bump(x: float) -> float:
     return x * _SLACK
 
 
-def scan(trees: list[ex.Node], dimension: int, radius: int, step):
-    """Feed the window |n|_1 <= radius to ``step`` in slices of at most ``_CHUNK`` points.
+def scan(trees: list[ex.Node], dimension: int, radius: int):
+    """Yield the window |n|_1 <= radius in slices of at most ``_CHUNK`` points.
 
-    ``step(points, norms, rows, values)`` gets the whole window, the slice
-    ``rows`` of it and each tree's values there, in canonical order; its
-    first result that is not None stops the scan and is returned.  Each
-    tree's evaluation plan is made once per scan.
+    Each slice is ``(points, norms, rows, values)``: the whole window, the
+    slice ``rows`` of it and each tree's values there, in canonical order.
+    ``values`` is emptied when the loop moves on: a body that keeps no array
+    of its own holds one slice at a time.  Each tree's plan is made once.
     """
     points, norms = ball(dimension, radius)
     plans = [ex._plan(tree) for tree in trees]
     for start in range(0, points.shape[0], _CHUNK):
         rows = slice(start, start + _CHUNK)
         values = [ex.evaluate_grid(t, points[rows], norms[rows], p) for t, p in zip(trees, plans)]
-        found = step(points, norms, rows, values)
-        del values  # this slice's arrays go before the next slice is evaluated
-        if found is not None:
-            return found
-    return None
+        yield points, norms, rows, values
+        values.clear()
 
 
-def _flagged(points: np.ndarray, rows: slice, flags: np.ndarray) -> LatticeIndex | None:
-    """The point of the first true flag in the slice ``rows`` of the window, or None."""
-    return tuple(int(c) for c in points[rows.start + int(np.argmax(flags))]) if flags.any() else None
+def _flagged(points: np.ndarray, flags: np.ndarray) -> LatticeIndex | None:
+    """The point of the first true flag, or None."""
+    return tuple(int(c) for c in points[int(np.argmax(flags))]) if flags.any() else None
 
 
 def window_folds(trees, dimension: int, radius: int, measures) -> list[float]:
@@ -90,12 +87,9 @@ def window_folds(trees, dimension: int, radius: int, measures) -> list[float]:
     ``measure(norms, values)`` over the window.  Slice results are
     combined by the same fold, so NaN propagates and the value is exact."""
     parts: list[list] = [[] for _ in measures]
-
-    def step(points, norms, rows, values):
+    for _, norms, rows, values in scan(trees, dimension, radius):
         for part, (fold, measure) in zip(parts, measures):
             part.append(fold(measure(norms[rows], values)))
-
-    scan(trees, dimension, radius, step)
     return [float(part[0] if len(part) == 1 else fold(part)) for part, (fold, _) in zip(parts, measures)]
 
 
@@ -103,19 +97,16 @@ def window_array(trees, dimension: int, radius: int, measure) -> np.ndarray:
     """``measure(norms, values)`` over the window as one array, in canonical scan order;
     a window sum is ``np.sum`` of it, so it rounds as one sum over the window.  A window
     of one slice returns that slice's array itself."""
-    out: list[np.ndarray] = []
-
-    def step(points, norms, rows, values):
+    out = None
+    for _, norms, rows, values in scan(trees, dimension, radius):
         part = measure(norms[rows], values)
         if len(part) == norms.shape[0]:  # the window is one slice
-            out.append(part)
-            return
-        if not out:
-            out.append(np.empty(norms.shape[0], part.dtype))
-        out[0][rows] = part
-
-    scan(trees, dimension, radius, step)
-    return out[0]
+            return part
+        if out is None:
+            out = np.empty(norms.shape[0], part.dtype)
+        out[rows] = part
+        del part
+    return out
 
 
 def _eval_at(seq, index: LatticeIndex) -> complex:
@@ -227,17 +218,18 @@ class SlowSequence(ex.Ranged):
 
     @staticmethod
     def from_json(obj, dimension: int, path: str = "") -> "SlowSequence":
-        """Parse a bare tree, or ``{"expr": tree}`` with an optional claim
-        ``"cert": {"M", "k"}`` beside it, checked by ``with_claimed_cert``;
-        without a claim the certificate is ``composed_cert`` of the tree.
-        Error messages name fields by their JSON path below ``path``.
+        """Parse ``{"expr": tree}`` with an optional claim ``"cert": {"M", "k"}``
+        beside it, checked by ``with_claimed_cert``; without a claim the
+        certificate is ``composed_cert`` of the tree.  Any other key is
+        rejected.  Error messages name fields by their JSON path below ``path``.
         """
         obj = ex._object(obj, path or "sequence")
         for key in ("decay", "support"):
             if key in obj:
                 raise InputError(f"{ex._at(path, key)}: a slow sequence takes no {key} claim")
-        node = _parse_tree(obj, dimension, path)
-        if "cert" in obj:  # beside "expr": on a bare tree, parse_node has rejected it
+        node = ex.parse_node(ex._expect(obj, "expr", path), ex._at(path, "expr"), dimension)
+        ex._known(obj, ("expr", "cert"), path)
+        if "cert" in obj:
             where = ex._at(path, "cert")
             claim = ex._read_fields(GrowthCertificate, ex._object(obj["cert"], where), where)
             return SlowSequence.with_claimed_cert(node, dimension, GrowthCertificate(*claim), where)
@@ -260,15 +252,13 @@ class SlowSequence(ex.Ranged):
 
     def check_certificate(self, radius: int, threads: int = 1) -> CertificateCheck:
         """Exhaustively check the certificate on the window of this radius."""
-        maxima, found = [], [None]
-
-        def step(points, norms, rows, values):  # never stops: max_ratio covers the whole window
+        maxima, first = [], None
+        for points, norms, rows, values in scan([self.expr], self.dimension, radius):
             ratios = np.abs(values[0]) / self.cert.bound_at(norms[rows])
-            maxima.append(ratios.max())
-            found[0] = found[0] or _flagged(points, rows, ~(ratios <= 1.0 + _CERT_REL_TOL))  # NaN is a violation
-
-        scan([self.expr], self.dimension, radius, step)
-        return CertificateCheck(found[0] is None, found[0], float(np.max(maxima)))
+            maxima.append(ratios.max())  # no early exit: max_ratio covers the whole window
+            first = first or _flagged(points[rows], ~(ratios <= 1.0 + _CERT_REL_TOL))  # NaN is a violation
+            del ratios
+        return CertificateCheck(first is None, first, float(np.max(maxima)))
 
     # -- pointwise algebra (certificates compose at the sequence level,
     #    so claimed certificates on the operands are respected) --------
@@ -306,13 +296,6 @@ def _check_axes(node: ex.Node, dimension: int, where: str) -> None:
     axis = ex.max_axis(node)
     if axis >= dimension:
         raise DimensionMismatch(f"{where}: references axis {axis} but dimension is {dimension}")
-
-
-def _parse_tree(obj: dict, dimension: int, path: str) -> ex.Node:
-    """``parse_node`` of a sequence object's tree, or of the bare tree, over Z^dimension."""
-    if "kind" in obj:
-        return ex.parse_node(obj, path or "expr", dimension)
-    return ex.parse_node(ex._expect(obj, "expr", path), ex._at(path, "expr"), dimension)
 
 
 def _compose(node: ex.Node, *operands: SlowSequence) -> SlowSequence:
@@ -463,12 +446,13 @@ class FastSequence(ex.Ranged):
 
     @staticmethod
     def from_json(obj, dimension: int, path: str = "") -> "FastSequence":
-        """Parse ``{"expr": tree, "decay": {"C", "j", "rate"}, "support": R}``
-        (or a bare tree); errors name fields by their JSON path below ``path``."""
+        """Parse ``{"expr": tree, "decay": {"C", "j", "rate"}, "support": R}``; any other
+        key is rejected, and errors name fields by their JSON path below ``path``."""
         obj = ex._object(obj, path or "sequence")
         if "cert" in obj:
             raise InputError(f"{ex._at(path, 'cert')}: a fast sequence takes no growth certificate")
-        node = _parse_tree(obj, dimension, path)
+        node = ex.parse_node(ex._expect(obj, "expr", path), ex._at(path, "expr"), dimension)
+        ex._known(obj, ("expr", "decay", "support"), path)
         decay = None
         if "decay" in obj:
             where = ex._at(path, "decay")

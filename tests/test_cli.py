@@ -429,6 +429,27 @@ MALFORMED_FIELDS = [
      "dimension-zero"),
     ("corona-check", "params.R",
      {"inputs": {"a": [{"expr": ONE}]}, "params": {"delta": 1.0, "K": 0, "R": -1}}, "params.R-negative"),
+    # Unknown keys, in the job, a sequence, a claim, a tree node and a node's group.
+    ("check-growth", "param: unknown key", {"inputs": {"a": {"expr": ONE}}, "param": {"R": 3}},
+     "param-unknown"),
+    ("check-growth", "inputs.a.certificate: unknown key",
+     {"inputs": {"a": {"expr": COORD, "certificate": {"M": 1.0, "k": 1}}}}, "inputs.a.certificate-unknown"),
+    ("check-growth", "inputs.a.cert.kk: unknown key",
+     {"inputs": {"a": {"expr": COORD, "cert": {"M": 2.0, "k": 1, "kk": 0}}}}, "inputs.a.cert.kk-unknown"),
+    ("check-growth", "inputs.a.expr.imag: unknown key",
+     {"inputs": {"a": {"expr": {**ONE, "imag": 1.0}}}}, "inputs.a.expr.imag-unknown"),
+    ("pair", "inputs.b.decay.c: unknown key",
+     {"inputs": {"a": {"expr": ONE}, "b": {"expr": ONE, "decay": {"C": 1.0, "j": 0, "rate": 0.5, "c": 2}}}},
+     "inputs.b.decay.c-unknown"),
+    ("pair", "inputs.b.supp: unknown key", {"inputs": {"a": {"expr": ONE}, "b": {**DECAY_HALF, "supp": 3}}},
+     "inputs.b.supp-unknown"),
+    ("check-growth", "inputs.a.expr.witness.k: unknown key",
+     {"inputs": {"a": {"expr": {"kind": "recip", "arg": ONE, "witness": {"delta": 1.0, "K": 0, "k": 0}}}}},
+     "inputs.a.expr.witness.k-unknown"),
+    # A sequence is an object with "expr": a bare tree is none, whatever claim it carries.
+    ("pair", "inputs.b.expr: required",
+     {"inputs": {"a": {"expr": ONE}, "b": {"kind": "expdecay", "rate": 1.0, "decay": DECAY_HALF["decay"]}}},
+     "inputs.b-bare-tree"),
     # Checks made past the readers, by fourier, on a matrix or shape they accepted.
     ("fourier-synth", "inputs.period_matrix: period matrix is numerically singular",
      {"inputs": {**SYNTH, "period_matrix": [[1.0, 2.0], [2.0, 4.0]],

@@ -604,12 +604,13 @@ def test_node_level_cert_is_rejected_with_its_path():
     wire = {"kind": "add", "args": [claimed, {"kind": "const", "re": 1.0, "im": 0.0}]}
     with pytest.raises(InputError, match=r"^expr\.args\[0\]\.cert: not allowed on a tree node"):
         ex.parse_node(wire)
-    # In a sequence's tree, in a fast one's too, and on the root of a bare tree.
+    # In a sequence's tree, and in a fast one's too.
     with pytest.raises(InputError, match=r"^inputs\.a\.expr\.args\[0\]\.cert: "):
         SlowSequence.from_json({"expr": wire}, 1, "inputs.a")
     with pytest.raises(InputError, match=r"^inputs\.b\.expr\.args\[0\]\.cert: "):
         FastSequence.from_json({"expr": wire, "support": 0}, 1, "inputs.b")
-    with pytest.raises(InputError, match=r"^inputs\.a\.cert: not allowed on a tree node"):
+    # A bare tree is no sequence: the tree sits under "expr".
+    with pytest.raises(InputError, match=r"^inputs\.a\.expr: required$"):
         SlowSequence.from_json(claimed, 1, "inputs.a")
     # Beside "expr" the claim is checked: a false one is rejected at its path.
     with pytest.raises(CertificateError, match=r"^cert: claimed certificate \(M=1\.0, k=0\) fails"):

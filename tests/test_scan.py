@@ -189,16 +189,46 @@ def test_corona_check_stops_at_the_first_failing_slice(monkeypatch):
     assert calls == [7]
 
 
-def test_pairing_memory_is_the_window_products_plus_a_few_slices():
-    d, R = 2, 350
-    points, norms = ball(d, R)  # cached, as a scan finds it
+def memory_calls(d: int) -> dict:
+    """One call of each scan consumer on shallow trees over Z^d."""
     a = slow(ex.Add((ex.Norm1(), ex.Coord(0), ex.Const(1.0))), d)
     b = FastSequence(ex.Mul((ex.Const(2.0), ex.ExpDecay(0.05))), d, decay=DecayBound(2.0, 0, 0.05))
+    family = [slow(ex.Coord(0), d), slow(ex.Const(1.0), d)]  # |n_0| + 1 >= 1: the floor (1, 0) holds
+    cofactors = corona.solve_bezout(family, corona.CoronaWitness(1.0, 0))
+    return {
+        "pairing": lambda R: sequences.pairing(a, b, R),
+        "check_corona_window": lambda R: corona.check_corona_window(family, 1.0, 0, R),
+        "verify_bezout": lambda R: corona.verify_bezout(family, cofactors, R),
+        "check_certificate": lambda R: a.check_certificate(R),
+        "seminorm": lambda R: sequences.seminorm(b, 2, R),
+        "combined_modulus": lambda R: corona.combined_modulus(family, R),
+    }
+
+
+# (consumer, bytes per window point of what it keeps, slices of complex128).  Past the
+# pairing's, each slice count is the measured peak rounded up to the next quarter slice,
+# so one more float64 slice array alive (half a slice) exceeds it.
+MEMORY_BOUNDS = [
+    ("pairing", 24, 4),  # the window products, with room for the ball's own bytes
+    ("check_corona_window", 0, 3.75),
+    ("verify_bezout", 0, 4.25),
+    ("check_certificate", 0, 2.75),
+    ("seminorm", 0, 2.25),
+    ("combined_modulus", 8, 3.25),  # the float64 window sum of moduli
+]
+
+
+@pytest.mark.parametrize("consumer, per_point, slices", MEMORY_BOUNDS, ids=[c[0] for c in MEMORY_BOUNDS])
+def test_scan_memory_is_the_window_result_plus_a_few_slices(consumer, per_point, slices):
+    d, R = 2, 350  # 245,701 points: four slices
+    points, _ = ball(d, R)  # cached, as a scan finds it
+    assert -(-points.shape[0] // sequences._CHUNK) == 4
+    call = memory_calls(d)[consumer]
     tracemalloc.start()
     try:
-        sequences.pairing(a, b, R)
+        call(R)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     chunk_bytes = sequences._CHUNK * np.dtype(np.complex128).itemsize
-    assert peak <= points.nbytes + norms.nbytes + 4 * chunk_bytes
+    assert peak <= points.shape[0] * per_point + slices * chunk_bytes
