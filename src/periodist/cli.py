@@ -9,11 +9,14 @@ Options may come before or after the command.
 
 The job file carries a ``dimension``, an ``inputs`` object with named
 sequences (expression trees in the wire format), and a ``params`` object
-with command-specific numbers (delta, K, epsilon, R, N, rate, maxDegree,
-tolerance).  ``--window`` and ``--epsilon`` override the corresponding
-params.  Reports echo the inputs (sample arrays are summarised), record
-the resolved parameters and the global defaults (R = 50, dimension = 1),
-and are byte-identical across repeated runs on the same inputs.
+with command-specific numbers (delta, K, epsilon, epsilons, R, nMax, rate,
+maxDegree, tolerance); a name the command does not read is rejected.
+``--window`` and ``--epsilon`` override the corresponding params.
+Reports echo the inputs (sample arrays are summarised), record the
+resolved parameters and the global defaults (R = 50, dimension = 1), and
+are byte-identical across repeated runs on the same inputs.  A JSON report
+is the text of ``json.dumps(report, indent=2)``, written without recursion:
+its depth is bounded only by what the JSON decoder and the tree parser accept.
 
 Exit codes: 0 on success, 1 on input errors (malformed files, rejected
 certificates), 2 on mathematical failure (a violated floor, a residual
@@ -28,6 +31,8 @@ import io
 import json
 import math
 import sys
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -68,10 +73,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _complex_pair(value: complex) -> list[float]:
-    return [value.real, value.imag]
-
-
 def _finite_or_none(value: float):
     return value if math.isfinite(value) else None
 
@@ -103,6 +104,7 @@ class Job:
         self.inputs = ex._object(self.raw.get("inputs", {}), "inputs")
         overrides = {"R": args.window, "epsilon": args.epsilon}
         params = ex._object(self.raw.get("params", {}), "params")
+        ex._known(params, ("R", "epsilon", *_HANDLERS[command][1]), "params")
         self.params = {**params, **{k: v for k, v in overrides.items() if v is not None}}
         self.dimension = ex._integer(
             self.raw, "dimension", "", DEFAULT_DIMENSION, ex._ranges(SlowSequence)["dimension"]
@@ -160,6 +162,7 @@ class Job:
     def samples(self, dimension: int) -> np.ndarray:
         raw = ex._expect(self.inputs, "samples", "inputs")
         if isinstance(raw, dict):
+            ex._known(raw, ("file", "shape"), "inputs.samples")
             shape = ex._nested(
                 ex._expect(raw, "shape", "inputs.samples"), "inputs.samples.shape", (dimension,),
                 lambda value, where: ex._int(value, where, ex.AT_LEAST_ONE),
@@ -420,7 +423,7 @@ def _run_fourier_synth(job: Job):
     shape = (None, d) if rows else ((None,) if d == 1 else (d,))
     points = ex._reals(raw, "inputs.points", shape).reshape(-1, d)
     values = fourier.synthesize(basis, coeffs, points)
-    results = {"values": [_complex_pair(complex(v)) for v in np.atleast_1d(values)]}
+    results = {"values": values.view(np.float64).reshape(-1, 2).tolist()}
     return results, None
 
 
@@ -429,7 +432,7 @@ def _run_pair(job: Job):
     test = job.fast("b")
     result = pairing(seq, test, job.radius)
     results = {
-        "value": _complex_pair(result.value),
+        "value": [result.value.real, result.value.imag],
         "tail_bound": result.tail_bound,
     }
     return results, None
@@ -449,7 +452,7 @@ def _run_exp_demo(job: Job):
             "units_found": report.units_found,
             "all_nonconstant": report.all_nonconstant,
             "fixed_low_coefficients": {
-                str(power): _complex_pair(value)
+                str(power): [value.real, value.imag]
                 for power, value in sorted(report.fixed_low_coefficients.items())
             },
             "max_root_residual": report.max_root_residual,
@@ -464,38 +467,114 @@ def _run_exp_demo(job: Job):
     return results, ("pass" if ok else "fail")
 
 
+# Each command's handler and the params it reads besides R and epsilon, which all commands take.
 _HANDLERS = {
-    "check-growth": _run_check_growth,
-    "corona-check": _run_corona_check,
-    "bezout-solve": _run_bezout_solve,
-    "bezout-verify": _run_bezout_verify,
-    "reduce": _run_reduce,
-    "approx": _run_approx,
-    "gap": _run_gap,
-    "qdemo": _run_qdemo,
-    "fourier-coeffs": _run_fourier_coeffs,
-    "fourier-synth": _run_fourier_synth,
-    "pair": _run_pair,
-    "exp-demo": _run_exp_demo,
+    "check-growth": (_run_check_growth, ()),
+    "corona-check": (_run_corona_check, ("delta", "K")),
+    "bezout-solve": (_run_bezout_solve, ("delta", "K", "tolerance")),
+    "bezout-verify": (_run_bezout_verify, ("tolerance",)),
+    "reduce": (_run_reduce, ("tolerance",)),
+    "approx": (_run_approx, ("epsilons",)),
+    "gap": (_run_gap, ()),
+    "qdemo": (_run_qdemo, ("rate", "delta", "K", "nMax")),
+    "fourier-coeffs": (_run_fourier_coeffs, ()),
+    "fourier-synth": (_run_fourier_synth, ()),
+    "pair": (_run_pair, ()),
+    "exp-demo": (_run_exp_demo, ("maxDegree",)),
 }
 
 
-def _flatten(prefix: str, value, rows: list[tuple[str, str]]):
-    if isinstance(value, dict):
-        for key in value:
-            _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _flatten(f"{prefix}[{i}]", item, rows)
-    else:
-        rows.append((prefix, value if isinstance(value, str) else json.dumps(value)))
+def _flatten(report: dict) -> list[tuple[str, str]]:
+    """(key path, value) rows of the scalars of ``report``, in document order."""
+    rows, stack = [], [("", report)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, (dict, list)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            stack += reversed([(ex._at(path, key), item) for key, item in items])
+        else:
+            rows.append((path, value if isinstance(value, str) else json.dumps(value)))
+    return rows
+
+
+def _scalar_text(value) -> str | None:
+    """``json.dumps`` of a scalar; None for a list, tuple or dict."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "-Infinity" if value < 0 else "Infinity"
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """``json.dumps`` of a dict key, with its colon."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key) + ": "
+    if not isinstance(key, (int, float)) and key is not None:  # bool is an int
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return f'"{_scalar_text(key)}": '
+
+
+def _member_texts(members, level: int) -> list[str] | None:
+    """The texts of ``members`` at indent ``level`` when all are scalars of built-in types,
+    or all lists of one length of finite floats, such as [re, im] pairs; else None."""
+    kinds = set(map(type, members))
+    if kinds <= {str, int, float, bool, type(None)}:
+        return list(map(_scalar_text, members))
+    if kinds != {list} or len(widths := set(map(len, members))) != 1:
+        return None
+    flat = list(chain.from_iterable(members))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    (width,) = widths
+    inner = "\n" + "  " * (level + 1)
+    row = "[" + inner + ("," + inner).join(["%s"] * width) + "\n" + "  " * level + "]"
+    return list(map(row.__mod__, zip(*[map(float.__repr__, flat)] * width)))
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)`` of an acyclic ``obj``, with the same TypeError, written
+    by one loop over a stack of open containers: depth is bounded by memory alone."""
+    out: list[str] = []
+    stack: list = []  # per open container: (iterator of (separator and key text, member), closing text)
+    value = obj
+    while True:
+        text = _scalar_text(value)
+        if text is None and not value:
+            text = "{}" if isinstance(value, dict) else "[]"
+        elif text is None:
+            is_dict, level = isinstance(value, dict), len(stack) + 1
+            inner, close = "\n" + "  " * level, "\n" + "  " * (level - 1) + "]}"[is_dict]
+            keys = map(_key_text, value) if is_dict else repeat("")  # lazy: a bad key raises in order
+            members = list(value.values()) if is_dict else value
+            texts = _member_texts(members, level)
+            if texts is None:
+                separators = map(str.__add__, chain((inner,), repeat("," + inner)), keys)
+                stack.append((zip(separators, members), close))
+                text = "[{"[is_dict]
+            else:
+                text = "[{"[is_dict] + inner + ("," + inner).join(map(str.__add__, keys, texts)) + close
+        out.append(text)
+        while stack and (item := next(stack[-1][0], None)) is None:
+            out.append(stack.pop()[1])
+        if not stack:
+            return "".join(out)
+        text, value = item
+        out.append(text)
 
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
-    rows: list[tuple[str, str]] = []
-    _flatten("", {"command": report["command"], "verdict": report["verdict"], **report["results"]}, rows)
+        return _json_text(report) + "\n"
+    rows = _flatten({"command": report["command"], "verdict": report["verdict"], **report["results"]})
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -519,7 +598,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         job = Job(args.command, args.spec, args)
-        results, verdict = _HANDLERS[args.command](job)
+        results, verdict = _HANDLERS[args.command][0](job)
         report = {
             "command": job.command,
             "dimension": job.dimension,
@@ -539,10 +618,6 @@ def main(argv=None) -> int:
             "verdict": verdict,
         }
         payload = render_report(report, args.format)
-    except RecursionError:
-        # Reports echo their trees, and to_json and json.dumps recurse once per level.
-        print("periodist: input error: report nested too deeply to render", file=sys.stderr)
-        return 1
     except (InputError, CertificateError) as err:
         print(f"periodist: input error: {err}", file=sys.stderr)
         return 1

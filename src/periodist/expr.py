@@ -37,9 +37,9 @@ their first argument's array when they are its last reader and it is not
 repeated among their arguments, and into a copy otherwise.  Each node
 does the same arithmetic in the same order as a tree walk, so values are
 bit-identical, and a failing ``Recip`` or ``Coord`` raises at the same
-node.  The certificate and structural walks (``composed_cert``,
-``max_axis``, ``is_nonneg_real``, ``lower_bound_cert``) fold over the
-same post-order, so no walk recurses or revisits a shared subtree.
+node.  The certificate, structural and wire walks (``composed_cert``,
+``max_axis``, ``is_nonneg_real``, ``lower_bound_cert``, ``to_json``) fold
+over the same post-order, so no walk recurses or revisits a shared subtree.
 Nodes are not interned: the sharing that reductions create is already
 shared objects, and merging structurally equal ones would save only a
 few nodes more.
@@ -661,19 +661,21 @@ _KINDS = {cls.kind: cls for cls in _WIRE}
 _KEYS = {cls: {"kind", *(group or name for name, _, group, _ in wire)} for cls, wire in _WIRE.items()}
 
 
-def to_json(node: Node) -> dict:
-    """Serialize a tree to the JSON wire format (plain dicts, no certs)."""
+def _wire_rule(node: Node, kids: list[dict]) -> dict:
     if type(node) not in _WIRE:
         raise InputError(f"cannot serialize node of type {type(node).__name__}")
-    out = {"kind": node.kind}
+    out, kids = {"kind": node.kind}, iter(kids)
     for name, hint, group, _ in _WIRE[type(node)]:
         value = getattr(node, name)
-        if hint is Node:
-            value = to_json(value)
-        elif hint == tuple[Node, ...]:
-            value = [to_json(a) for a in value]
+        if hint is Node or hint == tuple[Node, ...]:
+            value = next(kids) if hint is Node else [next(kids) for _ in value]
         (out.setdefault(group, {}) if group else out)[name] = value
     return out
+
+
+def to_json(node: Node) -> dict:
+    """Serialize a tree to the JSON wire format (plain dicts, no certs); a shared subtree is one dict."""
+    return _fold(_postorder(node)[0], _wire_rule)[id(node)]
 
 
 # ---------------------------------------------------------------------------

@@ -140,19 +140,20 @@ class CoefficientMap(ex.Ranged):
         return True
 
     def to_json(self) -> dict:
+        items = self.items_in_scan_order()
+        pairs = np.array([value for _, value in items], dtype=np.complex128).view(np.float64).reshape(-1, 2)
         return {
             "dimension": self.dimension,
-            "coeffs": {
-                ",".join(str(c) for c in index): [value.real, value.imag]
-                for index, value in self.items_in_scan_order()
-            },
+            "coeffs": dict(zip([",".join(map(str, index)) for index, _ in items], pairs.tolist())),
             "cert": {"M": self.cert.M, "k": self.cert.k},
         }
 
     @staticmethod
     def from_json(obj, path: str = "coefficient map") -> "CoefficientMap":
-        """Parse ``{"dimension": d, "coeffs": {"m1,...,md": [re, im]}}``, naming paths below ``path``."""
+        """Parse ``{"dimension": d, "coeffs": {"m1,...,md": [re, im]}}``, naming paths below ``path``;
+        a "cert", as ``to_json`` writes it, is composed again from the values."""
         obj = ex._object(obj, path)
+        ex._known(obj, ("dimension", "coeffs", "cert"), path)
         dimension = ex._integer(obj, "dimension", path, 1, ex._ranges(CoefficientMap)["dimension"])
         where = ex._at(path, "coeffs")
         coeffs = {

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -446,6 +447,14 @@ MALFORMED_FIELDS = [
     ("check-growth", "inputs.a.expr.witness.k: unknown key",
      {"inputs": {"a": {"expr": {"kind": "recip", "arg": ONE, "witness": {"delta": 1.0, "K": 0, "k": 0}}}}},
      "inputs.a.expr.witness.k-unknown"),
+    ("check-growth", "params.r: unknown key", {"inputs": {"a": {"expr": ONE}}, "params": {"r": 3}},
+     "params.r-unknown"),
+    ("fourier-synth", "inputs.coeffs.dimensoin: unknown key",
+     {"inputs": {**SYNTH, "coeffs": {"coeffs": {}, "dimension": 1, "dimensoin": 2}}},
+     "inputs.coeffs.dimensoin-unknown"),
+    ("fourier-coeffs", "inputs.samples.dtype: unknown key",
+     {"inputs": {"period_matrix": [[1.0]], "samples": {"file": "s.bin", "shape": [2], "dtype": "f4"}}},
+     "inputs.samples.dtype-unknown"),
     # A sequence is an object with "expr": a bare tree is none, whatever claim it carries.
     ("pair", "inputs.b.expr: required",
      {"inputs": {"a": {"expr": ONE}, "b": {"kind": "expdecay", "rate": 1.0, "decay": DECAY_HALF["decay"]}}},
@@ -722,8 +731,7 @@ def test_support_past_the_window_needs_a_decay_envelope(tmp_path, command):
         assert results["bound"] == weak_star_gap(constant(1.0), constant(0.0), envelope, 5).bound
 
 
-@pytest.mark.parametrize("depth, what", [(980, "report nested too deeply to render"),
-                                         (5000, "nested too deeply to decode")])
+@pytest.mark.parametrize("depth, what", [(5000, "nested too deeply to decode")])
 def test_report_too_deep_to_render_is_an_input_error(tmp_path, depth, what):
     code, out, err = _cli_process(["bezout-solve", "--spec", _deep_bezout_job(tmp_path, depth)])
     assert (code, out) == (1, "")
@@ -731,18 +739,74 @@ def test_report_too_deep_to_render_is_an_input_error(tmp_path, depth, what):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_as_deep_as_the_parser_accepts_renders(tmp_path, fmt):
+    # The report echoes the 980-deep tree and holds cofactors deeper still; rendering does not recurse.
+    spec = _deep_bezout_job(tmp_path, 980)
+    code, out, err = _cli_process(["bezout-solve", "--spec", spec, "--format", fmt])
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert out.count('"kind": "neg"') >= 2 * 980 and out.endswith('\n  "verdict": "pass"\n}\n')
+    else:
+        assert out.splitlines()[:3] == ["key,value", "command,bezout-solve", "verdict,pass"]
+        assert any(key.count(".arg") >= 980 for key in out.split())
+
+
 def test_deep_report_that_renders_still_passes(tmp_path):
     code, out, _ = _cli_process(["bezout-solve", "--spec", _deep_bezout_job(tmp_path, 200)])
     assert code == 0 and json.loads(out)["verdict"] == "pass"
 
 
-def test_report_too_deep_to_render_writes_no_report(tmp_path, capsys, monkeypatch):
-    def too_deep(*args, **kwargs):
-        raise RecursionError("maximum recursion depth exceeded")
+def test_json_report_is_rendered_without_json_dumps(tmp_path, capsys, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("json.dumps called on the report path")
 
-    spec, report = _deep_bezout_job(tmp_path, 3), tmp_path / "report.json"
-    monkeypatch.setattr(cli.json, "dumps", too_deep)
+    dumps, spec, report = json.dumps, _deep_bezout_job(tmp_path, 3), tmp_path / "report.json"
+    monkeypatch.setattr(cli.json, "dumps", unused)
     code, out, err = run(capsys, ["bezout-solve", "--spec", spec, "--out", str(report)])
-    assert (code, out) == (1, "")
-    assert err == "periodist: input error: report nested too deeply to render\n"
-    assert not report.exists()
+    assert (code, out, err) == (0, "", "")
+    text = report.read_text()
+    assert text == dumps(json.loads(text), indent=2) + "\n"
+
+
+def _rows(entry):
+    """One to four rows of one length, 1 to 3, of ``entry`` values."""
+    return st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+ROW_NUMBER = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan])
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**63, max_value=2**300),
+    st.floats(), EDGE_FLOATS, st.floats().map(np.float64),
+    st.text(max_size=6), st.sampled_from(['"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é€😀\u2028"]),
+)
+
+# Rows of finite floats, as [re, im] pairs are; rows of one length that hold an
+# int or a non-finite value; rows of mixed length holding ints, non-finite
+# values, float subclasses or a numpy integer.
+ROWS = _rows(ROW_NUMBER)
+ODD_ROWS = _rows(st.one_of(ROW_NUMBER, EDGE_FLOATS, st.integers()))
+RAGGED = st.lists(st.lists(st.one_of(ROW_NUMBER, st.integers(), EDGE_FLOATS, st.floats().map(np.float64),
+                                     st.just(np.int64(7))), max_size=3), max_size=4)
+KEYS = st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.booleans(), st.none(),
+                 st.tuples(st.integers()))
+REPORT_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, ROWS, ODD_ROWS, RAGGED,
+              ROWS.map(lambda rows: {f"{i},0": row for i, row in enumerate(rows)})),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(REPORT_VALUES)
+def test_json_report_text_is_json_dumps_indent_2(value):
+    try:
+        expected = json.dumps(value, indent=2) + "\n"
+    except (TypeError, ValueError) as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            cli.render_report(value, "json")
+    else:
+        assert cli.render_report(value, "json") == expected
