@@ -16,10 +16,15 @@ Coefficient arithmetic is exact whenever the inputs are ints or
 Fractions: ints stay Python ints, and a Fraction appears only where an
 input or a product holds one.  Otherwise complex double precision is
 used.
+
+The reducer sweep is one array pass per chunk of multipliers, with the
+report bits of a per-combination ``np.roots`` and Newton loop.  Its roots
+are numerically confirmed (a residual), not certified zero discs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,13 +160,55 @@ def poly_bezout_check(p: Poly, q: Poly, f: Poly, g: Poly) -> PolyBezoutCheck:
     return PolyBezoutCheck(residual, float(top), residual.exact)
 
 
-def _polish_root(poly: Poly, derivative: Poly, root: complex, steps: int = 3) -> complex:
-    for _ in range(steps):
-        slope = derivative(root)
-        if slope == 0:
-            break
-        root = root - poly(root) / slope
-    return root
+_CHUNK = 256  # combinations per array pass, so memory stays flat in max_degree
+
+
+def _last(mask):
+    """Per row, the index of the last True entry, or -1."""
+    return np.where(mask.any(axis=1), mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1), -1)
+
+
+def _horner(coeffs, zr, zi):
+    """``Poly.__call__`` per row at that row's points, with CPython's ``_Py_c_prod``."""
+    vr = vi = np.zeros_like(zr)
+    for c in coeffs.T[::-1]:
+        vr, vi = vr * zr - vi * zi + c.real[:, None], vr * zi + vi * zr + c.imag[:, None]
+    return vr, vi
+
+
+def _quotient(ar, ai, br, bi):
+    """CPython's ``_Py_c_quot`` (Smith's method) on float64 parts; b == 0 is masked by the caller."""
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    real = np.where(by_real, ar + ai * ratio, ar * ratio + ai)
+    imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar)
+    return real / denom, imag / denom
+
+
+def _best_residuals(values, slopes, degree, top):
+    """Per combination, the least |p(z)| over its ``np.roots`` roots after 3 Newton
+    steps; a NaN at the first root wins and later NaNs lose, as in a ``<`` fold."""
+    low = np.argmax(values != 0, axis=1)
+    key = (degree * values.shape[1] + low) * values.shape[1] + top
+    best = np.full(len(values), np.nan)
+    for k in set(key[top >= 1].tolist()):
+        rows = np.flatnonzero(key == k)
+        n, a, b = degree[rows[0]], low[rows[0]], top[rows[0]]
+        trimmed = values[rows, a:b + 1][:, ::-1]
+        companion = np.zeros((len(rows), b - a, b - a), complex)
+        companion[:, np.arange(1, b - a), np.arange(b - a - 1)] = 1
+        companion[:, :1, :] = -trimmed[:, None, 1:] / trimmed[:, None, :1]
+        roots = np.concatenate([np.linalg.eigvals(companion), np.zeros((len(rows), a), complex)], axis=1)
+        zr, zi, live = roots.real, roots.imag, True
+        for _ in range(3):
+            sr, si = _horner(slopes[rows, :n], zr, zi)
+            live = live & ((sr != 0) | (si != 0))  # a zero slope stops that root
+            qr, qi = _quotient(*_horner(values[rows, :n + 1], zr, zi), sr, si)
+            zr, zi = np.where(live, zr - qr, zr), np.where(live, zi - qi, zi)
+        residual = np.hypot(*_horner(values[rows, :n + 1], zr, zi))
+        best[rows] = np.where(np.isnan(residual[:, 0]), np.nan, np.fmin.reduce(residual, axis=1))
+    return best
 
 
 @dataclass(frozen=True)
@@ -187,13 +234,14 @@ def polynomial_reducer_search(
     For the standard pair f = z - 1, g = z^3 the low coefficients of the
     combination are pinned (constant -1, degree one 1) because g only
     feeds degrees >= 3, so every combination is nonconstant.  Each swept
-    combination additionally gets a numerically confirmed root; a root
-    certifies a zero, and zero-free is exactly what a unit would need.
+    combination additionally gets a numerically confirmed root (residual):
+    evidence of a zero, where a unit would need to be zero-free, but no
+    proof, since certified zero discs are still open.
     """
     ex.NONNEG.check(max_degree, "max_degree")
     if f is None or g is None:
         _, _, f, g = standard_identity()
-    lo, hi = coefficient_range
+    lo, hi = map(operator.index, coefficient_range)
     if lo > hi:
         raise InputError("empty coefficient range")
     span = hi - lo + 1
@@ -208,34 +256,38 @@ def polynomial_reducer_search(
         (i for i, c in enumerate(g.coeffs) if c != 0), 0
     )
     pinned = {power: complex(f.coefficient(power)) for power in range(valuation)}
-    for stamp in range(candidates):
-        digits = []
-        rest = stamp
-        for _ in range(width):
-            digits.append(lo + rest % span)
-            rest //= span
-        combination = f + Poly(digits) * g
-        if combination.degree < 1:
-            # A nonzero constant is a unit; the zero polynomial is not.
-            units_found += combination.degree == 0
-            all_nonconstant = False
-            continue
-        for power, expected in pinned.items():
-            if complex(combination.coefficient(power)) != expected:
-                raise InputError("low coefficients moved; shift structure violated")
-        roots = np.roots(combination.values[::-1])
-        derivative = combination.derivative()
-        best = None
-        for candidate_root in roots:
-            polished = _polish_root(combination, derivative, complex(candidate_root))
-            residual = abs(combination(polished))
-            if best is None or residual < best:
-                best = residual
-        if best is None:
-            # No roots found means constant, which cannot happen here.
-            all_nonconstant = False
-            continue
-        max_residual = max(max_residual, best)
+    columns = max(len(f.coeffs), width + len(g.coeffs) - 1, 1)
+    # int64 holds every stamp, coefficient and slope exactly for small int
+    # inputs; otherwise Python objects keep Fractions, big ints and complex.
+    ints = f.exact and g.exact and all(type(c) is int for c in f.coeffs + g.coeffs)
+    bound = ints and (max(map(abs, f.coeffs), default=0) + max(-lo, hi) * sum(map(abs, g.coeffs))) * columns
+    lane = np.int64 if ints and max(bound, candidates) < 2**53 else object
+    for start in range(0, candidates, _CHUNK):
+        stamps = np.arange(start, min(start + _CHUNK, candidates), dtype=lane)
+        digits = lo + stamps[:, None] // span ** np.arange(width, dtype=lane) % span
+        # Poly.__mul__'s sums, in its order.  Terms of h's trailing zero
+        # digits add exact zeros unless g is not finite, and then the sweep
+        # fails on a non-finite companion matrix either way; h = 0 gives 0.
+        product = np.full((len(digits), columns), 0 if g.exact else complex(0), lane)
+        for i in range(width):
+            for j, c in enumerate(g.coeffs):
+                product[:, i + j] += digits[:, i] * c
+        product[(digits == 0).all(axis=1)] = 0
+        exact = np.array([f.coefficient(k) for k in range(columns)], lane) + product
+        degree = _last(exact != 0)
+        values = exact.astype(complex)
+        slopes = (np.arange(1, columns, dtype=lane) * exact[:, 1:]).astype(complex)
+        # A nonzero constant is a unit; the zero polynomial is not.  No root,
+        # even of the doubles, also breaks all_nonconstant.
+        units_found += int(np.count_nonzero(degree == 0))
+        top = _last(values != 0)
+        all_nonconstant &= bool((top >= 1).all())
+        moved = (values[:, :valuation] != np.array(list(pinned.values()), complex)).any(axis=1)
+        if (moved & (degree >= 1)).any():
+            raise InputError("low coefficients moved; shift structure violated")
+        with np.errstate(all="ignore"):
+            best = _best_residuals(values, slopes, degree, top)
+        max_residual = float(np.fmax.reduce(best, initial=max_residual))
     return ReducerSearchReport(
         max_degree=max_degree,
         candidates_checked=candidates,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import InputError, MathFailure
-from .lattice import LatticeIndex
+from .lattice import LatticeIndex, norm1
 from .sequences import (
     FastSequence,
     GrowthCertificate,
@@ -123,19 +123,15 @@ class CoefficientMap(ex.Ranged):
         clean = {
             tuple(int(c) for c in k): complex(v) for k, v in coeffs.items()
         }
-        top = max((abs(v) for v in clean.values()), default=1.0)
-        return CoefficientMap(clean, dimension, GrowthCertificate(top if top > 0 else 1.0, 0))
+        return CoefficientMap(clean, dimension, _modulus_cert(clean.values()))
 
     def items_in_scan_order(self):
-        return sorted(
-            self.coeffs.items(), key=lambda kv: (sum(abs(c) for c in kv[0]), kv[0])
-        )
+        return sorted(self.coeffs.items(), key=lambda kv: (norm1(kv[0]), kv[0]))
 
     def check_growth(self) -> bool:
         """Certificate soundness on every stored index."""
         for index, value in self.coeffs.items():
-            norm = sum(abs(c) for c in index)
-            if not abs(value) <= self.cert.M * (1.0 + norm) ** self.cert.k * (1.0 + 1e-12):
+            if not abs(value) <= self.cert.M * (1.0 + norm1(index)) ** self.cert.k * (1.0 + 1e-12):
                 return False
         return True
 
@@ -163,6 +159,12 @@ class CoefficientMap(ex.Ranged):
         return CoefficientMap.from_dict(coeffs, dimension)
 
 
+def _modulus_cert(values) -> GrowthCertificate:
+    """(M, 0) with M the largest modulus, or 1 when none is positive."""
+    top = max(map(abs, values), default=1.0)
+    return GrowthCertificate(top if top > 0 else 1.0, 0)
+
+
 def centred_window(count: int) -> tuple[int, int]:
     """Inclusive index range [-floor(N/2), ceil(N/2) - 1] per axis."""
     return (-(count // 2), (count + 1) // 2 - 1)
@@ -182,12 +184,11 @@ def coeffs_from_samples(basis: PeriodBasis, samples) -> CoefficientMap:
     if any(s != count for s in array.shape):
         raise InputError("samples must be a cubic array (equal length per axis)")
     spectrum = np.fft.fftn(array) / float(count**d)
-    lo, hi = centred_window(count)
-    coeffs: dict[LatticeIndex, complex] = {}
-    for index in np.ndindex(*array.shape):
-        centred = tuple(i if i <= hi else i - count for i in index)
-        coeffs[centred] = complex(spectrum[index])
-    return CoefficientMap.from_dict(coeffs, d)
+    # Row-major grid indices, shifted past the window's top into the negatives.
+    index = np.indices(array.shape).reshape(d, -1)
+    index[index > centred_window(count)[1]] -= count
+    values = spectrum.ravel().tolist()
+    return CoefficientMap(dict(zip(zip(*index.tolist()), values)), d, _modulus_cert(values))
 
 
 def synthesize(basis: PeriodBasis, coeffs: CoefficientMap, x):
@@ -245,7 +246,7 @@ def distribution_action(
         raise InputError("coefficient map and test data dimensions differ")
     ex.NONNEG.check(radius, "radius")
     items = coeffs.items_in_scan_order()
-    inside = [(index, value) for index, value in items if sum(abs(c) for c in index) <= radius]
+    inside = [(index, value) for index, value in items if norm1(index) <= radius]
     points = np.array([index for index, _ in inside], dtype=np.int64).reshape(-1, test.dimension)
     total = complex(0.0)
     for (_, value), sample in zip(inside, ex.evaluate_grid(test.expr, points)):

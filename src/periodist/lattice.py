@@ -84,7 +84,7 @@ def _cached_by_bytes(build):
 
 def norm1(index: LatticeIndex) -> int:
     """1-norm of a lattice index."""
-    return sum(abs(c) for c in index)
+    return sum(map(abs, index))
 
 
 def shell_count_bound(dimension: int, radius: int) -> float:

@@ -1,13 +1,21 @@
 """Polynomial model: exact Bezout identity and the reducer sweep."""
 
+import dataclasses
+import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodist.errors import InputError
 from periodist.exp_type import (
     Poly,
+    ReducerSearchReport,
+    _best_residuals,
     monomial,
     one,
     poly_bezout_check,
@@ -199,3 +207,193 @@ def test_search_validates_inputs():
         polynomial_reducer_search(-1)
     with pytest.raises(InputError):
         polynomial_reducer_search(2, coefficient_range=(1, 0))
+
+
+# -- the batched sweep against the per-combination one ------------------
+
+
+def reference_best(combination):
+    """Least |p(z)| over the np.roots roots after 3 Newton steps, or None."""
+    derivative = combination.derivative()
+    best = None
+    for root in np.roots(combination.values[::-1]):
+        root = complex(root)
+        for _ in range(3):
+            slope = derivative(root)
+            if slope == 0:
+                break
+            root = root - combination(root) / slope
+        residual = abs(combination(root))
+        if best is None or residual < best:
+            best = residual
+    return best
+
+
+def reference_sweep(max_degree, f=None, g=None, coefficient_range=(-2, 2)):
+    """The per-combination sweep: Poly arithmetic, np.roots, and 3 Newton
+    steps per root in Python complex arithmetic, keeping the least residual."""
+    if f is None or g is None:
+        _, _, f, g = standard_identity()
+    lo, hi = coefficient_range
+    span, width = hi - lo + 1, max_degree + 1
+    units_found, all_nonconstant, max_residual = 0, True, 0.0
+    valuation = next((i for i, c in enumerate(g.coeffs) if c != 0), 0)
+    pinned = {power: complex(f.coefficient(power)) for power in range(valuation)}
+    for stamp in range(span**width):
+        digits, rest = [], stamp
+        for _ in range(width):
+            digits.append(lo + rest % span)
+            rest //= span
+        combination = f + Poly(digits) * g
+        if combination.degree < 1:
+            units_found += combination.degree == 0
+            all_nonconstant = False
+            continue
+        for power, expected in pinned.items():
+            if complex(combination.coefficient(power)) != expected:
+                raise InputError("low coefficients moved; shift structure violated")
+        best = reference_best(combination)
+        if best is None:
+            all_nonconstant = False
+            continue
+        max_residual = max(max_residual, best)
+    return ReducerSearchReport(
+        max_degree=max_degree,
+        candidates_checked=span**width,
+        units_found=units_found,
+        all_nonconstant=all_nonconstant,
+        fixed_low_coefficients=pinned,
+        max_root_residual=max_residual,
+    )
+
+
+def outcome(sweep, *args):
+    """The report, or the type of the error raised, such as numpy's
+    LinAlgError for a companion matrix that overflows."""
+    try:
+        with np.errstate(all="ignore"):
+            return sweep(*args)
+    except Exception as error:
+        return type(error)
+
+
+def assert_same_sweep(max_degree, f=None, g=None, coefficient_range=(-2, 2)):
+    batched = outcome(polynomial_reducer_search, max_degree, f, g, coefficient_range)
+    scalar = outcome(reference_sweep, max_degree, f, g, coefficient_range)
+    if isinstance(batched, type) or isinstance(scalar, type):
+        assert batched is scalar
+        return batched
+    for field in dataclasses.fields(ReducerSearchReport):
+        if field.name == "max_root_residual":
+            assert batched.max_root_residual.hex() == scalar.max_root_residual.hex()
+        elif field.name == "fixed_low_coefficients":
+            assert repr(batched.fixed_low_coefficients) == repr(scalar.fixed_low_coefficients)
+        else:
+            assert getattr(batched, field.name) == getattr(scalar, field.name), field.name
+    return batched
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 3, 4])
+def test_standard_sweep_equals_the_reference(max_degree):
+    report = assert_same_sweep(max_degree)
+    if max_degree == 3:
+        assert report.max_root_residual.hex() == (4.577566798522237e-16).hex()
+
+
+@pytest.mark.parametrize("coefficient_range", [(0, 0), (0, 2), (-1, 0), (3, 3), (-3, 1), (-7, 6)])
+def test_narrow_ranges_equal_the_reference(coefficient_range):
+    assert_same_sweep(2, coefficient_range=coefficient_range)
+
+
+def coefficient(kind):
+    if kind == "int":
+        return st.integers(-3, 3)
+    if kind == "fraction":
+        return st.fractions(-3, 3, max_denominator=4)
+    return st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+
+
+@st.composite
+def polys(draw, min_size):
+    kind = draw(st.sampled_from(["int", "fraction", "complex"]))
+    coeffs = draw(st.lists(coefficient(kind), min_size=min_size, max_size=4))
+    return Poly([0] * draw(st.integers(0, 2)) + coeffs)  # zero low terms: zero roots
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(f=polys(1), g=polys(0), max_degree=st.integers(0, 2), lo=st.integers(-2, 1), count=st.integers(1, 3))
+def test_drawn_sweeps_equal_the_reference(f, g, max_degree, lo, count):
+    assert_same_sweep(max_degree, f, g, (lo, lo + count - 1))
+
+
+def test_mixed_and_big_coefficients_equal_the_reference():
+    assert_same_sweep(2, Poly([Fraction(1, 3), 2, -1]), Poly([0, Fraction(2, 5), 1]))
+    assert_same_sweep(2, Poly([1 + 2j, 0.5, -1]), Poly([0, 2j, 1]))
+    assert_same_sweep(2, Poly([3, -1]), Poly([0, 0.5 - 0.0j]))  # exact f, complex g
+    assert_same_sweep(2, Poly([10**30, 1]), Poly([0, 1]))  # past int64
+    assert_same_sweep(1, Poly([1, 2]), Poly([]))  # g = 0: every combination is f
+    assert_same_sweep(1, Poly([0, 0, 1]), Poly([0, 1]), (-1, 1))  # zero roots only
+    # h = 0 keeps f exact: its tiny top coefficient is no zero there, but is as a double.
+    assert_same_sweep(0, Poly([1, Fraction(1, 10**400)]), Poly([0.5j]), (0, 1))
+
+
+def test_units_and_zero_combinations_equal_the_reference():
+    # With f = 2 and g = -1, a constant h = h0 leaves 2 - h0: a unit unless h0 = 2.
+    report = assert_same_sweep(2, Poly([2]), Poly([-1]), (-1, 2))
+    assert report.units_found == 3 and not report.all_nonconstant
+    report = assert_same_sweep(1, Poly([Fraction(1, 2)]), Poly([0.5j]), (-1, 1))
+    assert report.units_found == 3 and not report.all_nonconstant
+
+
+def test_unpinned_g_equals_the_reference():
+    # g of valuation 0 feeds the constant term too: nothing is pinned.
+    for g in (Poly([1, 1]), Poly([2, 0, 1]), Poly([Fraction(1, 2), -1])):
+        report = assert_same_sweep(2, Poly([-1, 1]), g)
+        assert report.fixed_low_coefficients == {}
+
+
+def batched_bests(combinations):
+    """``_best_residuals`` on one row per combination."""
+    width = max(len(c.values) for c in combinations)
+    values = np.array([c.values + (0j,) * (width - len(c.values)) for c in combinations])
+    slopes = np.array([c.derivative().values + (0j,) * (width - len(c.values)) for c in combinations])
+    degree = np.array([c.degree for c in combinations])
+    top = np.array([max(i for i, v in enumerate(c.values) if v != 0) for c in combinations])
+    with np.errstate(all="ignore"):
+        return _best_residuals(values, slopes, degree, top)
+
+
+def test_per_combination_residuals_equal_the_reference():
+    _, _, f, g = standard_identity()
+    combinations = [f + Poly(list(h)) * g for h in itertools.product(range(-2, 3), repeat=4)]
+    assert [b.hex() for b in batched_bests(combinations)] == [
+        reference_best(c).hex() for c in combinations
+    ]
+    rng = np.random.default_rng(15)
+    drawn = [
+        Poly([0] * int(rng.integers(0, 3)) + list(rng.normal(size=n) + 1j * rng.normal(size=n)))
+        for n in rng.integers(2, 8, size=300)
+    ]
+    assert [b.hex() for b in batched_bests(drawn)] == [reference_best(c).hex() for c in drawn]
+
+
+def test_moved_low_coefficients_raise_in_both():
+    f, g = Poly([math.nan, 1]), monomial(3)
+    with pytest.raises(InputError, match="low coefficients moved"):
+        polynomial_reducer_search(1, f, g)
+    with pytest.raises(InputError, match="low coefficients moved"):
+        reference_sweep(1, f, g)
+
+
+def sweep_peak(max_degree):
+    tracemalloc.start()
+    try:
+        polynomial_reducer_search(max_degree)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_is_flat_in_the_degree():
+    polynomial_reducer_search(1)  # first-call allocations stay out of the peaks
+    assert sweep_peak(5) <= 2 * sweep_peak(3)

@@ -140,6 +140,43 @@ def test_coeffs_match_direct_dft(d, count):
         assert abs(coeffs.coeffs[index] - value) <= 1e-12 * scale
 
 
+def ndindex_coeffs(samples):
+    """The per-entry map: a centred index tuple and a complex per grid point."""
+    array = np.asarray(samples, dtype=complex)
+    count, d = array.shape[0], array.ndim
+    spectrum = np.fft.fftn(array) / float(count**d)
+    _, hi = centred_window(count)
+    coeffs = {}
+    for index in np.ndindex(*array.shape):
+        coeffs[tuple(i if i <= hi else i - count for i in index)] = complex(spectrum[index])
+    return CoefficientMap.from_dict(coeffs, d)
+
+
+@pytest.mark.parametrize("d,count", [(1, 1), (1, 7), (1, 8), (2, 5), (2, 6), (3, 3), (3, 4)])
+def test_coeffs_equal_the_ndindex_loop(d, count):
+    rng = np.random.default_rng(count * 10 + d)
+    samples = rng.normal(size=(count,) * d) + 1j * rng.normal(size=(count,) * d)
+    samples.flat[0] = -0.0  # a signed zero must come through as it is
+    batched = coeffs_from_samples(PeriodBasis(np.eye(d)), samples)
+    loop = ndindex_coeffs(samples)
+    assert list(batched.coeffs) == list(loop.coeffs)
+    assert all(type(c) is int for index in batched.coeffs for c in index)
+    assert [v.hex() for z in batched.coeffs.values() for v in (z.real, z.imag)] == [
+        v.hex() for z in loop.coeffs.values() for v in (z.real, z.imag)
+    ]
+    assert batched.cert == loop.cert and batched.cert.M.hex() == loop.cert.M.hex()
+    assert batched.to_json() == loop.to_json()
+    assert batched.items_in_scan_order() == sorted(
+        loop.coeffs.items(), key=lambda kv: (sum(abs(c) for c in kv[0]), kv[0])
+    )
+
+
+def test_zero_spectrum_keeps_the_unit_certificate():
+    coeffs = coeffs_from_samples(PeriodBasis(np.eye(2)), np.zeros((3, 3), dtype=complex))
+    assert coeffs.cert == ndindex_coeffs(np.zeros((3, 3))).cert
+    assert (coeffs.cert.M, coeffs.cert.k) == (1.0, 0)
+
+
 def test_samples_must_be_cubic():
     basis = PeriodBasis(np.eye(2))
     with pytest.raises(InputError):
