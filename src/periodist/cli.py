@@ -438,8 +438,17 @@ def _run_pair(job: Job):
     return results, None
 
 
+# Combinations one exp-demo op may sweep: maxDegree 6 (78,125) runs, 7 (390,625) is refused.
+_SWEEP_BUDGET = 100_000
+
+
 def _run_exp_demo(job: Job):
     max_degree = job.param_int("maxDegree", 3)
+    # Priced before it runs: h over the coefficients -2..2 makes 5^(maxDegree+1)
+    # combinations, 5x the time per degree; past degree 32 all are over budget.
+    if 5 ** (min(max_degree, 32) + 1) > _SWEEP_BUDGET:
+        raise InputError(f"params.maxDegree: 5^{max_degree + 1} combinations to sweep exceed "
+                         f"the budget of {_SWEEP_BUDGET}, got {max_degree}")
     p, q, f, g = exp_type.standard_identity()
     check = exp_type.poly_bezout_check(p, q, f, g)
     report = exp_type.polynomial_reducer_search(max_degree)

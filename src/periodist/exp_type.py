@@ -236,7 +236,8 @@ def polynomial_reducer_search(
     feeds degrees >= 3, so every combination is nonconstant.  Each swept
     combination additionally gets a numerically confirmed root (residual):
     evidence of a zero, where a unit would need to be zero-free, but no
-    proof, since certified zero discs are still open.
+    proof, since certified zero discs are still open.  A combination
+    with a non-finite companion matrix is an InputError naming f and g.
     """
     ex.NONNEG.check(max_degree, "max_degree")
     if f is None or g is None:
@@ -285,8 +286,11 @@ def polynomial_reducer_search(
         moved = (values[:, :valuation] != np.array(list(pinned.values()), complex)).any(axis=1)
         if (moved & (degree >= 1)).any():
             raise InputError("low coefficients moved; shift structure violated")
-        with np.errstate(all="ignore"):
-            best = _best_residuals(values, slopes, degree, top)
+        try:
+            with np.errstate(all="ignore"):
+                best = _best_residuals(values, slopes, degree, top)
+        except np.linalg.LinAlgError as err:  # a non-finite or overflowing companion matrix
+            raise InputError(f"f={f!r}, g={g!r}: no roots for some combination f + h*g: {err}") from None
         max_residual = float(np.fmax.reduce(best, initial=max_residual))
     return ReducerSearchReport(
         max_degree=max_degree,

@@ -50,8 +50,13 @@ the leaves ``Coord``, ``Norm1``, ``PolyEnv`` and ``ExpDecay``, ``Abs`` and
 ``Arg``, and ``Add``, ``Mul``, ``Neg``, ``Conj``, ``Clip`` and ``Recip`` of
 real arguments.  An array turns complex128 in two places only: a sum or
 product that folds in a complex argument, where numpy promotes the real
-accumulator to x + 0j, and ``Phase``.  ``evaluate_grid`` returns
-complex128 whatever the lane, converting a real result to x + 0j.  As in
+accumulator to x + 0j, and ``Phase``.  A ``Const`` is a 0-d scalar that
+broadcasts, so a sum or product with a constant runs against one number,
+and a subtree of constants stays 0-d; a root that is 0-d is broadcast to
+the block.  The window scan of ``sequences`` reads each tree's array in
+its own lane (``_evaluate``), so a modulus of a real tree is a float64
+``abs``; ``evaluate_grid``, and with it ``.window()``, returns complex128
+whatever the lane, converting a real result to x + 0j.  As in
 C99 Annex G, a real operand is never promoted on its own, so a real-valued
 tree has imaginary part +0.0 (a complex path could leave -0.0, as in
 -(x + 0j)), and a non-finite real intermediate follows real arithmetic:
@@ -102,9 +107,9 @@ def _angle(values: np.ndarray) -> np.ndarray:
 
     A negative-zero imaginary part would flip the branch cut for negative
     reals, so adding +0.0 turns it into +0.0 first; arctan2 then writes
-    into that sum, the one array the call allocates.
+    into that sum, the one array the call allocates (0-d for a scalar).
     """
-    out = values.imag + 0.0
+    out = np.asarray(values.imag + 0.0)
     np.arctan2(out, values.real, out=out)
     out[values == 0] = 0.0
     return out
@@ -126,11 +131,12 @@ def _real_select(values: np.ndarray, pair: np.ndarray) -> np.ndarray | None:
 
 def _accumulate(ufunc, values: list[np.ndarray]) -> np.ndarray:
     """``values`` folded left to right by ``ufunc``, in place in the first array;
-    a real accumulator that meets a complex value becomes a new complex array,
-    numpy promoting each x to x + 0j."""
+    a 0-d accumulator, and a real one that meets a complex value, start a new
+    array, numpy broadcasting a scalar and promoting each x to x + 0j."""
     out = values[0]
     for v in values[1:]:
-        out = ufunc(out, v, out=None if v.dtype.kind == "c" and out.dtype.kind != "c" else out)
+        fresh = out.ndim == 0 or v.dtype.kind == "c" and out.dtype.kind != "c"
+        out = ufunc(out, v, out=None if fresh else out)
     return out
 
 
@@ -222,8 +228,8 @@ class Const(Node):
 
     def _eval_grid(self, points, norms, values):
         if self.im == 0 and math.copysign(1.0, self.im) > 0:
-            return np.full(points.shape[0], self.re, dtype=np.float64)
-        return np.full(points.shape[0], self.value, dtype=np.complex128)
+            return np.float64(self.re)
+        return np.complex128(self.value)
 
 
 @dataclass(frozen=True)
@@ -456,8 +462,13 @@ def evaluate(node: Node, index: LatticeIndex) -> complex:
 
 
 def evaluate_grid(node: Node, points: np.ndarray, norms: np.ndarray | None = None, plan=None) -> np.ndarray:
-    """Evaluate a tree on a block of lattice points (shape count x dimension);
-    ``plan``, if given, is ``_plan(node)``, made once for many blocks."""
+    """Evaluate a tree on a block of lattice points (shape count x dimension),
+    as complex128; ``plan``, if given, is ``_plan(node)``, made once for many blocks."""
+    return _evaluate(node, points, norms, plan).astype(np.complex128, copy=False)
+
+
+def _evaluate(node: Node, points: np.ndarray, norms: np.ndarray | None = None, plan=None) -> np.ndarray:
+    """``evaluate_grid`` in the tree's own lane: float64 for a real tree."""
     if norms is None:
         norms = np.abs(points).sum(axis=1)
     order, readers, folds = plan or _plan(node)
@@ -481,7 +492,8 @@ def evaluate_grid(node: Node, points: np.ndarray, norms: np.ndarray | None = Non
                 partial[id(parent)] = parent._eval_grid(points, norms, [partial[id(parent)], value])
             else:
                 partial[id(parent)] = value.copy() if id(c) in arrays else value
-    return arrays[id(node)].astype(np.complex128, copy=False)
+    out = arrays[id(node)]
+    return np.full(points.shape[0], out) if out.ndim == 0 else out
 
 
 def _plan(node: Node):

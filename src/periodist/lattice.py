@@ -18,10 +18,14 @@ step writes its columns straight into the ``(count, d)`` array, so that
 array is written once, at the end.
 Memory stays within a small multiple of the output.
 
-Built balls stay in a least-recently-used cache bounded by the bytes of
-its arrays (``_CACHE_BYTES``), not by entries; a ball larger than the
-bound is returned without being kept.  Scans read balls slice by slice,
-so this cache sets the memory held between window calls.
+Rows are sorted by norm first, so ``ball(d, r)`` is the first part of
+``ball(d, R)`` for every ``r <= R``.  The cache holds one ball per
+dimension, the largest built so far, and serves a smaller radius as
+read-only views of its first rows; a larger radius builds a ball that
+replaces it.  Dimensions are dropped least recently used first, within
+``_CACHE_BYTES`` of arrays; a ball larger than that is returned without
+being kept.  Scans read balls slice by slice, so this cache sets the
+memory held between window calls.
 
 The shell cardinality bound ``count(d, r) <= 2^d * (1+r)^(d-1)`` used by
 series tail estimates is exported here so it can be validated against
@@ -48,28 +52,32 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")  # sizes in 
 
 
 def _cached_by_bytes(build):
-    """LRU cache of ``build(dimension, radius)`` holding at most ``_CACHE_BYTES`` of arrays."""
-    entries: OrderedDict = OrderedDict()
+    """Cache of ``build(dimension, radius)`` holding the largest ball of each
+    dimension within ``_CACHE_BYTES`` of arrays; a prefix of it is a hit."""
+    entries: OrderedDict = OrderedDict()  # dimension -> (rows of the balls of radius 0..R, arrays)
     counts = [0, 0, 0]  # hits, misses, bytes held
     lock = threading.Lock()
 
     @functools.wraps(build)
     def cached(dimension: int, radius: int):
-        key = (dimension, radius)
         with lock:
-            arrays = entries.get(key)
-            counts[arrays is None] += 1
-            if arrays is not None:
-                entries.move_to_end(key)
-                return arrays
+            ends, arrays = entries.get(dimension, ((), ()))
+            hit = 0 <= radius < len(ends)
+            counts[not hit] += 1
+            if hit:
+                entries.move_to_end(dimension)
+                rows = ends[radius]
+                return arrays if rows == len(arrays[0]) else tuple(a[:rows] for a in arrays)
         arrays = build(dimension, radius)
         size = sum(a.nbytes for a in arrays)
         with lock:
-            if size <= _CACHE_BYTES and key not in entries:
-                entries[key] = arrays
-                counts[2] += size
+            ends, held = entries.get(dimension, ((), ()))
+            if size <= _CACHE_BYTES and len(ends) <= radius:  # larger than the ball held
+                entries.pop(dimension, None)
+                entries[dimension] = (np.searchsorted(arrays[1], range(radius + 1), "right").tolist(), arrays)
+                counts[2] += size - sum(a.nbytes for a in held)
                 while counts[2] > _CACHE_BYTES:
-                    counts[2] -= sum(a.nbytes for a in entries.popitem(last=False)[1])
+                    counts[2] -= sum(a.nbytes for a in entries.popitem(last=False)[1][1])
         return arrays
 
     def cache_clear() -> None:
@@ -106,7 +114,7 @@ def ball(dimension: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(points, norms)`` where ``points`` has shape ``(count, dimension)``
     and ``norms[i]`` is the 1-norm of row i.  Rows are sorted by
     ``(norm, coordinates lexicographically)``.  Arrays are read-only and
-    cached per ``(dimension, radius)`` within ``_CACHE_BYTES``.
+    C-contiguous, views of the cached ball's first rows when it is larger.
 
     The ball is built shell by shell from the 1-D ball ``0, -1, 1, -2, 2,
     ...``: each further dimension gathers, for every pair ``(r, x0)`` in

@@ -23,7 +23,10 @@ Every window quantity is a plain ``for`` loop over ``scan``, which yields
 the ball slice by slice with the trees' values there: a check returns at
 its first violation, ``window_folds`` folds a max or min, and
 ``window_array`` fills one window-length array whose ``np.sum`` is a
-window sum.  Results are bit-identical for every slice size.
+window sum.  Results are bit-identical for every slice size.  A real
+tree's values come as float64, whose ``np.abs`` has the bits of the
+complex modulus of x + 0j.  A pairing multiplies in complex128, so its
+terms keep the bits of (x + 0j)(y + 0j), -0.0 imaginary parts included.
 
 ``check_corona_window``, ``verify_bezout``, ``is_unit``, ``pairing``,
 ``seminorm``, ``weak_star_gap`` and ``SlowSequence.check_certificate``
@@ -64,7 +67,8 @@ def scan(trees: list[ex.Node], dimension: int, radius: int):
     """Yield the window |n|_1 <= radius in slices of at most ``_CHUNK`` points.
 
     Each slice is ``(points, norms, rows, values)``: the whole window, the
-    slice ``rows`` of it and each tree's values there, in canonical order.
+    slice ``rows`` of it and each tree's values there, in canonical order,
+    float64 for a real tree and complex128 otherwise.
     ``values`` is emptied when the loop moves on: a body that keeps no array
     of its own holds one slice at a time.  Each tree's plan is made once.
     """
@@ -72,7 +76,7 @@ def scan(trees: list[ex.Node], dimension: int, radius: int):
     plans = [ex._plan(tree) for tree in trees]
     for start in range(0, points.shape[0], _CHUNK):
         rows = slice(start, start + _CHUNK)
-        values = [ex.evaluate_grid(t, points[rows], norms[rows], p) for t, p in zip(trees, plans)]
+        values = [ex._evaluate(t, points[rows], norms[rows], p) for t, p in zip(trees, plans)]
         yield points, norms, rows, values
         values.clear()
 
@@ -118,8 +122,9 @@ def _eval_at(seq, index: LatticeIndex) -> complex:
 
 
 def window_values(node: ex.Node, dimension: int, radius: int) -> np.ndarray:
-    """Values of a tree over the 1-norm ball, in canonical scan order."""
-    return window_array([node], dimension, radius, lambda norms, values: values[0])
+    """Values of a tree over the 1-norm ball, in canonical scan order, as complex128."""
+    values = window_array([node], dimension, radius, lambda norms, values: values[0])
+    return values.astype(np.complex128, copy=False)
 
 
 def _weighted_sup(b, k: int, radius: int) -> float:
@@ -567,7 +572,7 @@ def pairing(a: SlowSequence, b: FastSequence, radius: int, threads: int = 1) -> 
     certificate of ``a``, the decay of ``b`` at order k + d + 1, and the
     shell-count bound.  A declared support inside the window makes it 0.
     """
-    return _pairing(a, b, radius, lambda norms, values: values[0] * values[1])
+    return _pairing(a, b, radius, lambda norms, values: np.multiply(values[0], values[1], dtype=np.complex128))
 
 
 def _pairing(a: SlowSequence, b: FastSequence, radius: int, product) -> PairingResult:

@@ -237,7 +237,7 @@ def weak_star_gap(
 
     def product(norms, values):
         sups.append(np.abs(values[0]).max())
-        return values[0] * values[1]
+        return np.multiply(values[0], values[1], dtype=np.complex128)
 
     # One scan yields the pairing and the window sup of the difference.
     result: PairingResult = _pairing(diff, b, radius, product)

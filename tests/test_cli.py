@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,16 @@ def test_exp_demo(tmp_path, capsys):
     assert results["identity_exact"] is True
     assert results["search"]["candidates_checked"] == 625
     assert results["search"]["units_found"] == 0
+
+
+def test_exp_demo_past_the_sweep_budget_is_refused_before_it_runs(tmp_path, capsys):
+    spec = write_job(tmp_path, "job.json", {"params": {"maxDegree": 12}})  # 5^13: about 1.2e9 combinations
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["exp-demo", "--spec", spec])
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (1, "")
+    assert err.startswith("periodist: input error: params.maxDegree: 5^13 combinations to sweep exceed")
+    assert "Traceback" not in err
 
 
 # -- errors, formats, determinism ---------------------------------------

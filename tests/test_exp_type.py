@@ -209,6 +209,12 @@ def test_search_validates_inputs():
         polynomial_reducer_search(2, coefficient_range=(1, 0))
 
 
+def test_an_overflowing_companion_matrix_is_an_input_error():
+    # h = 1 leaves 1j + 5e-324j z, whose companion matrix -1j / 5e-324j overflows to inf.
+    with pytest.raises(InputError, match=r"g=Poly\(\[1j, 5e-324j\]\)"):
+        polynomial_reducer_search(0, Poly([]), Poly([1j, 5e-324j]), (0, 1))
+
+
 # -- the batched sweep against the per-combination one ------------------
 
 

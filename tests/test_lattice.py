@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodist import lattice
 from periodist.lattice import ball, ball_iter, norm1, shell, shell_count, shell_count_bound
@@ -154,3 +156,60 @@ def test_ball_cache_keeps_the_recently_used():
         ball(2, r)
         assert ball(3, 10)[0] is first  # touched each time, never the oldest
     assert ball.cache_info().currsize <= lattice._CACHE_BYTES
+
+
+# -- one ball per dimension: smaller radii are prefix views --------------
+
+COLD = ball.__wrapped__  # the builder behind the cache
+
+
+@pytest.mark.parametrize("d, R", [(1, 40), (2, 14), (3, 8), (4, 6)])
+def test_a_smaller_radius_is_a_prefix_view_equal_to_a_cold_build(d, R):
+    ball.cache_clear()
+    try:
+        held = ball(d, R)
+        for r in range(R + 1):
+            served = ball(d, r)
+            for got, cold in zip(served, COLD(d, r)):
+                assert got.dtype == cold.dtype and got.shape == cold.shape
+                assert got.tobytes() == cold.tobytes()
+                assert not got.flags.writeable and got.flags.c_contiguous
+            assert all(np.shares_memory(got, whole) for got, whole in zip(served, held))
+        assert ball.cache_info().misses == 1 and ball.cache_info().hits == R + 1
+        assert ball(d, R)[0] is held[0]
+    finally:
+        ball.cache_clear()
+
+
+def test_a_prefix_counts_as_a_hit_and_a_larger_radius_replaces_the_ball():
+    ball.cache_clear()
+    try:
+        ball(2, 10)
+        ball(2, 4)
+        assert ball.cache_info()[:2] == (1, 1)
+        size = ball.cache_info().currsize
+        points, norms = ball(2, 12)  # built, and held in place of radius 10
+        assert ball.cache_info()[:2] == (1, 2)
+        assert ball.cache_info().currsize == points.nbytes + norms.nbytes > size
+        assert np.shares_memory(ball(2, 10)[0], points)
+        assert ball.cache_info()[:2] == (2, 2)
+    finally:
+        ball.cache_clear()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 12)), min_size=1, max_size=25))
+def test_cache_stays_within_its_bytes_for_any_request_sequence(requests):
+    limit, saved = 60_000, lattice._CACHE_BYTES
+    lattice._CACHE_BYTES = limit
+    ball.cache_clear()
+    try:
+        for d, r in requests:
+            points, norms = ball(d, r)
+            assert points.tobytes() == COLD(d, r)[0].tobytes()
+            info = ball.cache_info()
+            assert info.currsize <= info.maxsize == limit
+        assert ball.cache_info().hits + ball.cache_info().misses == len(requests)
+    finally:
+        lattice._CACHE_BYTES = saved
+        ball.cache_clear()

@@ -1,6 +1,7 @@
 """The streaming scan kernel: slice-size invariance, early exit, bounded memory."""
 
 import json
+import math
 import random
 import tracemalloc
 
@@ -9,9 +10,11 @@ import pytest
 
 from periodist import cli, corona, sequences
 from periodist import expr as ex
+from periodist.errors import WitnessViolation
 from periodist.lattice import ball
 from periodist.sequences import DecayBound, FastSequence, GrowthCertificate, SlowSequence
 from periodist.stable_rank import weak_star_gap
+from test_expr import lane_dag, random_dag
 
 UNCHUNKED = 1 << 30
 
@@ -46,15 +49,16 @@ def slow(tree, dimension):
     return SlowSequence.from_expr(tree, dimension)
 
 
-def window_results(seed: int) -> list:
-    """Every window consumer on random trees of one seed, as exact text and bytes."""
+def window_results(seed: int, tree=random_tree) -> list:
+    """Every window consumer on random trees of one seed, ``tree(rng, dimension)``,
+    as exact text and bytes."""
     rng = random.Random(seed)
     d = rng.choice((1, 2))
     R = {1: 40, 2: 9}[d]
-    family = [slow(random_tree(rng, d), d) for _ in range(rng.randint(1, 3))]
-    cofactors = [slow(random_tree(rng, d), d) for _ in family]
-    a, x = slow(random_tree(rng, d), d), slow(random_tree(rng, d), d)
-    b = FastSequence(random_tree(rng, d), d, decay=DecayBound(1.0, 0, 0.5), support=rng.randint(0, R))
+    family = [slow(tree(rng, d), d) for _ in range(rng.randint(1, 3))]
+    cofactors = [slow(tree(rng, d), d) for _ in family]
+    a, x = slow(tree(rng, d), d), slow(tree(rng, d), d)
+    b = FastSequence(tree(rng, d), d, decay=DecayBound(1.0, 0, 0.5), support=rng.randint(0, R))
     claimed = SlowSequence(a.expr, d, GrowthCertificate(rng.uniform(0.5, 4.0), rng.randint(0, 2)))
     # A floor the combined modulus crosses somewhere inside the window.
     floor = float(np.median(corona.combined_modulus(family, R)))
@@ -179,11 +183,11 @@ def test_corona_check_stops_at_the_first_failing_slice(monkeypatch):
     assert points.shape[0] >= 4 * 7
     calls = []
 
-    def counted(node, points, norms=None, plan=None, original=ex.evaluate_grid):
+    def counted(node, points, norms=None, plan=None, original=ex._evaluate):
         calls.append(points.shape[0])
         return original(node, points, norms, plan)
 
-    monkeypatch.setattr(ex, "evaluate_grid", counted)
+    monkeypatch.setattr(ex, "_evaluate", counted)  # the evaluator scan calls
     check = corona.check_corona_window([slow(ex.Coord(0), 1)], 0.5, 0, 20)  # fails at n = 0
     assert check.first_violation == (0,)
     assert calls == [7]
@@ -232,3 +236,100 @@ def test_scan_memory_is_the_window_result_plus_a_few_slices(consumer, per_point,
         tracemalloc.stop()
     chunk_bytes = sequences._CHUNK * np.dtype(np.complex128).itemsize
     assert peak <= points.shape[0] * per_point + slices * chunk_bytes
+
+
+# -- native lanes: a real tree reaches the folds as float64 -------------
+
+
+def complex_lane(monkeypatch):
+    """Scan in the complex lane: every value complex128, every constant a full array."""
+    const, evaluate = ex.Const._eval_grid, ex._evaluate
+    monkeypatch.setattr(ex.Const, "_eval_grid", lambda self, points, norms, values:
+                        np.full(points.shape[0], const(self, points, norms, values)))
+    monkeypatch.setattr(ex, "_evaluate", lambda *args: evaluate(*args).astype(np.complex128))
+
+
+def lane_tree(rng: random.Random, dimension: int) -> ex.Node:
+    """A seeded random DAG of tests/test_expr.py: every node kind, shared subtrees."""
+    pick = rng.randrange(3)
+    if pick == 2:
+        return random_dag(rng, dimension, steps=6)
+    return lane_dag(rng, dimension, steps=8, overflow=bool(pick))
+
+
+def lane_results(seed: int) -> list | str:
+    """``window_results`` on lane DAGs, or the error it raises: where a pairing value's
+    modulus overflows (it does at some SIMD levels), ``weak_star_gap`` raises."""
+    try:
+        return window_results(seed, lane_tree)
+    except OverflowError as err:
+        return repr(err)
+
+
+def lane_reports(tmp_path, seed: int) -> dict:
+    """The reduce and approx reports, whose diagnostics are window folds, on DAGs of one seed."""
+    rng = random.Random(seed)
+    d = rng.choice((1, 2))
+    tree = ex.to_json(lane_dag(rng, d, steps=8, overflow=False))
+    one, zero = ({"expr": {"kind": "const", "re": c, "im": 0.0}} for c in (1.0, 0.0))
+    jobs = {
+        # 0 * a1 + 1 * 1 = 1: a unimodular pair with exact cofactors.
+        "reduce": {"dimension": d, "params": {"R": 8, "epsilon": 0.25},
+                   "inputs": {"a1": {"expr": tree}, "a2": one, "b1": zero, "b2": one}},
+        "approx": {"dimension": d, "inputs": {"a": {"expr": tree}},
+                   "params": {"R": 8, "epsilons": [0.25, 1.0, 4.0]}},
+    }
+    return {command: cli_report(tmp_path, command, job) for command, job in jobs.items()}
+
+
+@pytest.mark.parametrize("chunk", [7, UNCHUNKED])
+def test_native_lanes_give_every_consumer_the_bits_of_the_complex_lane(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(sequences, "_CHUNK", chunk)
+    with np.errstate(all="ignore"):
+        native = [lane_results(seed) for seed in range(16)] + [nan_results()]
+        reports = [lane_reports(tmp_path, seed) for seed in range(6)]
+        complex_lane(monkeypatch)
+        assert [lane_results(seed) for seed in range(16)] + [nan_results()] == native
+        assert [lane_reports(tmp_path, seed) for seed in range(6)] == reports
+
+
+def test_scan_yields_real_trees_as_float64_and_constants_at_slice_length(monkeypatch):
+    monkeypatch.setattr(sequences, "_CHUNK", 7)
+    trees = [ex.Const(2.5), ex.Const(1.0, -1.0), ex.Coord(0), ex.Phase(ex.Coord(0)),
+             ex.Add((ex.Const(1.0), ex.Const(0.0, 1.0))), ex.Neg(ex.Abs(ex.Const(-3.0)))]
+    lanes = [np.float64, np.complex128, np.float64, np.complex128, np.complex128, np.float64]
+    for points, norms, rows, values in sequences.scan(trees, 2, 3):
+        assert [v.dtype for v in values] == lanes
+        assert {v.shape for v in values} == {(len(norms[rows]),)}
+        assert values[0].tolist() == [2.5] * len(values[0]) and values[5].tolist() == [-3.0] * len(values[5])
+    # window() and evaluate_grid stay complex128 in every lane.
+    for tree in trees:
+        window = slow(tree, 2).window(3)
+        assert window.dtype == np.complex128 and window.shape == (25,)
+        assert ex.evaluate_grid(tree, ball(2, 3)[0]).dtype == np.complex128
+    assert (slow(ex.Const(2.5), 2).window(3) == 2.5).all()
+
+
+def test_a_reciprocal_of_zero_raises_at_the_first_point():
+    family = [slow(ex.Recip(ex.Const(0.0), 1.0, 0), 2)]
+    with pytest.raises(WitnessViolation) as info:
+        corona.check_corona_window(family, 0.5, 0, 4)
+    assert info.value.index == (0, 0)
+
+
+def test_pairing_of_negative_real_trees_keeps_negative_zero_imaginary_terms(monkeypatch):
+    # (x + 0j) * (y + 0j) has imaginary part x*0 + 0*y = -0.0 when x, y < 0; a float
+    # product promoted afterwards would carry +0.0.
+    summed = []
+
+    def kept(*args, original=sequences.window_array):
+        summed.append(original(*args))
+        return summed[-1]
+
+    monkeypatch.setattr(sequences, "window_array", kept)
+    a = slow(ex.Neg(ex.PolyEnv(1)), 2)
+    b = FastSequence(ex.Neg(ex.ExpDecay(0.5)), 2, decay=DecayBound(1.0, 0, 0.5))
+    value = sequences.pairing(a, b, 6).value
+    terms = sequences.window_values(a.expr, 2, 6) * sequences.window_values(b.expr, 2, 6)
+    assert summed[0].dtype == np.complex128 and np.signbit(summed[0].imag).all()
+    assert np.array_equal(summed[0], terms) and complex(np.sum(terms)) == value
