@@ -42,7 +42,9 @@ node.  The certificate, structural and wire walks (``composed_cert``,
 over the same post-order, so no walk recurses or revisits a shared subtree.
 Nodes are not interned: the sharing that reductions create is already
 shared objects, and merging structurally equal ones would save only a
-few nodes more.
+few nodes more.  A reduction evaluates the same objects again in later
+calls, so inner nodes' values on the small slices a window scan names are
+kept, read-only, and the walk stops at a node whose value is kept.
 
 Real values travel in float64.  A node whose value is real at every
 point produces a float64 array: a ``Const`` whose imaginary part is +0.0,
@@ -93,13 +95,17 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+import threading
 import typing
+import weakref
+from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .errors import DimensionMismatch, InputError, WitnessViolation
-from .lattice import LatticeIndex
+from .lattice import LatticeIndex, ball
 
 
 def _angle(values: np.ndarray) -> np.ndarray:
@@ -131,13 +137,21 @@ def _real_select(values: np.ndarray, pair: np.ndarray) -> np.ndarray | None:
 
 def _accumulate(ufunc, values: list[np.ndarray]) -> np.ndarray:
     """``values`` folded left to right by ``ufunc``, in place in the first array;
-    a 0-d accumulator, and a real one that meets a complex value, start a new
-    array, numpy broadcasting a scalar and promoting each x to x + 0j."""
+    a 0-d or read-only accumulator, and a real one that meets a complex value,
+    start a new array, numpy broadcasting a scalar and promoting each x to x + 0j."""
     out = values[0]
     for v in values[1:]:
-        fresh = out.ndim == 0 or v.dtype.kind == "c" and out.dtype.kind != "c"
+        fresh = out.ndim == 0 or not out.flags.writeable or v.dtype.kind == "c" and out.dtype.kind != "c"
         out = ufunc(out, v, out=None if fresh else out)
     return out
+
+
+def _modulus(z: complex, overflow: float = math.inf) -> float:
+    """``abs(z)``, or ``overflow`` where the modulus passes the double range and abs raises."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return overflow
 
 
 # Arg and Phase of a real argument: the general formulas at 0 and at pi.
@@ -222,7 +236,7 @@ class Const(Node):
         return complex(self.re, self.im)
 
     def _cert_from(self, child_certs):
-        mag = abs(self.value)
+        mag = _modulus(self.value)
         # The zero constant still needs a positive bound constant.
         return (mag if mag > 0 else 1.0, 0)
 
@@ -461,19 +475,57 @@ def evaluate(node: Node, index: LatticeIndex) -> complex:
     return complex(evaluate_grid(node, point)[0])
 
 
-def evaluate_grid(node: Node, points: np.ndarray, norms: np.ndarray | None = None, plan=None) -> np.ndarray:
-    """Evaluate a tree on a block of lattice points (shape count x dimension),
-    as complex128; ``plan``, if given, is ``_plan(node)``, made once for many blocks."""
-    return _evaluate(node, points, norms, plan).astype(np.complex128, copy=False)
+def evaluate_grid(node: Node, points: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate a tree on a block of lattice points (shape count x dimension), as complex128."""
+    return _evaluate(node, points, norms).astype(np.complex128, copy=False)
 
 
-def _evaluate(node: Node, points: np.ndarray, norms: np.ndarray | None = None, plan=None) -> np.ndarray:
-    """``evaluate_grid`` in the tree's own lane: float64 for a real tree."""
+# Inner nodes' values kept between calls, least recently used out past _VALUE_BYTES
+# of arrays; an array over _ENTRY_BYTES is not kept, so a large ball keeps nothing.
+_VALUE_BYTES, _ENTRY_BYTES = 256 << 10, 16 << 10
+# (id(node), window) -> (weak reference to the node, read-only array); bytes held; lock
+_values, _values_held, _values_lock = OrderedDict(), [0], threading.Lock()
+
+
+def _keep(node: Node, window, value: np.ndarray) -> None:
+    if value.ndim and value.nbytes <= _ENTRY_BYTES:
+        value.setflags(write=False)  # a sum or product that starts from it writes a new array
+        key, entry = (id(node), window), (weakref.ref(node), value)
+        with _values_lock:
+            old = _values.pop(key, None)  # a dead node's, whose id this node reuses
+            _values[key] = entry
+            _values_held[0] += value.nbytes - (old[1].nbytes if old else 0)
+            while _values_held[0] > _VALUE_BYTES:
+                _values_held[0] -= _values.popitem(last=False)[1][1].nbytes
+
+
+def _values_clear() -> None:
+    with _values_lock:
+        _values.clear()
+        _values_held[0] = 0
+
+
+ball.also_clear.append(_values_clear)
+
+
+def _evaluate(node: Node, points: np.ndarray, norms: np.ndarray | None = None, window=None) -> np.ndarray:
+    """``evaluate_grid`` in the tree's own lane: float64 for a real tree.  ``window`` names
+    the rows ``points`` holds; with it, kept values stand in for subtrees, and new ones are kept."""
     if norms is None:
         norms = np.abs(points).sum(axis=1)
-    order, readers, folds = plan or _plan(node)
-    readers = dict(readers)
-    arrays: dict[int, np.ndarray] = {}
+    arrays: dict[int, np.ndarray] = {}  # computed values, and from the walk on the kept ones it finds
+
+    def kept(n: Node) -> bool:  # a node that reuses a dead node's id misses
+        key = (id(n), window)
+        with _values_lock:
+            ref, value = _values.get(key, (None, None))
+            if ref is None or ref() is not n:
+                return False
+            _values.move_to_end(key)
+        arrays[id(n)] = value
+        return True
+
+    order, readers, folds = _plan(node, kept if window else None)
     partial: dict[int, np.ndarray] = {}  # sums and products folded so far
 
     def take(c: Node) -> np.ndarray:
@@ -482,10 +534,12 @@ def _evaluate(node: Node, points: np.ndarray, norms: np.ndarray | None = None, p
         return arrays[id(c)] if left else arrays.pop(id(c))
 
     for p, (n, kids) in enumerate(order):
-        if n.writes_first:
+        if n.writes_first and kids:
             arrays[id(n)] = partial.pop(id(n))
-        else:
+        elif id(n) not in arrays:  # else the walk found it kept
             arrays[id(n)] = n._eval_grid(points, norms, [take(c) for c in kids])
+        if window and kids:
+            _keep(n, window, arrays[id(n)])
         for parent, i, c in folds.get(p, ()):
             value = take(c)
             if i:
@@ -496,10 +550,10 @@ def _evaluate(node: Node, points: np.ndarray, norms: np.ndarray | None = None, p
     return np.full(points.shape[0], out) if out.ndim == 0 else out
 
 
-def _plan(node: Node):
+def _plan(node: Node, stop=None):
     """The schedule of ``evaluate_grid``: the post-order, the reader counts,
     and by position in the order the arguments that sums and products fold in."""
-    order, readers = _postorder(node)
+    order, readers = _postorder(node, stop)
     # A sum or product folds in its argument i at the position in the
     # order where arguments 0..i are all computed.
     position = {id(n): p for p, (n, _) in enumerate(order)}
@@ -513,17 +567,19 @@ def _plan(node: Node):
     return order, readers, folds
 
 
-def _postorder(root: Node) -> tuple[list[tuple[Node, tuple[Node, ...]]], dict[int, int]]:
+def _postorder(root: Node, stop=None) -> tuple[list[tuple[Node, tuple[Node, ...]]], dict[int, int]]:
     """Every distinct node under ``root`` once with its children, after them.
 
     Nodes are told apart by identity, so a subtree shared by several
-    parents is listed once however often the tree repeats it.  Also
-    returns, by node id, how many argument slots of listed nodes hold
+    parents is listed once however often the tree repeats it.  A node for
+    which ``stop(node)`` is true is listed as a leaf, with no children.
+    Also returns, by node id, how many argument slots of listed nodes hold
     that node (0 for the root).
     """
     order: list[tuple[Node, tuple[Node, ...]]] = []
     readers = {id(root): 0}
     kids = root.children()
+    kids = () if kids and stop and stop(root) else kids
     stack = [(root, kids, iter(kids))]
     while stack:
         n, kids, pending = stack[-1]
@@ -533,10 +589,10 @@ def _postorder(root: Node) -> tuple[list[tuple[Node, tuple[Node, ...]]], dict[in
                 continue
             readers[id(c)] = 1
             grandkids = c.children()
-            if grandkids:
+            if grandkids and not (stop and stop(c)):
                 stack.append((c, grandkids, iter(grandkids)))
                 break
-            order.append((c, grandkids))
+            order.append((c, ()))
         else:
             stack.pop()
             order.append((n, kids))
@@ -614,7 +670,7 @@ def lower_bound_cert(node: Node) -> tuple[float, int] | None:
 
     def rule(n: Node, bounds: list) -> tuple[float, int] | None:
         if isinstance(n, Const):
-            mag = abs(n.value)
+            mag = _modulus(n.value, sys.float_info.max)  # still below an overflowing modulus
             return (mag, 0) if mag > 0 else None
         if isinstance(n, (PolyEnv, Phase)):
             return (1.0, 0)

@@ -24,8 +24,9 @@ dimension, the largest built so far, and serves a smaller radius as
 read-only views of its first rows; a larger radius builds a ball that
 replaces it.  Dimensions are dropped least recently used first, within
 ``_CACHE_BYTES`` of arrays; a ball larger than that is returned without
-being kept.  Scans read balls slice by slice, so this cache sets the
-memory held between window calls.
+being kept.  Scans read balls slice by slice, so this cache, with the
+values of tree nodes ``expr`` keeps on small slices of these balls, sets
+the memory held between window calls; ``ball.cache_clear`` empties both.
 
 The shell cardinality bound ``count(d, r) <= 2^d * (1+r)^(d-1)`` used by
 series tail estimates is exported here so it can be validated against
@@ -84,9 +85,12 @@ def _cached_by_bytes(build):
         with lock:
             entries.clear()
             counts[:] = [0, 0, 0]
+        for clear in cached.also_clear:  # caches keyed by windows of these balls
+            clear()
 
     cached.cache_info = lambda: CacheInfo(counts[0], counts[1], _CACHE_BYTES, counts[2])
     cached.cache_clear = cache_clear
+    cached.also_clear = []
     return cached
 
 

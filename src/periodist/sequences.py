@@ -70,13 +70,13 @@ def scan(trees: list[ex.Node], dimension: int, radius: int):
     slice ``rows`` of it and each tree's values there, in canonical order,
     float64 for a real tree and complex128 otherwise.
     ``values`` is emptied when the loop moves on: a body that keeps no array
-    of its own holds one slice at a time.  Each tree's plan is made once.
+    of its own holds one slice at a time.  Its rows name a slice to ``expr._evaluate``,
+    which keeps inner nodes' values on small slices between calls.
     """
     points, norms = ball(dimension, radius)
-    plans = [ex._plan(tree) for tree in trees]
     for start in range(0, points.shape[0], _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        values = [ex._evaluate(t, points[rows], norms[rows], p) for t, p in zip(trees, plans)]
+        rows = slice(start, min(start + _CHUNK, points.shape[0]))
+        values = [ex._evaluate(t, points[rows], norms[rows], (dimension, start, rows.stop)) for t in trees]
         yield points, norms, rows, values
         values.clear()
 
@@ -124,7 +124,7 @@ def _eval_at(seq, index: LatticeIndex) -> complex:
 def window_values(node: ex.Node, dimension: int, radius: int) -> np.ndarray:
     """Values of a tree over the 1-norm ball, in canonical scan order, as complex128."""
     values = window_array([node], dimension, radius, lambda norms, values: values[0])
-    return values.astype(np.complex128, copy=False)
+    return values.astype(np.complex128, copy=not values.flags.writeable)  # a kept value is read-only
 
 
 def _weighted_sup(b, k: int, radius: int) -> float:

@@ -241,7 +241,7 @@ def weak_star_gap(
 
     # One scan yields the pairing and the window sup of the difference.
     result: PairingResult = _pairing(diff, b, radius, product)
-    gap = abs(result.value)
+    gap = ex._modulus(result.value)
     sup_window = float(np.max(sups))
     global_sup = _uniform_diff_bound(x, y, diff)
     extended = max(_bump(sup_window), global_sup) if math.isfinite(global_sup) else math.inf

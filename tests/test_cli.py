@@ -299,6 +299,22 @@ def test_exp_demo_past_the_sweep_budget_is_refused_before_it_runs(tmp_path, caps
 # -- errors, formats, determinism ---------------------------------------
 
 
+def test_an_overflowing_constant_modulus_ends_without_a_traceback(tmp_path, capsys):
+    huge = {"expr": {"kind": "const", "re": 1.5e308, "im": 1.5e308}}
+    gap = write_job(tmp_path, "gap.json", {"dimension": 1, "params": {"R": 5}, "inputs": {
+        "x": huge, "y": {"expr": ZERO}, "b": DECAY_HALF}})
+    growth = write_job(tmp_path, "growth.json", {"dimension": 1, "params": {"R": 5}, "inputs": {"a": huge}})
+    with np.errstate(all="ignore"):
+        code, out, _ = run(capsys, ["gap", "--spec", gap])
+        assert code == 0
+        assert json.loads(out)["results"]["gap"] == math.inf
+        code, out, _ = run(capsys, ["check-growth", "--spec", growth])
+    # The growth bound is infinite; the window check cannot confirm a modulus past the
+    # double range (|a| / M is inf / inf), so the verdict is "fail", not a traceback.
+    assert code == 2
+    assert json.loads(out)["results"]["cert"] == {"M": math.inf, "k": 0}
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

@@ -4,6 +4,7 @@ import cmath
 import collections
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -549,6 +550,22 @@ def test_nonneg_and_lower_bound_whitelist():
     # sums of nonnegative terms inherit the best member floor
     floor = ex.lower_bound_cert(ex.Add((ex.PolyEnv(1), ex.Abs(ex.Coord(0)))))
     assert floor == (1.0, 0)
+
+
+# A finite constant whose modulus, about 2.1e308, passes the double range: abs() raises on it.
+HUGE = ex.Const(1.5e308, 1.5e308)
+
+
+def test_an_overflowing_constant_modulus_is_an_infinite_growth_bound():
+    assert ex.composed_cert(HUGE) == (math.inf, 0)
+    assert ex.composed_cert(ex.Add((HUGE, ex.Coord(0)))) == (math.inf, 1)
+    assert ex.composed_cert(ex.Const(3.0, 4.0)) == (5.0, 0)  # finite moduli keep abs()'s bits
+
+
+def test_an_overflowing_constant_modulus_is_the_largest_double_as_a_lower_bound():
+    assert ex.lower_bound_cert(HUGE) == (sys.float_info.max, 0)
+    assert ex.lower_bound_cert(ex.Mul((HUGE, ex.PolyEnv(1)))) == (sys.float_info.max, 0)
+    assert ex.lower_bound_cert(ex.Const(3.0, 4.0)) == (5.0, 0)
 
 
 # -- wire format --------------------------------------------------------

@@ -11,6 +11,7 @@ from periodist.corona import CERTIFIED, CoronaWitness, certify_witness, is_unit,
 from periodist.errors import InputError, MathFailure
 from periodist.lattice import ball, ball_iter
 from periodist.sequences import (
+    GrowthCertificate,
     SlowSequence,
     combine,
     constant,
@@ -281,3 +282,11 @@ def test_reduce_rejects_a_nan_residual():
     one = constant(1.0, 1)
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(MathFailure, match="residual nan"):
         reduce_pair(nan, one, one, one, radius=2)
+
+
+def test_gap_whose_modulus_passes_the_double_range_is_infinite():
+    # At n = 0 the pairing is 1.5e308 + 1.5e308i, whose modulus abs() cannot return.
+    huge = SlowSequence(ex.Const(1.5e308, 1.5e308), 1, GrowthCertificate(math.inf, 0))
+    result = weak_star_gap(huge, constant(0.0), fast_exp_decay(1.0), 0)
+    assert result.gap == math.inf
+    assert weak_star_gap(constant(3.0), constant(0.0, 1), fast_exp_decay(1.0), 0).gap == 3.0
