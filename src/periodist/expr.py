@@ -29,15 +29,15 @@ indices held in a numpy array, and ``evaluate`` is its one-row case.
 Trees built by combining sequences share subtrees, so a tree is walked
 as the DAG it is: one iterative post-order lists each distinct node once
 (told apart by identity within the call), and each node's ``_eval_grid``
-receives its children's arrays.  A child's array is dropped after its
-last reader.  ``Add`` and ``Mul`` fold in each argument as soon as it
-and the arguments before it are computed, as a tree walk does, so no
-more arrays are alive at once than in a tree walk; they accumulate into
-their first argument's array when they are its last reader and it is not
-repeated among their arguments, and into a copy otherwise.  Each node
-does the same arithmetic in the same order as a tree walk, so values are
-bit-identical, and a failing ``Recip`` or ``Coord`` raises at the same
-node.  The certificate, structural and wire walks (``composed_cert``,
+runs once, with all of its children's arrays, so an n-ary ``Add`` or
+``Mul`` holds all of its arguments' arrays at once.  A child's last
+reader gets its array, an earlier one a read-only view, and a sum or
+product folds into its first argument's array only where that is
+writeable (a lone read-only argument is copied, as a later reader may
+fold into the array it views).  Each node does the same arithmetic in
+the same order as a tree walk, so values are bit-identical, and a
+failing ``Recip`` or ``Coord`` raises at the same node.  The
+certificate, structural and wire walks (``composed_cert``,
 ``max_axis``, ``is_nonneg_real``, ``lower_bound_cert``, ``to_json``) fold
 over the same post-order, so no walk recurses or revisits a shared subtree.
 Nodes are not interned: the sharing that reductions create is already
@@ -136,10 +136,13 @@ def _real_select(values: np.ndarray, pair: np.ndarray) -> np.ndarray | None:
 
 
 def _accumulate(ufunc, values: list[np.ndarray]) -> np.ndarray:
-    """``values`` folded left to right by ``ufunc``, in place in the first array;
-    a 0-d or read-only accumulator, and a real one that meets a complex value,
-    start a new array, numpy broadcasting a scalar and promoting each x to x + 0j."""
+    """``values`` folded left to right by ``ufunc``, in place in the first array; a 0-d or
+    read-only accumulator (another reader's view, or a kept value), and a real one that meets
+    a complex value, start a new array, numpy broadcasting a scalar and promoting each x to
+    x + 0j.  A lone read-only array is copied: a later reader may fold into the one it views."""
     out = values[0]
+    if len(values) == 1 and not out.flags.writeable:
+        return out.copy()
     for v in values[1:]:
         fresh = out.ndim == 0 or not out.flags.writeable or v.dtype.kind == "c" and out.dtype.kind != "c"
         out = ufunc(out, v, out=None if fresh else out)
@@ -205,11 +208,6 @@ class Node(Ranged):
     """Base class for expression-tree nodes."""
 
     __slots__ = ()
-
-    # True for sums and products: evaluate_grid folds their arguments in
-    # one at a time, as _eval_grid([accumulated, next]), and starts from
-    # the first argument's own array when nothing else reads it.
-    writes_first = False
 
     def children(self) -> tuple["Node", ...]:
         return ()
@@ -303,7 +301,6 @@ class ExpDecay(Node):
 @dataclass(frozen=True)
 class Add(Node):
     kind = "add"
-    writes_first = True
 
     args: tuple[Node, ...] = ranged(NON_EMPTY)
 
@@ -320,7 +317,6 @@ class Add(Node):
 @dataclass(frozen=True)
 class Mul(Node):
     kind = "mul"
-    writes_first = True
 
     args: tuple[Node, ...] = ranged(NON_EMPTY)
 
@@ -525,46 +521,24 @@ def _evaluate(node: Node, points: np.ndarray, norms: np.ndarray | None = None, w
         arrays[id(n)] = value
         return True
 
-    order, readers, folds = _plan(node, kept if window else None)
-    partial: dict[int, np.ndarray] = {}  # sums and products folded so far
+    order, readers = _postorder(node, kept if window else None)
 
     def take(c: Node) -> np.ndarray:
-        """``c``'s array for one of its readers; the last reader drops it."""
+        """``c``'s array for its last reader, and a read-only view of it for an earlier one."""
         left = readers[id(c)] = readers[id(c)] - 1
-        return arrays[id(c)] if left else arrays.pop(id(c))
+        value = arrays[id(c)] if left else arrays.pop(id(c))
+        if left and value.ndim:  # no fold writes into a 0-d value
+            value = value.view()
+            value.flags.writeable = False
+        return value
 
-    for p, (n, kids) in enumerate(order):
-        if n.writes_first and kids:
-            arrays[id(n)] = partial.pop(id(n))
-        elif id(n) not in arrays:  # else the walk found it kept
+    for n, kids in order:
+        if id(n) not in arrays:  # else the walk found it kept
             arrays[id(n)] = n._eval_grid(points, norms, [take(c) for c in kids])
         if window and kids:
             _keep(n, window, arrays[id(n)])
-        for parent, i, c in folds.get(p, ()):
-            value = take(c)
-            if i:
-                partial[id(parent)] = parent._eval_grid(points, norms, [partial[id(parent)], value])
-            else:
-                partial[id(parent)] = value.copy() if id(c) in arrays else value
     out = arrays[id(node)]
     return np.full(points.shape[0], out) if out.ndim == 0 else out
-
-
-def _plan(node: Node, stop=None):
-    """The schedule of ``evaluate_grid``: the post-order, the reader counts,
-    and by position in the order the arguments that sums and products fold in."""
-    order, readers = _postorder(node, stop)
-    # A sum or product folds in its argument i at the position in the
-    # order where arguments 0..i are all computed.
-    position = {id(n): p for p, (n, _) in enumerate(order)}
-    folds: dict[int, list[tuple[Node, int, Node]]] = {}  # by position: (node, i, argument i)
-    for n, kids in order:
-        if n.writes_first:
-            ready = 0
-            for i, c in enumerate(kids):
-                ready = max(ready, position[id(c)])
-                folds.setdefault(ready, []).append((n, i, c))
-    return order, readers, folds
 
 
 def _postorder(root: Node, stop=None) -> tuple[list[tuple[Node, tuple[Node, ...]]], dict[int, int]]:

@@ -131,7 +131,7 @@ class CoefficientMap(ex.Ranged):
     def check_growth(self) -> bool:
         """Certificate soundness on every stored index."""
         for index, value in self.coeffs.items():
-            if not abs(value) <= self.cert.M * (1.0 + norm1(index)) ** self.cert.k * (1.0 + 1e-12):
+            if not ex._modulus(value) <= self.cert.M * (1.0 + norm1(index)) ** self.cert.k * (1.0 + 1e-12):
                 return False
         return True
 
@@ -160,8 +160,12 @@ class CoefficientMap(ex.Ranged):
 
 
 def _modulus_cert(values) -> GrowthCertificate:
-    """(M, 0) with M the largest modulus, or 1 when none is positive."""
-    top = max(map(abs, values), default=1.0)
+    """(M, 0) with M the largest modulus, or 1 when none is positive; inf where a modulus
+    passes the double range and abs raises."""
+    try:
+        top = max(map(abs, values), default=1.0)
+    except OverflowError:
+        top = math.inf
     return GrowthCertificate(top if top > 0 else 1.0, 0)
 
 

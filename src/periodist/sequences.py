@@ -259,8 +259,13 @@ class SlowSequence(ex.Ranged):
         """Exhaustively check the certificate on the window of this radius."""
         maxima, first = [], None
         for points, norms, rows, values in scan([self.expr], self.dimension, radius):
-            ratios = np.abs(values[0]) / self.cert.bound_at(norms[rows])
-            maxima.append(ratios.max())  # no early exit: max_ratio covers the whole window
+            bound = self.cert.bound_at(norms[rows])
+            ratios = np.abs(values[0]) / bound
+            top = ratios.max()
+            if np.isnan(top):  # a finite value whose modulus passes the double range: inf / inf is 0
+                ratios[np.isinf(bound) & np.isfinite(values[0])] = 0.0
+                top = ratios.max()
+            maxima.append(top)  # no early exit: max_ratio covers the whole window
             first = first or _flagged(points[rows], ~(ratios <= 1.0 + _CERT_REL_TOL))  # NaN is a violation
             del ratios
         return CertificateCheck(first is None, first, float(np.max(maxima)))

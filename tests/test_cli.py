@@ -309,10 +309,21 @@ def test_an_overflowing_constant_modulus_ends_without_a_traceback(tmp_path, caps
         assert code == 0
         assert json.loads(out)["results"]["gap"] == math.inf
         code, out, _ = run(capsys, ["check-growth", "--spec", growth])
-    # The growth bound is infinite; the window check cannot confirm a modulus past the
-    # double range (|a| / M is inf / inf), so the verdict is "fail", not a traceback.
-    assert code == 2
-    assert json.loads(out)["results"]["cert"] == {"M": math.inf, "k": 0}
+    # The growth bound is infinite, and it holds: a finite value whose modulus passes the
+    # double range has ratio 0 under it, where |a| / M would read inf / inf.
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["cert"] == {"M": math.inf, "k": 0}
+    assert (results["holds"], results["max_ratio"]) == (True, 0.0)
+
+
+def test_an_overflowing_coefficient_modulus_ends_without_a_traceback(tmp_path, capsys):
+    synth = write_job(tmp_path, "synth.json", {"dimension": 1, "inputs": {
+        **SYNTH, "coeffs": {"dimension": 1, "coeffs": {"1": [1.5e308, 1.5e308]}}}})
+    code, out, err = run(capsys, ["fourier-synth", "--spec", synth])
+    assert code == 0
+    assert json.loads(out)["results"]["values"][0] == [1.5e308, 1.5e308]
+    assert "Traceback" not in err
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):

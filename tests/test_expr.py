@@ -252,8 +252,9 @@ def test_grid_matches_scalar_on_random_trees():
 def random_dag(rng, dimension, steps):
     """A tree that reuses its subtrees: each step combines earlier nodes.
 
-    Repeated arguments and children shared between parents are where an
-    evaluator that accumulates into a child's array could alias.
+    Repeated arguments, children shared between parents and sums or products
+    of one argument are where an evaluator that accumulates into a child's
+    array could alias.
     """
     pool = [random_tree(rng, dimension, depth=0) for _ in range(3)]
     for _ in range(steps):
@@ -267,6 +268,8 @@ def random_dag(rng, dimension, steps):
             lambda: ex.Neg(x),
             lambda: ex.Abs(y),
             lambda: ex.Clip(x, 0.5),
+            lambda: ex.Add((x,)),
+            lambda: ex.Mul((y,)),
         )
         pool.append(rng.choice(shapes)())
     # a shared child read first by an Add that may accumulate in place and
@@ -301,6 +304,33 @@ def test_doubling_dag_evaluates_each_distinct_node_once(monkeypatch):
     assert runs == {"Add": 30, "Coord": 1}
     assert (grid == 2**30 * points[:, 0]).all()
     assert ex.composed_cert(node) == (2.0**30, 1)
+
+
+def test_each_node_evaluates_once_with_all_its_arguments(monkeypatch):
+    x = ex.Add((ex.Coord(0), ex.Const(1.0)))
+    tree = ex.Mul((ex.Add((x, ex.Norm1(), x, x)), x, ex.Neg(x)))
+    arity = collections.Counter()
+    for cls in ex.Node.__subclasses__():
+        def counted(self, points, norms, values, original=cls._eval_grid):
+            arity[type(self).__name__, len(values)] += 1
+            return original(self, points, norms, values)
+        monkeypatch.setattr(cls, "_eval_grid", counted)
+    points, norms = ball(1, 2)
+    grid = ex.evaluate_grid(tree, points, norms)
+    assert arity == {("Mul", 3): 1, ("Add", 4): 1, ("Add", 2): 1, ("Neg", 1): 1,
+                     ("Coord", 0): 1, ("Const", 0): 1, ("Norm1", 0): 1}
+    shifted = points[:, 0] + 1.0
+    assert grid.real.tolist() == ((3 * shifted + np.abs(points[:, 0])) * shifted * -shifted).tolist()
+
+
+def test_a_sum_of_one_shared_argument_keeps_its_value_when_a_later_reader_folds_in_place():
+    # Add((x,)) reads x before the product does, and the product, x's last reader,
+    # folds into x's array: the one-argument sum must not be a view of it.
+    x = ex.Add((ex.Coord(0), ex.Const(1.0)))
+    points, norms = ball(1, 2)
+    for lone in (ex.Add((x,)), ex.Mul((x,))):
+        tree = ex.Add((lone, ex.Mul((x, ex.Const(3.0)))))
+        assert ex.evaluate_grid(tree, points, norms).real.tolist() == [4.0, 0.0, 8.0, -4.0, 12.0]
 
 
 def test_deep_chain_walks_without_recursion():

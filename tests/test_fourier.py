@@ -265,6 +265,10 @@ def test_coefficient_map_growth_check():
     assert coeffs.check_growth()
     assert coeffs.cert.M == 3.0
     assert not CoefficientMap.from_dict({(1,): complex("nan")}, 1).check_growth()
+    # a modulus past the double range: abs raises, and the bound is inf
+    huge = CoefficientMap.from_dict({(1,): complex(1.5e308, 1.5e308), (0,): 1.0}, 1)
+    assert huge.cert.M == math.inf
+    assert huge.check_growth()
 
 
 def test_comb_is_the_all_ones_sequence():

@@ -353,6 +353,11 @@ def window_calls(seed: int, clear) -> list:
     d = rng.choice((1, 2))
     pool = [lane_tree(rng, d) for _ in range(4)]
     pool += [ex.Add((rng.choice(pool), ex.Mul((rng.choice(pool), rng.choice(pool))))) for _ in range(3)]
+    # A leaf's array is never kept, so its last reader may fold into it: one-argument
+    # sums and products that read it earlier are kept, and read again by later calls.
+    leaf = rng.choice((ex.Coord(0), ex.Norm1()))
+    lone = rng.choice((ex.Add, ex.Mul))((leaf,))
+    pool += [ex.Add((lone, ex.Mul((leaf, rng.choice(pool))))), ex.Neg(lone)]
     radii = [rng.randint(0, {1: 40, 2: 12}[d]) for _ in range(2)]
     out = []
     for _ in range(8):
@@ -457,6 +462,15 @@ def test_a_sum_that_starts_from_a_kept_value_writes_a_new_array():
     assert np.array_equal(ex._values[id(shared), (1, 0, 7)][1], kept)
 
 
+def test_a_kept_sum_of_one_argument_survives_a_later_fold_on_the_same_window():
+    ball.cache_clear()
+    coord = ex.Coord(0)  # a leaf: its array is not kept, and its last reader folds into it
+    lone = ex.Add((coord,))
+    sequences.window_values(ex.Add((lone, ex.Mul((coord, ex.Const(3.0))))), 1, 2)
+    assert ex._values[id(lone), (1, 0, 5)][1].tolist() == [0.0, -1.0, 1.0, -2.0, 2.0]
+    assert sequences.window_values(ex.Neg(lone), 1, 2).real.tolist() == [0.0, 1.0, -1.0, 2.0, -2.0]
+
+
 def test_clearing_the_ball_cache_clears_the_kept_values():
     sequences.window_values(ex.Abs(ex.Coord(0)), 1, 3)
     assert ex._values and ex._values_held[0] > 0
@@ -542,8 +556,8 @@ def chain_eval_grid_calls(monkeypatch) -> tuple[int, list[float]]:
 
 
 def test_a_reduction_chain_evaluates_each_subtree_once_per_window(monkeypatch):
-    # Without kept values the chain makes 503 inner-node evaluations.
+    # Without kept values the chain makes 423 inner-node evaluations, one per node and window.
     ball.cache_clear()
     calls, residuals = chain_eval_grid_calls(monkeypatch)
-    assert calls == 119
+    assert calls == 101
     assert all(r <= 1e-12 for r in residuals)

@@ -344,7 +344,16 @@ def test_pairing_linearity():
         assert abs(lhs - rhs) <= 1e-10 * (abs(rhs) + 1.0)
 
 
+def test_an_infinite_bound_holds_a_finite_value_whose_modulus_passes_the_double_range():
+    seq = SlowSequence.from_expr(ex.Const(1.5e308, 1.5e308), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        check = seq.check_certificate(3)
+    assert seq.cert == GrowthCertificate(math.inf, 0)
+    assert (check.holds, check.first_violation, check.max_ratio) == (True, None, 0.0)
+
+
 def test_certificate_check_fails_on_nan():
+    # The bound (1 + |n|)^2000 is inf at n = +-1 too: a NaN value stays a violation under it.
     seq = SlowSequence.from_expr(ex.Mul((ex.PolyEnv(2000), ex.ExpDecay(800.0))), 1)
     with np.errstate(invalid="ignore", over="ignore"):
         check = seq.check_certificate(2)
