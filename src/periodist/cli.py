@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import exp_type, fourier, stable_rank
+from . import exp_type, fourier, lattice, stable_rank
 from . import expr as ex
 from .corona import (
     WINDOW_VERIFIED,
@@ -110,6 +110,8 @@ class Job:
             self.raw, "dimension", "", DEFAULT_DIMENSION, ex._ranges(SlowSequence)["dimension"]
         )
         self.radius = self.param_int("R", DEFAULT_RADIUS)
+        if command not in _SCAN_NO_R:
+            self.priced("R", self.radius)
         self.epsilon = self.param_float("epsilon", None)
 
     # -- typed accessors ----------------------------------------------
@@ -119,6 +121,20 @@ class Job:
 
     def param_int(self, name: str, default=ex._REQUIRED, rule=None) -> int:
         return ex._integer(self.params, name, "params", default, rule or _PARAM_RANGES.get(name))
+
+    def priced(self, name: str, radius: int) -> int:
+        """``radius`` (read from ``params.<name>``) once its window in the job's dimension is
+        priced: a window above ``_WINDOW_BUDGET`` points is refused before any ball is built."""
+        d = self.dimension
+        # 2dR + 1 points have at most one nonzero coordinate.  Past the budget, that bound
+        # refuses the window before its exact count, which grows costly with both d and R.
+        points = 2 * d * radius + 1
+        if points <= _WINDOW_BUDGET:
+            points = lattice.ball_count(d, radius)
+        if points > _WINDOW_BUDGET:
+            raise InputError(f"params.{name}: window of at least {points} points at dimension {d} "
+                             f"exceeds the budget of {_WINDOW_BUDGET}, got {radius}")
+        return radius
 
     def _parsed(self, name: str, parse):
         """``parse(raw, path)`` of ``inputs.<name>``; a tree too deep to parse is an input error."""
@@ -379,7 +395,7 @@ def _run_qdemo(job: Job):
     rate = job.param_float("rate", 1.0)
     delta = job.param_float("delta")
     order = job.param_int("K")
-    n_max = job.param_int("nMax", 40)
+    n_max = job.priced("nMax", job.param_int("nMax", 40))
     hit = q_algebra_violation(rate, delta, order, n_max, job.dimension)
     results = {
         "rate": rate,
@@ -437,6 +453,14 @@ def _run_pair(job: Job):
     }
     return results, None
 
+
+# Points one window command may scan, priced as ``lattice.ball_count`` before any ball
+# is built: every window of d <= 3 and R <= 50 (at most 171,801 points) runs, the d=3,
+# R=2000 window (10,674,672,001 points) is refused.
+_WINDOW_BUDGET = 10_000_000
+
+# The commands that scan no window of radius R: qdemo scans params.nMax.
+_SCAN_NO_R = {"qdemo", "fourier-coeffs", "fourier-synth", "exp-demo"}
 
 # Combinations one exp-demo op may sweep: maxDegree 6 (78,125) runs, 7 (390,625) is refused.
 _SWEEP_BUDGET = 100_000

@@ -18,6 +18,14 @@ step writes its columns straight into the ``(count, d)`` array, so that
 array is written once, at the end.
 Memory stays within a small multiple of the output.
 
+Coordinates and norms never exceed the radius, so a ball of radius at
+most 32,767 is stored as int16 and a larger one as int64 (in practice only
+d = 1 reaches that far); a smaller radius served from a held int64 ball
+stays int64.  int16 arithmetic wraps or raises where int64 would not
+(``1 + norms`` wraps at 32,767, ``2**30 * points`` raises), so convert
+before computing: ``points.astype(np.float64)``, ``1.0 + norms`` or
+Python ints, as every consumer in this package does.
+
 Rows are sorted by norm first, so ``ball(d, r)`` is the first part of
 ``ball(d, R)`` for every ``r <= R``.  The cache holds one ball per
 dimension, the largest built so far, and serves a smaller radius as
@@ -45,8 +53,9 @@ import numpy as np
 LatticeIndex = tuple[int, ...]
 
 # Bytes of ball arrays the cache may hold.  A run of jobs over windows of
-# d <= 3 and R <= 50 reuses about 10 MB of balls; one ball of 250k points
-# in d=4 takes 10 MB, so scans over many large windows keep only the last.
+# d <= 3 and R <= 50 reuses about 1.4 MB of int16 balls; one ball of 250k
+# points in d=4 takes 2.4 MB, so scans over windows of that size keep the
+# largest ball of each of d = 2, 3 and 4 at once.
 _CACHE_BYTES = 16 << 20
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")  # sizes in bytes
@@ -119,42 +128,50 @@ def ball(dimension: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     and ``norms[i]`` is the 1-norm of row i.  Rows are sorted by
     ``(norm, coordinates lexicographically)``.  Arrays are read-only and
     C-contiguous, views of the cached ball's first rows when it is larger.
+    Both are int16 when ``radius <= 32767`` and int64 otherwise, or int64
+    when they are served from a held int64 ball: convert them before any
+    arithmetic (see the module docstring).
 
     The ball is built shell by shell from the 1-D ball ``0, -1, 1, -2, 2,
     ...``: each further dimension gathers, for every pair ``(r, x0)`` in
     ascending order, shell ``r - |x0|`` of the previous ball (one contiguous
-    slice) behind a leading column x0.  The gather index and the leading
-    column are built with ``np.repeat`` over the pairs, and every earlier
-    column is gathered with one 1-D ``take`` of that index, so the Python
-    loops are over dimensions only.  The last dimension's columns are
-    gathered straight into the C-contiguous ``points`` array.
+    slice) behind a leading column x0.  The leading column is built with
+    ``np.repeat`` over the pairs and the gather index as a running sum, and
+    every earlier column is gathered with one 1-D ``take`` of that index, so
+    the Python loops are over dimensions only.  Columns, shells and norms
+    are built in the output's dtype, only the gather index in int64.  The
+    last dimension's columns are gathered straight into the C-contiguous
+    ``points`` array.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    steps = np.arange(1, radius + 1, dtype=np.int64)
-    first = np.zeros(2 * radius + 1, dtype=np.int64)
-    first[1::2] = -steps
-    first[2::2] = steps
+    dtype = np.int16 if radius <= np.iinfo(np.int16).max else np.int64
+    shells = np.arange(radius + 1, dtype=dtype)
+    first = np.zeros(2 * radius + 1, dtype=dtype)
+    first[2::2] = shells[1:]
+    first[1::2] = -shells[1:]
     counts = np.full(radius + 1, 2, dtype=np.int64)
     counts[0] = 1
-    shells = np.arange(radius + 1, dtype=np.int64)
     if dimension > 1:
-        # Pair p = r^2 + r + x0 stands for (r, x0), -r <= x0 <= r.  The
-        # pairs take O(R^2) memory, so a 1-D ball (O(R)) never builds them.
-        pair_r = np.repeat(shells, 2 * shells + 1)
+        # Pair p = r^2 + r + x0 stands for (r, x0), -r <= x0 <= r; shell r's
+        # pairs start at r^2.  The pairs take O(R^2) memory, so a 1-D ball
+        # (O(R)) never builds them; their indices are int64.
+        wide = shells.astype(np.int64)
+        pair_r = np.repeat(wide, 2 * wide + 1)
         pair_x0 = np.arange(pair_r.size, dtype=np.int64) - pair_r * pair_r - pair_r
         source = pair_r - np.abs(pair_x0)
+        pair_x0, blocks = pair_x0.astype(dtype), wide * wide
     # The ball so far is its leading column, the index ``gather`` and the
     # columns behind the lead that ``gather`` reads from.
     lead, gather, columns = first, None, []
     for _ in range(1, dimension):
         columns = [lead] + [column.take(gather) for column in columns]
-        lead, gather, counts = _next_dimension(counts, shells, pair_x0, source)
+        lead, gather, counts = _next_dimension(counts, blocks, pair_x0, source)
     # The last gather writes into points one column at a time, so no more
     # than one gathered column is held beside it.
-    points = np.empty((lead.size, dimension), dtype=np.int64)
+    points = np.empty((lead.size, dimension), dtype=dtype)
     points[:, 0] = lead
     for axis, column in enumerate(columns, 1):
         points[:, axis] = column.take(gather)
@@ -164,17 +181,23 @@ def ball(dimension: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return points, norms
 
 
-def _next_dimension(counts, shells, pair_x0, source):
+def _next_dimension(counts, blocks, pair_x0, source):
     """One more dimension on a ball with shell sizes ``counts``: the new
     leading column, the row of the previous ball behind each new point (the
-    gather index), and the new shell sizes."""
-    lengths = counts[source]
-    starts = np.cumsum(counts) - counts
-    # Row j of block p reads row starts[source[p]] + j of the previous ball.
-    offsets = np.cumsum(lengths) - lengths
-    gather = np.repeat(starts[source] - offsets, lengths)
-    gather += np.arange(gather.size, dtype=np.int64)
-    return np.repeat(pair_x0, lengths), gather, np.add.reduceat(lengths, shells * shells)
+    gather index), and the new shell sizes.  ``blocks`` holds the first pair
+    of each shell."""
+    lengths = counts[source]  # every shell holds a point, so no block is empty
+    starts = (np.cumsum(counts) - counts)[source]
+    # Row j of block p reads row starts[p] + j of the previous ball: the index
+    # steps by 1 inside a block and jumps to starts[p] where block p begins.
+    # It is built in place as a running sum, so it is the one full-length
+    # int64 array of the step.
+    gather = np.ones(int(lengths.sum()), dtype=np.int64)
+    jumps = starts.copy()
+    jumps[1:] -= starts[:-1] + lengths[:-1] - 1
+    gather[np.cumsum(lengths) - lengths] = jumps
+    np.cumsum(gather, out=gather)
+    return np.repeat(pair_x0, lengths), gather, np.add.reduceat(lengths, blocks)
 
 
 def shell(dimension: int, radius: int) -> np.ndarray:
@@ -195,6 +218,19 @@ def shell_count(dimension: int, radius: int) -> int:
     if d < 1 or r < 0:
         raise ValueError("need dimension >= 1 and radius >= 0")
     return 1 if r == 0 else sum(math.comb(d, k) * 2**k * math.comb(r - 1, k - 1) for k in range(1, d + 1))
+
+
+def ball_count(dimension: int, radius: int) -> int:
+    """Exact number of lattice points with 1-norm <= `radius`; no ball is built.
+
+    Points with k nonzero coordinates: C(d, k) axes, 2^k signs, C(r, k) ways to
+    choose their moduli with sum at most r; so the sum of ``shell_count`` over
+    0..r is ``sum_k 2^k C(d, k) C(r, k)``.
+    """
+    d, r = dimension, radius
+    if d < 1 or r < 0:
+        raise ValueError("need dimension >= 1 and radius >= 0")
+    return sum(2**k * math.comb(d, k) * math.comb(r, k) for k in range(min(d, r) + 1))
 
 
 def ball_iter(dimension: int, radius: int):

@@ -260,7 +260,8 @@ class SlowSequence(ex.Ranged):
         maxima, first = [], None
         for points, norms, rows, values in scan([self.expr], self.dimension, radius):
             bound = self.cert.bound_at(norms[rows])
-            ratios = np.abs(values[0]) / bound
+            with np.errstate(invalid="ignore"):  # inf / inf, read as 0 below; NaN stays a violation
+                ratios = np.abs(values[0]) / bound
             top = ratios.max()
             if np.isnan(top):  # a finite value whose modulus passes the double range: inf / inf is 0
                 ratios[np.isinf(bound) & np.isfinite(values[0])] = 0.0

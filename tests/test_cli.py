@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodist import cli
+from periodist import cli, lattice
 from periodist import expr as ex
+from periodist.errors import InputError
 from periodist.sequences import DecayBound, FastSequence, constant, pairing
 from periodist.stable_rank import weak_star_gap
 
@@ -294,6 +295,48 @@ def test_exp_demo_past_the_sweep_budget_is_refused_before_it_runs(tmp_path, caps
     assert (code, out) == (1, "")
     assert err.startswith("periodist: input error: params.maxDegree: 5^13 combinations to sweep exceed")
     assert "Traceback" not in err
+
+
+CORONA_D3 = {"dimension": 3, "inputs": {"a": [{"expr": COORD}, {"expr": ONE}]}, "params": {"delta": 1.0, "K": 0}}
+
+
+def test_a_window_past_the_budget_is_refused_before_any_ball_is_built(tmp_path, capsys):
+    spec = write_job(tmp_path, "job.json", {**CORONA_D3, "params": {**CORONA_D3["params"], "R": 2000}})
+    before = lattice.ball.cache_info()
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["corona-check", "--spec", spec])
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (1, "")
+    assert err == ("periodist: input error: params.R: window of at least 10674672001 points at dimension 3 "
+                   "exceeds the budget of 10000000, got 2000\n")
+    assert lattice.ball.cache_info()[:2] == before[:2]
+    # Under a 1 GiB cap the same job exits 1 in a fresh interpreter, where it once ran out of memory.
+    code, out, err = _cli_process(["corona-check", "--spec", spec], address_space=1 << 30)
+    assert (code, out) == (1, "") and "params.R: window of" in err and "Traceback" not in err
+    # --window stands in for params.R, and qdemo's window is params.nMax.
+    small = write_job(tmp_path, "small.json", {**CORONA_D3, "params": {**CORONA_D3["params"], "R": 2}})
+    code, _, err = run(capsys, ["corona-check", "--spec", small, "--window", "2000"])
+    assert code == 1 and err.startswith("periodist: input error: params.R: window of")
+    qdemo = write_job(tmp_path, "qdemo.json", {"dimension": 3, "params": {"delta": 0.5, "K": 0, "nMax": 2000}})
+    code, _, err = run(capsys, ["qdemo", "--spec", qdemo])
+    assert code == 1 and err.startswith("periodist: input error: params.nMax: window of at least 10674672001")
+
+
+def test_the_window_budget_is_exact_at_its_edge_and_cheap_far_past_it(tmp_path):
+    def job(command, d, R):
+        path = tmp_path / f"{command}-{d}-{R}.json"
+        path.write_text(json.dumps({"dimension": d, "params": {"R": R}}))  # inputs are read later
+        return cli.Job(command, str(path), cli.build_parser().parse_args([command, "--spec", str(path)]))
+
+    assert job("corona-check", 1, 4_999_999).radius == 4_999_999  # 9,999,999 points
+    with pytest.raises(InputError, match=r"^params.R: window of at least 10000001 points at dimension 1"):
+        job("corona-check", 1, 5_000_000)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=r"^params.R: window of at least 2000000000001 points"):
+        job("check-growth", 10**6, 10**6)
+    assert time.perf_counter() - start < 0.1
+    # A command that scans no window of radius R does not price it.
+    assert job("exp-demo", 3, 2000).radius == 2000
 
 
 # -- errors, formats, determinism ---------------------------------------

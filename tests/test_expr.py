@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from periodist import expr as ex
+from periodist.corona import CoronaWitness
 from periodist.errors import CertificateError, InputError, WitnessViolation
 from periodist.lattice import ball
 from periodist.sequences import DecayBound, FastSequence, SlowSequence, pairing
@@ -302,8 +303,23 @@ def test_doubling_dag_evaluates_each_distinct_node_once(monkeypatch):
     points, norms = ball(1, 5)
     grid = ex.evaluate_grid(node, points, norms)
     assert runs == {"Add": 30, "Coord": 1}
-    assert (grid == 2**30 * points[:, 0]).all()
+    assert (grid == 2.0**30 * points[:, 0]).all()  # int16 points: 2**30 * points would raise
     assert ex.composed_cert(node) == (2.0**30, 1)
+
+
+@pytest.mark.parametrize("d, R", [(1, 32767), (3, 20)])
+def test_leaves_and_bounds_read_int16_balls_with_the_bits_of_int64(d, R):
+    # Radius 32767 is the largest int16 ball: there ``1 + norms`` in int16 would wrap.
+    points, norms = ball(d, R)
+    assert points.dtype == norms.dtype == np.int16 and int(norms[-1]) == R
+    wide_points, wide_norms = points.astype(np.int64), norms.astype(np.int64)
+    leaves = [ex.Coord(axis) for axis in range(d)] + [
+        ex.Norm1(), ex.PolyEnv(0), ex.PolyEnv(3), ex.PolyEnv(7), ex.ExpDecay(0.1), ex.ExpDecay(2.5)]
+    for leaf in leaves:
+        narrow = ex.evaluate_grid(leaf, points, norms)
+        assert narrow.tobytes() == ex.evaluate_grid(leaf, wide_points, wide_norms).tobytes()
+    for bound in (ex.GrowthCertificate(1.5, 3).bound_at, CoronaWitness(0.25, 2).floor_at):
+        assert bound(norms).tobytes() == bound(wide_norms).tobytes()
 
 
 def test_each_node_evaluates_once_with_all_its_arguments(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodist import lattice
-from periodist.lattice import ball, ball_iter, norm1, shell, shell_count, shell_count_bound
+from periodist.lattice import ball, ball_count, ball_iter, norm1, shell, shell_count, shell_count_bound
 
 
 def brute_ball(d, r):
@@ -27,8 +27,8 @@ def brute_ball(d, r):
 def test_ball_matches_box_enumeration(d, r):
     points, norms = ball(d, r)
     expected = brute_ball(d, r)
-    assert points.dtype == np.int64
-    assert norms.dtype == np.int64
+    assert points.dtype == np.int16
+    assert norms.dtype == np.int16
     assert points.shape == (len(expected), d)
     assert points.flags.c_contiguous
     assert not points.flags.writeable and not norms.flags.writeable
@@ -61,6 +61,7 @@ def test_shell_counts():
     assert [shell_count(3, r) for r in range(4)] == [1, 6, 18, 38]
     for d in range(1, 6):
         assert [shell_count(d, r) for r in range(13)] == [len(shell(d, r)) for r in range(13)]
+        assert [ball_count(d, r) for r in range(13)] == [len(ball(d, r)[0]) for r in range(13)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -113,12 +114,13 @@ def test_norm1():
 def test_shell_count_builds_no_ball():
     before = ball.cache_info()
     counts = [shell_count(3, r) for r in range(51)]
+    assert ball_count(3, 50) == sum(counts) and ball_count(3, 2000) == 10_674_672_001
     assert ball.cache_info() == before
     assert counts[50] == 4 * 50 * 50 + 2
 
 
 def test_ball_cache_is_bounded_by_bytes(monkeypatch):
-    limit = 40_000
+    limit = 10_000  # int16 balls: a quarter of the int64 bytes, so the same requests evict the same balls
     monkeypatch.setattr(lattice, "_CACHE_BYTES", limit)
     ball.cache_clear()
     try:
@@ -177,6 +179,27 @@ def test_a_smaller_radius_is_a_prefix_view_equal_to_a_cold_build(d, R):
             assert all(np.shares_memory(got, whole) for got, whole in zip(served, held))
         assert ball.cache_info().misses == 1 and ball.cache_info().hits == R + 1
         assert ball(d, R)[0] is held[0]
+    finally:
+        ball.cache_clear()
+
+
+def test_ball_is_int16_up_to_radius_32767_and_int64_beyond():
+    for r in (0, 1, 32767):
+        assert [a.dtype for a in COLD(1, r)] == [np.int16, np.int16]
+    assert [a.dtype for a in COLD(3, 6)] == [np.int16, np.int16]
+    points, norms = COLD(1, 32767)
+    assert points[-2:, 0].tolist() == [-32767, 32767] and norms[-2:].tolist() == [32767, 32767]
+    ball.cache_clear()
+    try:
+        points, norms = ball(1, 40000)
+        assert points.dtype == norms.dtype == np.int64 and points.shape == (80001, 1)
+        assert points[-2:, 0].tolist() == [-40000, 40000] and norms[-2:].tolist() == [40000, 40000]
+        assert points[:5, 0].tolist() == [0, -1, 1, -2, 2]
+        # A smaller radius is served from the held int64 ball, so it stays int64.
+        served = ball(1, 7)
+        assert ball.cache_info()[:2] == (1, 1)
+        assert all(got.dtype == np.int64 and np.shares_memory(got, whole) for got, whole in zip(served, (points, norms)))
+        assert [got.tolist() for got in served] == [cold.tolist() for cold in COLD(1, 7)]
     finally:
         ball.cache_clear()
 
