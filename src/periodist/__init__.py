@@ -18,146 +18,12 @@ the certified arithmetic it provides
 All window scans walk lattice points in one canonical order (1-norm
 shells, then lexicographic), so every reported number and every "first
 violation" is reproducible bit for bit.
+
+Every public name has one import path, in its module:
+``from periodist.corona import check_corona_window``.  Importing the
+package loads every module but ``cli``, the command line entry point.
 """
 
-from .corona import (
-    CERTIFIED,
-    WINDOW_VERIFIED,
-    CoronaWitness,
-    UnitCheck,
-    WindowCheck,
-    certify_witness,
-    check_corona_window,
-    combined_modulus,
-    is_unit,
-    solve_bezout,
-    verify_bezout,
-    witness_from_bezout,
-)
-from .errors import (
-    CertificateError,
-    DimensionMismatch,
-    InputError,
-    MathFailure,
-    PeriodistError,
-    WitnessViolation,
-)
-from .exp_type import (
-    Poly,
-    PolyBezoutCheck,
-    ReducerSearchReport,
-    poly_bezout_check,
-    polynomial_reducer_search,
-    standard_identity,
-)
-from .fourier import (
-    CoefficientMap,
-    PeriodBasis,
-    coeffs_from_samples,
-    comb_identity,
-    distribution_action,
-    dual_point,
-    sample_grid,
-    synthesize,
-)
-from .lattice import LatticeIndex, ball, ball_iter, norm1, shell, shell_count, shell_count_bound
-from .sequences import (
-    DecayBound,
-    FastSequence,
-    GrowthCertificate,
-    PairingResult,
-    SeminormResult,
-    SlowSequence,
-    combine,
-    constant,
-    coordinate,
-    exp_decay_sequence,
-    fast_exp_decay,
-    from_values,
-    indicator,
-    norm_sequence,
-    pairing,
-    poly_envelope,
-    seminorm,
-)
-from .stable_rank import (
-    GapResult,
-    ReductionTrace,
-    TupleReduction,
-    approx_by_invertibles,
-    clip_below,
-    q_algebra_violation,
-    reduce_pair,
-    reduce_tuple,
-    weak_star_gap,
-)
+from . import corona, errors, exp_type, expr, fourier, lattice, sequences, stable_rank  # noqa: F401
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CERTIFIED",
-    "WINDOW_VERIFIED",
-    "CertificateError",
-    "CoefficientMap",
-    "CoronaWitness",
-    "DecayBound",
-    "DimensionMismatch",
-    "FastSequence",
-    "GapResult",
-    "GrowthCertificate",
-    "InputError",
-    "LatticeIndex",
-    "MathFailure",
-    "PairingResult",
-    "PeriodBasis",
-    "PeriodistError",
-    "Poly",
-    "PolyBezoutCheck",
-    "ReducerSearchReport",
-    "ReductionTrace",
-    "SeminormResult",
-    "SlowSequence",
-    "TupleReduction",
-    "UnitCheck",
-    "WindowCheck",
-    "WitnessViolation",
-    "approx_by_invertibles",
-    "ball",
-    "ball_iter",
-    "certify_witness",
-    "check_corona_window",
-    "clip_below",
-    "coeffs_from_samples",
-    "comb_identity",
-    "combine",
-    "combined_modulus",
-    "constant",
-    "coordinate",
-    "distribution_action",
-    "dual_point",
-    "exp_decay_sequence",
-    "fast_exp_decay",
-    "from_values",
-    "indicator",
-    "is_unit",
-    "norm1",
-    "norm_sequence",
-    "pairing",
-    "poly_bezout_check",
-    "poly_envelope",
-    "polynomial_reducer_search",
-    "q_algebra_violation",
-    "reduce_pair",
-    "reduce_tuple",
-    "sample_grid",
-    "seminorm",
-    "shell",
-    "shell_count",
-    "shell_count_bound",
-    "solve_bezout",
-    "standard_identity",
-    "synthesize",
-    "verify_bezout",
-    "weak_star_gap",
-    "witness_from_bezout",
-]

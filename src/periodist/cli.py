@@ -124,16 +124,18 @@ class Job:
 
     def priced(self, name: str, radius: int) -> int:
         """``radius`` (read from ``params.<name>``) once its window in the job's dimension is
-        priced: a window above ``_WINDOW_BUDGET`` points is refused before any ball is built."""
+        priced: a window above ``_WINDOW_BUDGET`` coordinates (points times d) is refused
+        before any ball is built."""
         d = self.dimension
         # 2dR + 1 points have at most one nonzero coordinate.  Past the budget, that bound
         # refuses the window before its exact count, which grows costly with both d and R.
         points = 2 * d * radius + 1
-        if points <= _WINDOW_BUDGET:
+        if points * d <= _WINDOW_BUDGET:
             points = lattice.ball_count(d, radius)
-        if points > _WINDOW_BUDGET:
+        if points * d > _WINDOW_BUDGET:
             raise InputError(f"params.{name}: window of at least {points} points at dimension {d} "
-                             f"exceeds the budget of {_WINDOW_BUDGET}, got {radius}")
+                             f"({points * d} coordinates) exceeds the budget of {_WINDOW_BUDGET} "
+                             f"coordinates, got {radius}")
         return radius
 
     def _parsed(self, name: str, parse):
@@ -454,9 +456,10 @@ def _run_pair(job: Job):
     return results, None
 
 
-# Points one window command may scan, priced as ``lattice.ball_count`` before any ball
-# is built: every window of d <= 3 and R <= 50 (at most 171,801 points) runs, the d=3,
-# R=2000 window (10,674,672,001 points) is refused.
+# Coordinates one window command may build (points times d, the entries of the ball's
+# array), priced with ``lattice.ball_count`` before any ball is built: every window of d <= 3
+# and R <= 50 (at most 171,801 points) runs, the d=3, R=2000 window (10,674,672,001
+# points) and the d=10^6, R=1 window (2,000,001 points) are refused.
 _WINDOW_BUDGET = 10_000_000
 
 # The commands that scan no window of radius R: qdemo scans params.nMax.

@@ -15,9 +15,8 @@ inside the window is the caller's responsibility.  Synthesis is the
 finite sum of exp(2*pi*i * (A^{-1} m) . x) weighted by the coefficients,
 and is invariant under translation by any period vector.
 
-The all-ones coefficient sequence is the identity for pointwise
-coefficient multiplication; its action on test data is the Dirac-comb
-sum of samples at the dual points.
+Names are imported from this module (``from periodist.fourier import
+synthesize``); the package re-exports none of them.
 """
 
 from __future__ import annotations
@@ -28,17 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import InputError, MathFailure
+from .errors import InputError
 from .lattice import LatticeIndex, norm1
-from .sequences import (
-    FastSequence,
-    GrowthCertificate,
-    PairingResult,
-    SlowSequence,
-    _tail_bound,
-    constant,
-    pairing,
-)
+from .sequences import GrowthCertificate
 
 NORMALIZATION = "forward-1/N^d"
 ALIASING_NOTE = "frequencies outside the centred window alias; caller keeps spectra inside"
@@ -79,22 +70,6 @@ class PeriodBasis:
         return f"PeriodBasis({self.matrix.tolist()})"
 
 
-def dual_point(basis: PeriodBasis, index: LatticeIndex) -> np.ndarray:
-    """Dual lattice point v = A^{-1} m; pairs integrally with the periods.
-
-    The integrality a_k . v = m_k is re-checked to 1e-9 and a failure
-    (ill-conditioned basis) raises MathFailure.
-    """
-    m = np.asarray(index, dtype=float)
-    if m.shape != (basis.dimension,):
-        raise InputError("index has the wrong dimension for this basis")
-    v = basis.inverse @ m
-    residual = float(np.abs(basis.matrix @ v - m).max())
-    if residual > 1e-9:
-        raise MathFailure(f"dual point integrality residual {residual:.3e} exceeds 1e-9")
-    return v
-
-
 def sample_grid(basis: PeriodBasis, count: int) -> np.ndarray:
     """Sampling points x_j = A^T (j / count), shape (count,)*d + (d,)."""
     ex.AT_LEAST_ONE.check(count, "count")
@@ -127,13 +102,6 @@ class CoefficientMap(ex.Ranged):
 
     def items_in_scan_order(self):
         return sorted(self.coeffs.items(), key=lambda kv: (norm1(kv[0]), kv[0]))
-
-    def check_growth(self) -> bool:
-        """Certificate soundness on every stored index."""
-        for index, value in self.coeffs.items():
-            if not ex._modulus(value) <= self.cert.M * (1.0 + norm1(index)) ** self.cert.k * (1.0 + 1e-12):
-                return False
-        return True
 
     def to_json(self) -> dict:
         items = self.items_in_scan_order()
@@ -220,40 +188,3 @@ def synthesize(basis: PeriodBasis, coeffs: CoefficientMap, x):
     phases = np.exp(2j * math.pi * (points @ duals))
     values = phases @ alphas
     return complex(values[0]) if single else values
-
-
-def comb_identity(dimension: int = 1) -> SlowSequence:
-    """All-ones coefficient sequence: the pointwise multiplication identity.
-
-    Its action on test data is the Dirac comb (plain sum of the samples
-    at the dual points).
-    """
-    return constant(1.0, dimension)
-
-
-def distribution_action(
-    coeffs: "CoefficientMap | SlowSequence",
-    test: FastSequence,
-    radius: int,
-) -> PairingResult:
-    """Action of a coefficient sequence on samples of a test function.
-
-    `test` holds the test-function samples at the dual points, indexed by
-    the integer index m.  A SlowSequence coefficient argument (such as
-    the all-ones identity) is paired directly; a finitely stored map is
-    summed over its stored indices inside the window with the same style
-    of certified tail bound.
-    """
-    if isinstance(coeffs, SlowSequence):
-        return pairing(coeffs, test, radius)
-    if coeffs.dimension != test.dimension:
-        raise InputError("coefficient map and test data dimensions differ")
-    ex.NONNEG.check(radius, "radius")
-    items = coeffs.items_in_scan_order()
-    inside = [(index, value) for index, value in items if norm1(index) <= radius]
-    points = np.array([index for index, _ in inside], dtype=np.int64).reshape(-1, test.dimension)
-    total = complex(0.0)
-    for (_, value), sample in zip(inside, ex.evaluate_grid(test.expr, points)):
-        total += value * complex(sample)
-    tail = 0.0 if len(inside) == len(items) else _tail_bound(coeffs.cert, test, radius)
-    return PairingResult(total, radius, tail)

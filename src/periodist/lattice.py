@@ -200,15 +200,6 @@ def _next_dimension(counts, blocks, pair_x0, source):
     return np.repeat(pair_x0, lengths), gather, np.add.reduceat(lengths, blocks)
 
 
-def shell(dimension: int, radius: int) -> np.ndarray:
-    """Lattice points with 1-norm exactly `radius`, lexicographically sorted.
-
-    A read-only view of the last block of the cached ball.
-    """
-    points, norms = ball(dimension, radius)
-    return points[np.searchsorted(norms, radius):]
-
-
 def shell_count(dimension: int, radius: int) -> int:
     """Exact number of lattice points with 1-norm exactly `radius`; no ball is built.
 

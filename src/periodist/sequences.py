@@ -286,14 +286,8 @@ class SlowSequence(ex.Ranged):
     def conjugate(self) -> "SlowSequence":
         return combine("conj", self)
 
-    def modulus(self) -> "SlowSequence":
-        return combine("abs", self)
-
     def phase_factor(self) -> "SlowSequence":
         return combine("phase", self)
-
-    def argument(self) -> "SlowSequence":
-        return _compose(ex.Arg(self.expr), self)
 
     def clip_below(self, eps: float) -> "SlowSequence":
         return _compose(ex.Clip(self.expr, eps), self)
@@ -586,7 +580,10 @@ def _pairing(a: SlowSequence, b: FastSequence, radius: int, product) -> PairingR
     if a.dimension != b.dimension:
         raise DimensionMismatch("pairing arguments must share a dimension")
     ex.NONNEG.check(radius, "radius")
-    value = complex(np.sum(window_array([a.expr, b.expr], a.dimension, radius, product)))
+    products = window_array([a.expr, b.expr], a.dimension, radius, product)
+    with np.errstate(over="ignore"):  # a sum past the double range is inf, as reported
+        value = complex(np.sum(products))
+    del products  # not held while the tail bound scans b's support
     tail = 0.0 if b.support is not None and b.support <= radius else _tail_bound(a.cert, b, radius)
     return PairingResult(value, radius, tail)
 

@@ -308,7 +308,7 @@ def test_a_window_past_the_budget_is_refused_before_any_ball_is_built(tmp_path, 
     assert time.perf_counter() - start < 0.1
     assert (code, out) == (1, "")
     assert err == ("periodist: input error: params.R: window of at least 10674672001 points at dimension 3 "
-                   "exceeds the budget of 10000000, got 2000\n")
+                   "(32024016003 coordinates) exceeds the budget of 10000000 coordinates, got 2000\n")
     assert lattice.ball.cache_info()[:2] == before[:2]
     # Under a 1 GiB cap the same job exits 1 in a fresh interpreter, where it once ran out of memory.
     code, out, err = _cli_process(["corona-check", "--spec", spec], address_space=1 << 30)
@@ -329,6 +329,7 @@ def test_the_window_budget_is_exact_at_its_edge_and_cheap_far_past_it(tmp_path):
         return cli.Job(command, str(path), cli.build_parser().parse_args([command, "--spec", str(path)]))
 
     assert job("corona-check", 1, 4_999_999).radius == 4_999_999  # 9,999,999 points
+    assert job("corona-check", 3, 50).radius == 50  # 171,801 points, 515,403 coordinates
     with pytest.raises(InputError, match=r"^params.R: window of at least 10000001 points at dimension 1"):
         job("corona-check", 1, 5_000_000)
     start = time.perf_counter()
@@ -337,6 +338,17 @@ def test_the_window_budget_is_exact_at_its_edge_and_cheap_far_past_it(tmp_path):
     assert time.perf_counter() - start < 0.1
     # A command that scans no window of radius R does not price it.
     assert job("exp-demo", 3, 2000).radius == 2000
+
+
+def test_a_wide_window_is_priced_by_its_coordinates(tmp_path, capsys):
+    # 2,000,001 points, but each has a million coordinates: the build is refused before it starts.
+    spec = write_job(tmp_path, "job.json", {**CORONA_D3, "dimension": 10**6, "params": {**CORONA_D3["params"], "R": 1}})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["corona-check", "--spec", spec])
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (1, "")
+    assert err == ("periodist: input error: params.R: window of at least 2000001 points at dimension 1000000 "
+                   "(2000001000000 coordinates) exceeds the budget of 10000000 coordinates, got 1\n")
 
 
 # -- errors, formats, determinism ---------------------------------------

@@ -2,7 +2,6 @@
 
 import cmath
 import itertools
-import math
 import random
 
 import numpy as np
@@ -16,13 +15,9 @@ from periodist.fourier import (
     PeriodBasis,
     centred_window,
     coeffs_from_samples,
-    comb_identity,
-    distribution_action,
-    dual_point,
     sample_grid,
     synthesize,
 )
-from periodist.sequences import from_values
 
 
 def dft_oracle(samples):
@@ -42,7 +37,7 @@ def dft_oracle(samples):
     return out
 
 
-# -- bases and dual points ----------------------------------------------
+# -- bases and sampling grids -------------------------------------------
 
 
 def test_basis_validation():
@@ -57,25 +52,6 @@ def test_basis_validation():
     assert basis.det == pytest.approx(2.0)
     with pytest.raises(ValueError):
         basis.matrix[0, 0] = 5.0
-
-
-def test_dual_point_identity_basis():
-    basis = PeriodBasis(np.eye(2))
-    assert dual_point(basis, (3, -2)).tolist() == [3.0, -2.0]
-
-
-def test_dual_point_shear_basis():
-    basis = PeriodBasis([[1.0, 0.0], [1.0, 1.0]])
-    v = dual_point(basis, (0, 1))
-    assert v.tolist() == [0.0, 1.0]
-    # pairing with each period row returns the integer index entries
-    assert (basis.matrix @ v).tolist() == [0.0, 1.0]
-
-
-def test_dual_point_dimension_check():
-    basis = PeriodBasis(np.eye(2))
-    with pytest.raises(InputError):
-        dual_point(basis, (1,))
 
 
 def test_sample_grid_unit_interval():
@@ -175,6 +151,10 @@ def test_zero_spectrum_keeps_the_unit_certificate():
     coeffs = coeffs_from_samples(PeriodBasis(np.eye(2)), np.zeros((3, 3), dtype=complex))
     assert coeffs.cert == ndindex_coeffs(np.zeros((3, 3))).cert
     assert (coeffs.cert.M, coeffs.cert.k) == (1.0, 0)
+    # Otherwise M is the largest modulus, and inf where one passes the double range.
+    assert CoefficientMap.from_dict({(4,): 3.0, (0,): 1.0}, 1).cert.M == 3.0
+    huge = CoefficientMap.from_dict({(1,): complex(1.5e308, 1.5e308), (0,): 1.0}, 1)
+    assert huge.cert.M == float("inf")
 
 
 def test_samples_must_be_cubic():
@@ -245,7 +225,7 @@ def test_empty_map_synthesizes_zero():
     assert synthesize(basis, coeffs, (0.2,)) == 0.0
 
 
-# -- coefficient maps and the comb --------------------------------------
+# -- coefficient maps ---------------------------------------------------
 
 
 def test_coefficient_map_json_round_trip():
@@ -258,47 +238,6 @@ def test_coefficient_map_json_round_trip():
         CoefficientMap.from_json({"coeffs": {"a,b": [1.0, 0.0]}})
     with pytest.raises(InputError):
         CoefficientMap.from_json({"coeffs": {"1": [1.0]}})
-
-
-def test_coefficient_map_growth_check():
-    coeffs = CoefficientMap.from_dict({(4,): 3.0, (0,): 1.0}, 1)
-    assert coeffs.check_growth()
-    assert coeffs.cert.M == 3.0
-    assert not CoefficientMap.from_dict({(1,): complex("nan")}, 1).check_growth()
-    # a modulus past the double range: abs raises, and the bound is inf
-    huge = CoefficientMap.from_dict({(1,): complex(1.5e308, 1.5e308), (0,): 1.0}, 1)
-    assert huge.cert.M == math.inf
-    assert huge.check_growth()
-
-
-def test_comb_is_the_all_ones_sequence():
-    comb = comb_identity(2)
-    assert comb.eval((5, -3)) == 1.0
-    assert (comb.cert.M, comb.cert.k) == (1.0, 0)
-
-
-def test_comb_action_is_the_plain_sample_sum():
-    comb = comb_identity(1)
-    data = {(0,): 0.5, (2,): 0.25, (-1,): -0.125}
-    result = distribution_action(comb, from_values(data, 1), 5)
-    assert result.value == sum(data.values())
-    assert result.tail_bound == 0.0
-
-
-def test_finite_map_action():
-    coeffs = CoefficientMap.from_dict({(0,): 2.0}, 1)
-    test = from_values({(0,): 3.0}, 1)
-    result = distribution_action(coeffs, test, 3)
-    assert result.value == 6.0
-    assert result.tail_bound == 0.0
-
-
-def test_map_action_outside_window_has_positive_tail():
-    coeffs = CoefficientMap.from_dict({(0,): 1.0, (6,): 1.0}, 1)
-    test = from_values({(0,): 1.0, (6,): 1.0}, 1)
-    result = distribution_action(coeffs, test, 3)
-    assert result.value == 1.0
-    assert result.tail_bound >= 1.0  # the missed stored term
 
 
 def test_metadata_strings_exist():

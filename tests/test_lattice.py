@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodist import lattice
-from periodist.lattice import ball, ball_count, ball_iter, norm1, shell, shell_count, shell_count_bound
+from periodist.lattice import ball, ball_count, ball_iter, norm1, shell_count, shell_count_bound
 
 
 def brute_ball(d, r):
@@ -60,7 +60,7 @@ def test_shell_counts():
     assert [shell_count(2, r) for r in range(4)] == [1, 4, 8, 12]
     assert [shell_count(3, r) for r in range(4)] == [1, 6, 18, 38]
     for d in range(1, 6):
-        assert [shell_count(d, r) for r in range(13)] == [len(shell(d, r)) for r in range(13)]
+        assert [shell_count(d, r) for r in range(13)] == np.bincount(ball(d, 12)[1]).tolist()
         assert [ball_count(d, r) for r in range(13)] == [len(ball(d, r)[0]) for r in range(13)]
 
 
@@ -76,21 +76,6 @@ def test_shell_count_bound_exhaustive(d):
     for r in range(top + 1):
         assert counts[r] <= shell_count_bound(d, r)
         assert counts[r] == shell_count(d, r)
-
-
-def test_shell_lists_only_that_norm():
-    pts = shell(2, 2)
-    assert all(norm1(tuple(p)) == 2 for p in pts)
-    assert len(pts) == shell_count(2, 2)
-
-
-def test_shell_is_a_frozen_view_of_the_ball():
-    points, _ = ball(3, 4)
-    pts = shell(3, 4)
-    assert np.shares_memory(pts, points)
-    assert [tuple(p) for p in pts] == [p for p in brute_ball(3, 4) if norm1(p) == 4]
-    with pytest.raises(ValueError):
-        pts[0, 0] = 99
 
 
 def test_ball_iter_yields_tuples_in_order():
