@@ -55,7 +55,8 @@ from .stable_rank import approx_by_invertibles, q_algebra_violation, reduce_pair
 DEFAULT_RADIUS = 50
 DEFAULT_DIMENSION = 1
 
-# These params are read with the range declared on the field that carries them.
+# These params are read with the range declared on the field that carries them;
+# no field carries a tolerance.
 _PARAM_RANGES = {
     "R": ex._ranges(CoronaWitness)["radius"],
     "nMax": ex._ranges(CoronaWitness)["radius"],
@@ -63,6 +64,7 @@ _PARAM_RANGES = {
     "K": ex._ranges(CoronaWitness)["K"],
     "rate": ex._ranges(ex.ExpDecay)["rate"],
     "maxDegree": ex._ranges(exp_type.ReducerSearchReport)["max_degree"],
+    "tolerance": ex.NONNEG,
 }
 
 
@@ -200,6 +202,9 @@ class Job:
                 raise InputError(
                     f"inputs.samples: file holds {flat.size} values, shape needs {expected}"
                 )
+            bad = np.flatnonzero(~np.isfinite(flat))
+            if bad.size:
+                raise InputError(f"inputs.samples: file value {bad[0]} is not finite")
             return flat.reshape(shape)
         # Inline: a cubic array nested `dimension` deep.
         cube = (len(ex._array(raw, "inputs.samples")),) * dimension
@@ -629,9 +634,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         job = Job(args.command, args.spec, args)
         results, verdict = _HANDLERS[args.command][0](job)

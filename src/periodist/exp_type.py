@@ -17,21 +17,21 @@ Fractions: ints stay Python ints, and a Fraction appears only where an
 input or a product holds one.  Otherwise complex double precision is
 used.
 
-The reducer sweep is one array pass per chunk of multipliers, with the
-report bits of a per-combination ``np.roots`` and Newton loop.  Its roots
-are numerically confirmed (a residual), not certified zero discs.
+The reducer sweep runs on that one pair: every combination is an exact
+int64 row of coefficients, and its roots come from one array pass per
+chunk of rows, with the report bits of a per-combination ``np.roots`` and
+Newton loop.  Its roots are numerically confirmed (a residual), not
+certified zero discs.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import expr as ex
-from .errors import InputError
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -45,9 +45,9 @@ class Poly:
 
     Coefficients are exact, kept as given (ints and Fractions), when
     every input is an int or a Fraction, and complex doubles otherwise;
-    ``values`` holds them as complex doubles either way, for evaluation,
-    equality and hashing.  Instances are immutable; arithmetic returns
-    new polynomials with trailing zeros stripped.
+    ``values`` holds them as complex doubles either way, for equality and
+    hashing.  Instances are immutable; arithmetic returns new polynomials
+    with trailing zeros stripped.
     """
 
     __slots__ = ("coeffs", "exact", "values")
@@ -64,11 +64,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
     def coefficient(self, power: int):
         ex.NONNEG.check(power, "power")
@@ -98,9 +93,6 @@ class Poly:
             [self.coefficient(i) - other.coefficient(i) for i in range(width)]
         )
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.coeffs or not other.coeffs:
             return Poly([])
@@ -112,15 +104,6 @@ class Poly:
                 out[i + j] += a * b
         return Poly(out)
 
-    def __call__(self, z: complex) -> complex:
-        value = complex(0)
-        for c in reversed(self.values):
-            value = value * z + c
-        return value
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
 
@@ -129,8 +112,8 @@ def one() -> Poly:
     return Poly([1])
 
 
-def monomial(power: int, coefficient=1) -> Poly:
-    return Poly([0] * power + [coefficient])
+def monomial(power: int) -> Poly:
+    return Poly([0] * power + [1])
 
 
 def standard_identity() -> tuple[Poly, Poly, Poly, Poly]:
@@ -169,7 +152,7 @@ def _last(mask):
 
 
 def _horner(coeffs, zr, zi):
-    """``Poly.__call__`` per row at that row's points, with CPython's ``_Py_c_prod``."""
+    """Horner's rule per row at that row's points, with CPython's ``_Py_c_prod``."""
     vr = vi = np.zeros_like(zr)
     for c in coeffs.T[::-1]:
         vr, vi = vr * zr - vi * zi + c.real[:, None], vr * zi + vi * zr + c.imag[:, None]
@@ -186,20 +169,18 @@ def _quotient(ar, ai, br, bi):
     return real / denom, imag / denom
 
 
-def _best_residuals(values, slopes, degree, top):
+def _best_residuals(values, slopes, degree):
     """Per combination, the least |p(z)| over its ``np.roots`` roots after 3 Newton
-    steps; a NaN at the first root wins and later NaNs lose, as in a ``<`` fold."""
-    low = np.argmax(values != 0, axis=1)
-    key = (degree * values.shape[1] + low) * values.shape[1] + top
+    steps; a NaN at the first root wins and later NaNs lose, as in a ``<`` fold.
+    Every row has a nonzero constant term, so ``np.roots`` finds no zero root."""
     best = np.full(len(values), np.nan)
-    for k in set(key[top >= 1].tolist()):
-        rows = np.flatnonzero(key == k)
-        n, a, b = degree[rows[0]], low[rows[0]], top[rows[0]]
-        trimmed = values[rows, a:b + 1][:, ::-1]
-        companion = np.zeros((len(rows), b - a, b - a), complex)
-        companion[:, np.arange(1, b - a), np.arange(b - a - 1)] = 1
-        companion[:, :1, :] = -trimmed[:, None, 1:] / trimmed[:, None, :1]
-        roots = np.concatenate([np.linalg.eigvals(companion), np.zeros((len(rows), a), complex)], axis=1)
+    for n in set(degree[degree >= 1].tolist()):
+        rows = np.flatnonzero(degree == n)
+        leading_first = values[rows, :n + 1][:, ::-1]
+        companion = np.zeros((len(rows), n, n), complex)
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1
+        companion[:, :1, :] = -leading_first[:, None, 1:] / leading_first[:, None, :1]
+        roots = np.linalg.eigvals(companion)
         zr, zi, live = roots.real, roots.imag, True
         for _ in range(3):
             sr, si = _horner(slopes[rows, :n], zr, zi)
@@ -223,80 +204,44 @@ class ReducerSearchReport(ex.Ranged):
     max_root_residual: float
 
 
-def polynomial_reducer_search(
-    max_degree: int = 3,
-    f: Poly | None = None,
-    g: Poly | None = None,
-    coefficient_range: tuple[int, int] = (-2, 2),
-) -> ReducerSearchReport:
-    """Sweep multipliers h of bounded degree and show f + h*g is never a unit.
+def polynomial_reducer_search(max_degree: int = 3) -> ReducerSearchReport:
+    """Sweep multipliers h of degree at most ``max_degree`` with coefficients in -2..2
+    and show f + h*g is never a unit, for the standard pair f = z - 1, g = z^3.
 
-    For the standard pair f = z - 1, g = z^3 the low coefficients of the
-    combination are pinned (constant -1, degree one 1) because g only
-    feeds degrees >= 3, so every combination is nonconstant.  Each swept
-    combination additionally gets a numerically confirmed root (residual):
-    evidence of a zero, where a unit would need to be zero-free, but no
-    proof, since certified zero discs are still open.  A combination
-    with a non-finite companion matrix is an InputError naming f and g.
+    Multiplying by g = z^3 shifts h up by three degrees, so each combination's
+    coefficient row is f's coefficients followed by h's from column 3 on, exact in
+    int64.  Its constant (-1) and degree-one (1) coefficients are pinned, so every
+    combination is nonconstant.  Each swept combination additionally gets a
+    numerically confirmed root (residual): evidence of a zero, where a unit would
+    need to be zero-free, but no proof, since certified zero discs are still open.
     """
     ex.NONNEG.check(max_degree, "max_degree")
-    if f is None or g is None:
-        _, _, f, g = standard_identity()
-    lo, hi = map(operator.index, coefficient_range)
-    if lo > hi:
-        raise InputError("empty coefficient range")
-    span = hi - lo + 1
+    _, _, f, g = standard_identity()
+    shift = len(g.coeffs) - 1
     width = max_degree + 1
-    candidates = span**width
+    candidates = 5**width
     units_found = 0
     all_nonconstant = True
     max_residual = 0.0
-    # Multiplying by g cannot touch degrees below g's lowest nonzero power,
-    # so those coefficients of the combination are pinned to f's.
-    valuation = next(
-        (i for i, c in enumerate(g.coeffs) if c != 0), 0
-    )
-    pinned = {power: complex(f.coefficient(power)) for power in range(valuation)}
-    columns = max(len(f.coeffs), width + len(g.coeffs) - 1, 1)
-    # int64 holds every stamp, coefficient and slope exactly for small int
-    # inputs; otherwise Python objects keep Fractions, big ints and complex.
-    ints = f.exact and g.exact and all(type(c) is int for c in f.coeffs + g.coeffs)
-    bound = ints and (max(map(abs, f.coeffs), default=0) + max(-lo, hi) * sum(map(abs, g.coeffs))) * columns
-    lane = np.int64 if ints and max(bound, candidates) < 2**53 else object
     for start in range(0, candidates, _CHUNK):
-        stamps = np.arange(start, min(start + _CHUNK, candidates), dtype=lane)
-        digits = lo + stamps[:, None] // span ** np.arange(width, dtype=lane) % span
-        # Poly.__mul__'s sums, in its order.  Terms of h's trailing zero
-        # digits add exact zeros unless g is not finite, and then the sweep
-        # fails on a non-finite companion matrix either way; h = 0 gives 0.
-        product = np.full((len(digits), columns), 0 if g.exact else complex(0), lane)
-        for i in range(width):
-            for j, c in enumerate(g.coeffs):
-                product[:, i + j] += digits[:, i] * c
-        product[(digits == 0).all(axis=1)] = 0
-        exact = np.array([f.coefficient(k) for k in range(columns)], lane) + product
+        stamps = np.arange(start, min(start + _CHUNK, candidates))
+        exact = np.zeros((len(stamps), shift + width), np.int64)
+        exact[:, :len(f.coeffs)] = f.coeffs
+        exact[:, shift:] = stamps[:, None] // 5 ** np.arange(width) % 5 - 2  # base-5 digits, -2..2
         degree = _last(exact != 0)
         values = exact.astype(complex)
-        slopes = (np.arange(1, columns, dtype=lane) * exact[:, 1:]).astype(complex)
-        # A nonzero constant is a unit; the zero polynomial is not.  No root,
-        # even of the doubles, also breaks all_nonconstant.
+        slopes = (np.arange(1, shift + width) * exact[:, 1:]).astype(complex)
+        # A nonzero constant is a unit; the zero polynomial is not.
         units_found += int(np.count_nonzero(degree == 0))
-        top = _last(values != 0)
-        all_nonconstant &= bool((top >= 1).all())
-        moved = (values[:, :valuation] != np.array(list(pinned.values()), complex)).any(axis=1)
-        if (moved & (degree >= 1)).any():
-            raise InputError("low coefficients moved; shift structure violated")
-        try:
-            with np.errstate(all="ignore"):
-                best = _best_residuals(values, slopes, degree, top)
-        except np.linalg.LinAlgError as err:  # a non-finite or overflowing companion matrix
-            raise InputError(f"f={f!r}, g={g!r}: no roots for some combination f + h*g: {err}") from None
+        all_nonconstant &= bool((degree >= 1).all())
+        with np.errstate(all="ignore"):
+            best = _best_residuals(values, slopes, degree)
         max_residual = float(np.fmax.reduce(best, initial=max_residual))
     return ReducerSearchReport(
         max_degree=max_degree,
         candidates_checked=candidates,
         units_found=units_found,
         all_nonconstant=all_nonconstant,
-        fixed_low_coefficients=pinned,
+        fixed_low_coefficients={power: complex(f.coefficient(power)) for power in range(shift)},
         max_root_residual=max_residual,
     )

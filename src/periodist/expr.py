@@ -794,10 +794,10 @@ def _reals(value, path: str, shape: tuple[int | None, ...]) -> np.ndarray:
 
 
 def _complex(value, path: str) -> complex:
-    """A number, or an ``[re, im]`` pair."""
+    """A finite number, or an ``[re, im]`` pair of finite numbers."""
     if isinstance(value, list):
-        return complex(*_nested(value, path, (2,), _real))
-    return complex(_real(value, path))
+        return complex(*_nested(value, path, (2,), lambda part, where: _real(part, where, FINITE)))
+    return complex(_real(value, path, FINITE))
 
 
 def _nested(value, path: str, shape: tuple[int | None, ...], leaf) -> list:

@@ -41,15 +41,17 @@ _DET_TOL = 1e-9
 class PeriodBasis:
     """Invertible period matrix with its validated inverse.
 
-    The determinant must stay away from zero (|det| >= 1e-9) and the
-    computed inverse must reproduce the identity to 1e-12 per entry,
-    otherwise the basis is rejected.
+    The entries must be finite, the determinant must stay away from zero
+    (|det| >= 1e-9) and the computed inverse must reproduce the identity to
+    1e-12 per entry, otherwise the basis is rejected.
     """
 
     def __init__(self, matrix):
         array = np.asarray(matrix, dtype=float)
         if array.ndim != 2 or array.shape[0] != array.shape[1] or array.shape[0] < 1:
             raise InputError("period matrix must be square and non-empty")
+        if not np.isfinite(array).all():
+            raise InputError("period matrix entries must be finite")
         det = float(np.linalg.det(array))
         if abs(det) < _DET_TOL:
             raise InputError(f"period matrix is numerically singular (|det| = {abs(det):.3e})")
@@ -129,11 +131,13 @@ class CoefficientMap(ex.Ranged):
 
 def _modulus_cert(values) -> GrowthCertificate:
     """(M, 0) with M the largest modulus, or 1 when none is positive; inf where a modulus
-    passes the double range and abs raises."""
+    is NaN, or passes the double range and abs raises."""
     try:
-        top = max(map(abs, values), default=1.0)
+        moduli = list(map(abs, values))
     except OverflowError:
-        top = math.inf
+        return GrowthCertificate(math.inf, 0)
+    # max() of a list holding NaN depends on where the NaN stands.
+    top = math.inf if any(map(math.isnan, moduli)) else max(moduli, default=1.0)
     return GrowthCertificate(top if top > 0 else 1.0, 0)
 
 
@@ -155,7 +159,10 @@ def coeffs_from_samples(basis: PeriodBasis, samples) -> CoefficientMap:
     count = array.shape[0]
     if any(s != count for s in array.shape):
         raise InputError("samples must be a cubic array (equal length per axis)")
-    spectrum = np.fft.fftn(array) / float(count**d)
+    # Finite samples near the double range may overflow to inf, and inf - inf to NaN;
+    # _modulus_cert then makes M inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.fftn(array) / float(count**d)
     # Row-major grid indices, shifted past the window's top into the negatives.
     index = np.indices(array.shape).reshape(d, -1)
     index[index > centred_window(count)[1]] -= count

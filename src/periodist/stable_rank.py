@@ -144,15 +144,14 @@ class TupleReduction:
 def reduce_tuple(
     family: list[SlowSequence],
     cofactors: list[SlowSequence],
-    epsilon: float = 0.25,
     radius: int = 50,
-    tolerance: float = 1e-12,
 ) -> TupleReduction:
     """Shorten a unimodular (N+1)-tuple to a unimodular N-tuple (N >= 2).
 
     With family (a_1, ..., a_N, t) and cofactors (b_1, ..., b_N, s), the
     pair (a_N, c) with c = b_1 a_1 + ... + b_{N-1} a_{N-1} + s t is
-    unimodular with cofactors (b_N, 1); reducing it yields a multiplier h
+    unimodular with cofactors (b_N, 1); reducing it (with ``reduce_pair``'s
+    default epsilon and tolerance) yields a multiplier h
     with v = a_N + h c invertible.  Only the N-th member moves:
     a_N' = a_N + (h s) t, and v^{-1}(a_N' + h sum b_i a_i) = 1 gives the
     new cofactors (v^{-1} h b_1, ..., v^{-1} h b_{N-1}, v^{-1}).
@@ -167,7 +166,7 @@ def reduce_tuple(
     pieces.append(combine("mul", last_cof, last))
     complement = pieces[0] if len(pieces) == 1 else combine("add", *pieces)
     one = constant(1.0, pivot.dimension)
-    trace = reduce_pair(pivot, complement, pivot_cof, one, epsilon, radius, tolerance)
+    trace = reduce_pair(pivot, complement, pivot_cof, one, radius=radius)
     unit = is_unit(trace.result, trace.result_inverse_witness, radius)
     if not unit.invertible:
         raise MathFailure(

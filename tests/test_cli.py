@@ -576,6 +576,42 @@ def test_malformed_field_names_its_json_path(tmp_path, capsys, command, where, j
     assert where in err
 
 
+NAN = float("nan")
+
+# (command, message, job, test id): a non-finite number or a negative tolerance.
+NON_FINITE = [
+    ("fourier-synth", "inputs.period_matrix: period matrix entries must be finite",
+     {"inputs": {**SYNTH, "period_matrix": [[NAN]]}}, "period-matrix"),
+    ("fourier-coeffs", "inputs.samples[1]: must be finite, got nan",
+     {"inputs": {"period_matrix": [[1.0]], "samples": [1.0, NAN, 0.0, 1.0]}}, "inline-sample"),
+    ("fourier-coeffs", "inputs.samples: file value 1 is not finite",
+     {"inputs": {"period_matrix": [[1.0]], "samples": {"file": "nan.bin", "shape": [4]}}}, "sample-file"),
+    ("fourier-synth", "inputs.coeffs.coeffs.1[0]: must be finite, got nan",
+     {"inputs": {**SYNTH, "coeffs": {"coeffs": {"1": [NAN, 0.0]}, "dimension": 1}}}, "coefficient"),
+    *[
+        (command, f"params.tolerance: must be >= 0, got {tolerance}",
+         {"inputs": inputs, "params": {"tolerance": tolerance, "R": 3, **extra}}, f"{command}-{tolerance}")
+        for tolerance in (NAN, -1)
+        for command, inputs, extra in [
+            ("bezout-solve", {"a": [{"expr": ONE}]}, {"delta": 1.0, "K": 0}),
+            ("bezout-verify", {"a": [{"expr": ONE}], "b": [{"expr": ONE}]}, {}),
+            ("reduce", {"a1": {"expr": ONE}, "a2": {"expr": ZERO}, "b1": {"expr": ONE}, "b2": {"expr": ZERO}}, {}),
+        ]
+    ],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, message, job", [case[:3] for case in NON_FINITE],
+                         ids=[case[3] for case in NON_FINITE])
+def test_a_non_finite_input_exits_one_naming_its_path(tmp_path, capsys, command, message, job):
+    np.array([1.0, NAN, 0.0, 1.0], "<c16").tofile(tmp_path / "nan.bin")
+    spec = write_job(tmp_path, "job.json", {"dimension": 1, **job})
+    code, out, err = run(capsys, [command, "--spec", spec])
+    assert (code, out) == (1, "")
+    assert err == f"periodist: input error: {message}\n"
+
+
 # -- fuzz: one mutated leaf of a well-formed job ---------------------------
 
 WELL_FORMED = [
@@ -676,6 +712,25 @@ def test_help_names_every_command(capsys):
     assert info.value.code == 0
     out = capsys.readouterr().out
     assert len(cli._HANDLERS) == 12 and all(name in out for name in cli._HANDLERS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["check-growth"], ["not-a-command", "--spec", "x.json"], ["pair", "--spec", "x", "--window", "w"],
+    ["pair", "--spec", "x", "--format", "xml"], ["pair", "--spec", "x", "--bogus"],
+])
+def test_main_parses_with_one_parser_built_at_import(capsys, monkeypatch, argv):
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+
+    def rebuilt():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == fresh.value.code == (0 if argv == ["--help"] else 1)
+    assert capsys.readouterr() == expected
 
 
 def test_usage_error_message_names_the_program(capsys):

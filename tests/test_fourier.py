@@ -157,6 +157,26 @@ def test_zero_spectrum_keeps_the_unit_certificate():
     assert huge.cert.M == float("inf")
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_period_matrix_is_rejected_before_det():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError, match="period matrix entries must be finite"):
+            PeriodBasis([[1.0, 0.0], [0.0, bad]])
+
+
+@pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.nan], [complex(0, np.nan), 2.0]])
+def test_a_nan_modulus_makes_the_certificate_infinite(values):
+    coeffs = dict(zip([(0,), (1,)], values))
+    assert CoefficientMap.from_dict(coeffs, 1).cert.M == float("inf")
+
+
+@pytest.mark.filterwarnings("error")
+def test_samples_whose_spectrum_overflows_give_an_infinite_certificate_without_a_warning():
+    coeffs = coeffs_from_samples(PeriodBasis([[1.0]]), [1e308, 1e308j, -1e308, 1e308])
+    assert not all(np.isfinite(list(coeffs.coeffs.values())))
+    assert coeffs.cert.M == float("inf")
+
+
 def test_samples_must_be_cubic():
     basis = PeriodBasis(np.eye(2))
     with pytest.raises(InputError):
