@@ -445,7 +445,10 @@ def _run_fourier_synth(job: Job):
     rows = isinstance(raw, list) and raw and isinstance(raw[0], list)
     shape = (None, d) if rows else ((None,) if d == 1 else (d,))
     points = ex._reals(raw, "inputs.points", shape).reshape(-1, d)
-    values = fourier.synthesize(basis, coeffs, points)
+    try:
+        values = fourier.synthesize(basis, coeffs, points)
+    except InputError as err:  # a non-finite point, or a phase past the double range
+        raise InputError(f"inputs.points: {err}") from None
     results = {"values": values.view(np.float64).reshape(-1, 2).tolist()}
     return results, None
 

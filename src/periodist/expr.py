@@ -24,27 +24,30 @@ Every tree composes a growth certificate (M, k) claiming
 they are exact in real arithmetic and are additionally spot-checked on
 finite windows by the callers that rely on them.
 
-Evaluation has one path: ``evaluate_grid`` evaluates a tree on a block of
-indices held in a numpy array, and ``evaluate`` is its one-row case.
-Trees built by combining sequences share subtrees, so a tree is walked
-as the DAG it is: one iterative post-order lists each distinct node once
-(told apart by identity within the call), and each node's ``_eval_grid``
-runs once, with all of its children's arrays, so an n-ary ``Add`` or
-``Mul`` holds all of its arguments' arrays at once.  A child's last
-reader gets its array, an earlier one a read-only view, and a sum or
-product folds into its first argument's array only where that is
-writeable (a lone read-only argument is copied, as a later reader may
+Evaluation has one walk, ``_evaluate``, which evaluates a tree on a
+block of indices held in a numpy array in the tree's own lane:
+``evaluate_grid`` returns its values as complex128, ``evaluate`` is the
+one-row case, and the window scan of ``sequences`` reads the lane
+itself.  Trees built by combining sequences share subtrees, so a tree is
+walked as the DAG it is: one iterative post-order lists each distinct
+node once (told apart by identity within the call), and each node's
+``_eval_grid`` runs once, with all of its children's arrays, so an n-ary
+``Add`` or ``Mul`` holds all of its arguments' arrays at once.  A
+child's last reader gets its array, an earlier one a read-only view, and
+a sum or product folds into its first argument's array only where that
+is writeable (a lone read-only argument is copied, as a later reader may
 fold into the array it views).  Each node does the same arithmetic in
 the same order as a tree walk, so values are bit-identical, and a
-failing ``Recip`` or ``Coord`` raises at the same node.  The
-certificate, structural and wire walks (``composed_cert``,
-``max_axis``, ``is_nonneg_real``, ``lower_bound_cert``, ``to_json``) fold
-over the same post-order, so no walk recurses or revisits a shared subtree.
-Nodes are not interned: the sharing that reductions create is already
-shared objects, and merging structurally equal ones would save only a
-few nodes more.  A reduction evaluates the same objects again in later
-calls, so inner nodes' values on the small slices a window scan names are
-kept, read-only, and the walk stops at a node whose value is kept.
+failing ``Recip`` or ``Coord`` raises at the same node.  The facts
+(``composed_cert``, ``is_nonneg_real``, ``lower_bound_cert``,
+``max_axis``) are one fold of each node's ``_facts`` rule over the same
+post-order, run per query, and ``to_json`` folds the same way, so no
+walk recurses or revisits a shared subtree.  Nodes are not interned: the
+sharing that reductions create is already shared objects, and merging
+structurally equal ones would save only a few nodes more.  A reduction
+evaluates the same objects again in later calls, so inner nodes' values
+on the small slices a window scan names are kept, read-only, and the
+walk stops at a node whose value is kept.
 
 Real values travel in float64.  A node whose value is real at every
 point produces a float64 array: a ``Const`` whose imaginary part is +0.0,
@@ -73,7 +76,8 @@ complex exp per point.
 
 Each node class is the one place its kind is defined: it declares its
 wire ``kind``, its fields (which the JSON wire format mirrors), its grid
-evaluation and its certificate rule.
+evaluation and its facts rule: the growth certificate, nonnegativity,
+floor and largest axis it derives from its children's (``Node._facts``).
 
 Input ranges are declared once, as ``ranged(RULE)`` on the dataclass
 field that carries them: construction checks them, and the JSON readers
@@ -149,13 +153,21 @@ def _accumulate(ufunc, values: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _modulus(z: complex, overflow: float = math.inf) -> float:
-    """``abs(z)``, or ``overflow`` where the modulus passes the double range and abs raises."""
+def _modulus(z: complex) -> float:
+    """``abs(z)``, or inf where the modulus passes the double range and abs raises."""
     try:
         return abs(z)
     except OverflowError:
-        return overflow
+        return math.inf
 
+
+def _floor(delta: float, K: int) -> tuple[float, int] | None:
+    """The floor (delta, K), or None where delta rounds to 0 (or is 0 * inf): a floor of 0 is none."""
+    return (delta, K) if delta > 0 else None
+
+
+# A growth bound that rounds to 0 (a product, or 1/delta for delta = inf) is the least positive double.
+_TINY = math.ulp(0.0)
 
 # Arg and Phase of a real argument: the general formulas at 0 and at pi.
 _ARG_OF_SIGN = np.array([0.0, np.pi])
@@ -212,9 +224,15 @@ class Node(Ranged):
     def children(self) -> tuple["Node", ...]:
         return ()
 
-    # Subclasses declare their wire ``kind`` and implement _eval_grid / _cert_from.
+    # Subclasses declare their wire ``kind`` and implement _eval_grid / _facts.
 
-    def _cert_from(self, child_certs: list[tuple[float, int]]) -> tuple[float, int]:
+    def _facts(self, kids: list[tuple]) -> tuple:
+        """The node's facts ``(cert, nonneg, floor, axis)``, given its children's (in order):
+        the growth certificate (M, k), |value(n)| <= M * (1 + |n|_1)^k with M > 0; whether
+        every value is provably real and >= 0 (False: not established); a floor (delta, K),
+        |value(n)| >= delta * (1 + |n|_1)^(-K) with delta > 0, or None; and the largest
+        coordinate axis in the subtree, or -1.  The growth part reads only the children's
+        growth, so ``sequences._compose`` applies it to claimed certificates."""
         raise NotImplementedError
 
     def _eval_grid(self, points: np.ndarray, norms: np.ndarray, values: list[np.ndarray]) -> np.ndarray:
@@ -233,10 +251,12 @@ class Const(Node):
     def value(self) -> complex:
         return complex(self.re, self.im)
 
-    def _cert_from(self, child_certs):
+    def _facts(self, kids):
         mag = _modulus(self.value)
-        # The zero constant still needs a positive bound constant.
-        return (mag if mag > 0 else 1.0, 0)
+        # The zero constant still needs a positive bound constant, and has no floor; an
+        # overflowing modulus bounds above as inf and below as the largest double.
+        floor = (min(mag, sys.float_info.max), 0) if mag > 0 else None
+        return (mag if mag > 0 else 1.0, 0), self.im == 0 and self.re >= 0, floor, -1
 
     def _eval_grid(self, points, norms, values):
         if self.im == 0 and math.copysign(1.0, self.im) > 0:
@@ -250,8 +270,8 @@ class Coord(Node):
 
     axis: int = ranged(NONNEG)
 
-    def _cert_from(self, child_certs):
-        return (1.0, 1)
+    def _facts(self, kids):
+        return (1.0, 1), False, None, self.axis
 
     def _eval_grid(self, points, norms, values):
         if self.axis >= points.shape[1]:
@@ -265,8 +285,8 @@ class Coord(Node):
 class Norm1(Node):
     kind = "norm1"
 
-    def _cert_from(self, child_certs):
-        return (1.0, 1)
+    def _facts(self, kids):
+        return (1.0, 1), True, None, -1
 
     def _eval_grid(self, points, norms, values):
         return norms.astype(np.float64)
@@ -278,8 +298,8 @@ class PolyEnv(Node):
 
     k: int = ranged(NONNEG)
 
-    def _cert_from(self, child_certs):
-        return (1.0, self.k)
+    def _facts(self, kids):
+        return (1.0, self.k), True, (1.0, 0), -1
 
     def _eval_grid(self, points, norms, values):
         return (1.0 + norms) ** self.k
@@ -291,11 +311,12 @@ class ExpDecay(Node):
 
     rate: float = ranged(POSITIVE)
 
-    def _cert_from(self, child_certs):
-        return (1.0, 0)
+    def _facts(self, kids):
+        return (1.0, 0), True, None, -1
 
     def _eval_grid(self, points, norms, values):
-        return np.exp(-self.rate * norms)
+        with np.errstate(over="ignore"):  # an exponent past the double range is -inf, and its exp 0
+            return np.exp(-self.rate * norms)
 
 
 @dataclass(frozen=True)
@@ -307,8 +328,16 @@ class Add(Node):
     def children(self):
         return self.args
 
-    def _cert_from(self, child_certs):
-        return (sum(m for m, _ in child_certs), max(k for _, k in child_certs))
+    def _facts(self, kids):
+        m, k, nonneg, floor, axis = 0.0, 0, True, None, -1
+        for (c, j), sign, f, x in kids:  # plain statements: max() calls cost more than the rule
+            m += c
+            k = j if j > k else k
+            nonneg = nonneg and sign
+            axis = x if x > axis else axis
+            if f and (floor is None or (f[1], -f[0]) < (floor[1], -floor[0])):
+                floor = f  # the first of least K, then of largest delta
+        return (m, k), nonneg, floor if nonneg else None, axis  # a nonnegative sum: its best term's floor
 
     def _eval_grid(self, points, norms, values):
         return _accumulate(np.add, values)
@@ -323,11 +352,15 @@ class Mul(Node):
     def children(self):
         return self.args
 
-    def _cert_from(self, child_certs):
-        m = 1.0
-        for c, _ in child_certs:
-            m *= c
-        return (m, sum(k for _, k in child_certs))
+    def _facts(self, kids):
+        m, k, nonneg, floor, axis = 1.0, 0, True, (1.0, 0), -1
+        for (c, j), sign, f, x in kids:
+            m = m * c or _TINY
+            k += j
+            nonneg = nonneg and sign
+            axis = x if x > axis else axis
+            floor = floor and f and (floor[0] * f[0], floor[1] + f[1])
+        return (m, k), nonneg, floor and _floor(*floor), axis
 
     def _eval_grid(self, points, norms, values):
         return _accumulate(np.multiply, values)
@@ -342,8 +375,9 @@ class Neg(Node):
     def children(self):
         return (self.arg,)
 
-    def _cert_from(self, child_certs):
-        return child_certs[0]
+    def _facts(self, kids):
+        cert, _, floor, axis = kids[0]
+        return cert, False, floor, axis
 
     def _eval_grid(self, points, norms, values):
         return -values[0]
@@ -358,8 +392,8 @@ class Conj(Node):
     def children(self):
         return (self.arg,)
 
-    def _cert_from(self, child_certs):
-        return child_certs[0]
+    def _facts(self, kids):
+        return kids[0]
 
     def _eval_grid(self, points, norms, values):
         return np.conj(values[0])
@@ -374,8 +408,9 @@ class Abs(Node):
     def children(self):
         return (self.arg,)
 
-    def _cert_from(self, child_certs):
-        return child_certs[0]
+    def _facts(self, kids):
+        cert, _, floor, axis = kids[0]
+        return cert, True, floor, axis
 
     def _eval_grid(self, points, norms, values):
         return np.abs(values[0])
@@ -390,8 +425,8 @@ class Arg(Node):
     def children(self):
         return (self.arg,)
 
-    def _cert_from(self, child_certs):
-        return (math.pi, 0)
+    def _facts(self, kids):
+        return (math.pi, 0), False, None, kids[0][3]
 
     def _eval_grid(self, points, norms, values):
         out = _real_select(values[0], _ARG_OF_SIGN)
@@ -407,8 +442,8 @@ class Phase(Node):
     def children(self):
         return (self.arg,)
 
-    def _cert_from(self, child_certs):
-        return (1.0, 0)
+    def _facts(self, kids):
+        return (1.0, 0), False, (1.0, 0), kids[0][3]
 
     def _eval_grid(self, points, norms, values):
         out = _real_select(values[0], _PHASE_OF_SIGN)
@@ -425,9 +460,9 @@ class Clip(Node):
     def children(self):
         return (self.arg,)
 
-    def _cert_from(self, child_certs):
-        m, k = child_certs[0]
-        return (max(m, self.eps), k)
+    def _facts(self, kids):
+        (m, k), nonneg, _, axis = kids[0]
+        return (max(m, self.eps), k), nonneg, (self.eps, 0), axis
 
     def _eval_grid(self, points, norms, values):
         v = values[0]
@@ -453,8 +488,10 @@ class Recip(Node):
     def children(self):
         return (self.arg,)
 
-    def _cert_from(self, child_certs):
-        return (1.0 / self.delta, self.K)
+    def _facts(self, kids):
+        # The argument's growth (m, k) floors the reciprocal at (1/m, k).
+        (m, k), nonneg, _, axis = kids[0]
+        return (1.0 / self.delta or _TINY, self.K), nonneg, _floor(1.0 / m, k), axis
 
     def _eval_grid(self, points, norms, values):
         v = values[0]
@@ -592,33 +629,14 @@ class GrowthCertificate(Ranged):
         return self.M * (1.0 + norms) ** self.k
 
 
-def _cert_rule(node: Node, child_certs: list[tuple[float, int]]) -> tuple[float, int]:
-    return node._cert_from(child_certs)
+def _facts_of(node: Node) -> tuple:
+    """The root's facts record (see ``Node._facts``): one fold over the post-order."""
+    return _fold(_postorder(node)[0], lambda n, kids: n._facts(kids))[id(node)]
 
 
 def composed_cert(node: Node) -> tuple[float, int]:
     """Growth certificate (M, k) composed syntactically from the leaves."""
-    return _fold(_postorder(node)[0], _cert_rule)[id(node)]
-
-
-def max_axis(node: Node) -> int:
-    """Largest coordinate axis referenced anywhere in the tree, or -1."""
-    return max((n.axis for n, _ in _postorder(node)[0] if isinstance(n, Coord)), default=-1)
-
-
-# ---------------------------------------------------------------------------
-# Certified structural facts: nonnegativity and pointwise lower bounds.
-# ---------------------------------------------------------------------------
-
-
-def _nonneg_rule(node: Node, child_facts: list[bool]) -> bool:
-    if isinstance(node, Const):
-        return node.im == 0 and node.re >= 0
-    if isinstance(node, (Norm1, PolyEnv, ExpDecay, Abs)):
-        return True
-    if isinstance(node, (Add, Mul, Conj, Clip, Recip)):
-        return all(child_facts)
-    return False
+    return _facts_of(node)[0]
 
 
 def is_nonneg_real(node: Node) -> bool:
@@ -626,7 +644,7 @@ def is_nonneg_real(node: Node) -> bool:
 
     Conservative: False only means "not established syntactically".
     """
-    return _fold(_postorder(node)[0], _nonneg_rule)[id(node)]
+    return _facts_of(node)[1]
 
 
 def lower_bound_cert(node: Node) -> tuple[float, int] | None:
@@ -638,44 +656,12 @@ def lower_bound_cert(node: Node) -> tuple[float, int] | None:
     negation / conjugate wrappers, products of recognised forms, and sums
     of nonnegative terms at least one of which is recognised.
     """
-    order, _ = _postorder(node)
-    certs = _fold(order, _cert_rule)
-    nonneg = _fold(order, _nonneg_rule)
+    return _facts_of(node)[2]
 
-    def rule(n: Node, bounds: list) -> tuple[float, int] | None:
-        if isinstance(n, Const):
-            mag = _modulus(n.value, sys.float_info.max)  # still below an overflowing modulus
-            return (mag, 0) if mag > 0 else None
-        if isinstance(n, (PolyEnv, Phase)):
-            return (1.0, 0)
-        if isinstance(n, Clip):
-            return (n.eps, 0)
-        if isinstance(n, Recip):
-            m, k = certs[id(n.arg)]
-            return (1.0 / m, k)
-        if isinstance(n, (Abs, Neg, Conj)):
-            return bounds[0]
-        if isinstance(n, Mul):
-            if None in bounds:
-                return None
-            delta, K = 1.0, 0
-            for lb in bounds:
-                delta *= lb[0]
-                K += lb[1]
-            return (delta, K)
-        if isinstance(n, Add):
-            if not all(nonneg[id(a)] for a in n.args):
-                return None
-            best: tuple[float, int] | None = None
-            for lb in bounds:
-                if lb is None:
-                    continue
-                if best is None or (lb[1], -lb[0]) < (best[1], -best[0]):
-                    best = lb
-            return best
-        return None
 
-    return _fold(order, rule)[id(node)]
+def max_axis(node: Node) -> int:
+    """Largest coordinate axis referenced anywhere in the tree, or -1."""
+    return _facts_of(node)[3]
 
 
 # ---------------------------------------------------------------------------

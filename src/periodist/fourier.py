@@ -42,8 +42,9 @@ class PeriodBasis:
     """Invertible period matrix with its validated inverse.
 
     The entries must be finite, the determinant must stay away from zero
-    (|det| >= 1e-9) and the computed inverse must reproduce the identity to
-    1e-12 per entry, otherwise the basis is rejected.
+    (|det| >= 1e-9) and within the double range, and the computed inverse
+    must reproduce the identity to 1e-12 per entry, otherwise the basis is
+    rejected.
     """
 
     def __init__(self, matrix):
@@ -52,12 +53,16 @@ class PeriodBasis:
             raise InputError("period matrix must be square and non-empty")
         if not np.isfinite(array).all():
             raise InputError("period matrix entries must be finite")
-        det = float(np.linalg.det(array))
-        if abs(det) < _DET_TOL:
-            raise InputError(f"period matrix is numerically singular (|det| = {abs(det):.3e})")
-        inverse = np.linalg.inv(array)
-        residual = float(np.abs(array @ inverse - np.eye(array.shape[0])).max())
-        if residual > 1e-12:
+        # Past the double range a determinant or residual is inf or NaN, and rejected below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = float(np.linalg.det(array))
+            if not math.isfinite(det):
+                raise InputError("period matrix determinant passes the double range")
+            if abs(det) < _DET_TOL:
+                raise InputError(f"period matrix is numerically singular (|det| = {abs(det):.3e})")
+            inverse = np.linalg.inv(array)
+            residual = float(np.abs(array @ inverse - np.eye(array.shape[0])).max())
+        if not residual <= 1e-12:
             raise InputError(
                 f"period matrix inverse residual {residual:.3e} exceeds 1e-12"
             )
@@ -175,7 +180,8 @@ def synthesize(basis: PeriodBasis, coeffs: CoefficientMap, x):
 
     Accepts a single point (shape (d,)) returning a complex value, or a
     stack of points (shape (count, d)) returning a complex array.
-    Invariant under adding any period vector to x.
+    Invariant under adding any period vector to x.  A point must be finite,
+    and so must each phase 2*pi*i * (A^{-1} m) . x.
     """
     if coeffs.dimension != basis.dimension:
         raise InputError("coefficient map and basis dimensions differ")
@@ -185,6 +191,8 @@ def synthesize(basis: PeriodBasis, coeffs: CoefficientMap, x):
         points = points[None, :]
     if points.ndim != 2 or points.shape[1] != basis.dimension:
         raise InputError("evaluation points must have the basis dimension")
+    if not np.isfinite(points).all():
+        raise InputError("evaluation points must be finite")
     items = coeffs.items_in_scan_order()
     if not items:
         values = np.zeros(points.shape[0], dtype=np.complex128)
@@ -192,6 +200,10 @@ def synthesize(basis: PeriodBasis, coeffs: CoefficientMap, x):
     indices = np.array([index for index, _ in items], dtype=float)
     alphas = np.array([value for _, value in items], dtype=np.complex128)
     duals = basis.inverse @ indices.T  # shape (d, count_m)
-    phases = np.exp(2j * math.pi * (points @ duals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = 2j * math.pi * (points @ duals)
+    if not np.isfinite(angles).all():
+        raise InputError("a phase of the evaluation points passes the double range")
+    phases = np.exp(angles)
     values = phases @ alphas
     return complex(values[0]) if single else values

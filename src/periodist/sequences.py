@@ -55,6 +55,9 @@ _CHUNK = 1 << 16
 # Radius of the window on which a claimed growth certificate is checked.
 CLAIM_CHECK_RADIUS = 8
 
+# The last term a series bound sums before it gives up with the bound inf.
+_SERIES_LAST = 1_000_000
+
 # Relative tolerance of the certificate check: |a(n)| may exceed the bound by this much.
 _CERT_REL_TOL = 1e-12
 
@@ -139,13 +142,19 @@ def _weighted_sup(b, k: int, radius: int) -> float:
 
 
 def poly_exp_sup(order: int, rate: float, start: float = 0.0) -> float:
-    """Certified sup over real r >= start of (1+r)^order * exp(-rate*r)."""
+    """Certified sup over real r >= start of (1+r)^order * exp(-rate*r); inf where the
+    peak order/rate or a power passes the double range."""
     ex.POSITIVE.check(rate, "rate")
-    peak = order / rate - 1.0
-    if peak <= start:
-        value = (1.0 + start) ** order * math.exp(-rate * start)
-    else:
-        value = (order / rate) ** order * math.exp(rate - order)
+    try:
+        peak = order / rate - 1.0
+        if peak == math.inf:  # inf ** order times an exp that rounds to 0 would be NaN
+            return math.inf
+        if peak <= start:
+            value = (1.0 + start) ** order * math.exp(-rate * start)
+        else:
+            value = (order / rate) ** order * math.exp(rate - order)
+    except OverflowError:
+        return math.inf
     return _bump(value)
 
 
@@ -154,22 +163,27 @@ def poly_exp_series_bound(order: int, rate: float) -> float:
 
     Terms are summed until their ratio drops under a threshold strictly
     between exp(-rate) and 1, then the remainder is dominated by a
-    geometric series at that threshold.
+    geometric series at that ratio.  The bound is inf where exp(-rate)
+    rounds to 1, so that no ratio falls below 1 in doubles, where the
+    ratio is still above the threshold at term ``_SERIES_LAST``, and where
+    a power passes the double range.
     """
     ex.POSITIVE.check(rate, "rate")
-    stop = (1.0 + math.exp(-rate)) / 2.0
+    decay = math.exp(-rate)
+    if decay == 1.0:
+        return math.inf
+    stop = (1.0 + decay) / 2.0
     total = 0.0
-    r = 0
-    while True:
-        term = (1.0 + r) ** order * math.exp(-rate * r)
-        ratio = ((2.0 + r) / (1.0 + r)) ** order * math.exp(-rate)
-        if ratio <= stop:
-            total += term + term * ratio / (1.0 - ratio)
-            return _bump(total)
-        total += term
-        r += 1
-        if r > 1_000_000:
-            raise InputError("series bound failed to converge")
+    try:
+        for r in range(_SERIES_LAST + 1):
+            term = (1.0 + r) ** order * math.exp(-rate * r)
+            ratio = ((2.0 + r) / (1.0 + r)) ** order * decay
+            if ratio <= stop and ratio < 1.0:  # the threshold itself may round to 1
+                return _bump(total + (term + term * ratio / (1.0 - ratio)))
+            total += term
+    except OverflowError:
+        pass
+    return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +273,9 @@ class SlowSequence(ex.Ranged):
         """Exhaustively check the certificate on the window of this radius."""
         maxima, first = [], None
         for points, norms, rows, values in scan([self.expr], self.dimension, radius):
-            bound = self.cert.bound_at(norms[rows])
-            with np.errstate(invalid="ignore"):  # inf / inf, read as 0 below; NaN stays a violation
+            # A bound or ratio past the double range is inf; inf / inf is read as 0 below, NaN fails.
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = self.cert.bound_at(norms[rows])
                 ratios = np.abs(values[0]) / bound
             top = ratios.max()
             if np.isnan(top):  # a finite value whose modulus passes the double range: inf / inf is 0
@@ -304,10 +319,10 @@ def _check_axes(node: ex.Node, dimension: int, where: str) -> None:
 
 
 def _compose(node: ex.Node, *operands: SlowSequence) -> SlowSequence:
-    """`node` over the operands' trees, certified by its own ``_cert_from`` rule
-    applied to the operands' certificates (claimed ones included).  The
-    operands' axes are already checked and ``node`` adds none."""
-    m, k = node._cert_from([(s.cert.M, s.cert.k) for s in operands])
+    """`node` over the operands' trees, certified by the growth part of its own ``_facts``
+    rule applied to the operands' certificates (claimed ones included), with sign unknown,
+    no floor and no axis.  The operands' axes are already checked and ``node`` adds none."""
+    m, k = node._facts([((s.cert.M, s.cert.k), False, None, -1) for s in operands])[0]
     return _checked(node, operands[0].dimension, GrowthCertificate(m, k))
 
 
@@ -324,9 +339,9 @@ _UNARY_OPS = ("neg", "conj", "abs", "phase")
 def combine(op: str, *seqs: SlowSequence) -> SlowSequence:
     """Pointwise combination; ``op`` is the wire kind of the node to build.
 
-    The certificate comes from that node's ``_cert_from`` rule in ``expr``
-    applied to the operands' certificates, so claimed certificates on the
-    operands are respected.
+    The certificate comes from the growth part of that node's ``_facts``
+    rule in ``expr`` applied to the operands' certificates, so claimed
+    certificates on the operands are respected.
     """
     if op not in _UNARY_OPS + ("add", "mul"):
         raise InputError(f"unknown combine op '{op}'")

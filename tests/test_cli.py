@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -578,8 +579,19 @@ def test_malformed_field_names_its_json_path(tmp_path, capsys, command, where, j
 
 NAN = float("nan")
 
-# (command, message, job, test id): a non-finite number or a negative tolerance.
+# (command, message, job, test id): a non-finite number, a result past the double range,
+# or a negative tolerance.
 NON_FINITE = [
+    ("fourier-synth", "inputs.points: evaluation points must be finite",
+     {"inputs": {**SYNTH, "points": [NAN, 0.5]}}, "nan-point"),
+    ("fourier-synth", "inputs.points: a phase of the evaluation points passes the double range",
+     {"inputs": {**SYNTH, "points": [1e308, 0.5]}}, "huge-point"),
+    ("fourier-synth", "inputs.period_matrix: period matrix determinant passes the double range",
+     {"dimension": 2, "inputs": {"period_matrix": [[1e200, 0.0], [0.0, 1e200]], "points": [[0.0, 0.5]],
+                                 "coeffs": {"coeffs": {"1,0": [1.0, 0.0]}, "dimension": 2}}}, "huge-determinant"),
+    ("fourier-coeffs", "inputs.period_matrix: period matrix determinant passes the double range",
+     {"dimension": 2, "inputs": {"period_matrix": [[2.0, 1.0], [0.0, 1e308]],
+                                 "samples": [[1.0, [0.0, 1.0]], [2.0, 3.0]]}}, "huge-matrix-entry"),
     ("fourier-synth", "inputs.period_matrix: period matrix entries must be finite",
      {"inputs": {**SYNTH, "period_matrix": [[NAN]]}}, "period-matrix"),
     ("fourier-coeffs", "inputs.samples[1]: must be finite, got nan",
@@ -610,6 +622,49 @@ def test_a_non_finite_input_exits_one_naming_its_path(tmp_path, capsys, command,
     code, out, err = run(capsys, [command, "--spec", spec])
     assert (code, out) == (1, "")
     assert err == f"periodist: input error: {message}\n"
+
+
+# -- bounds at the ends of the double range --------------------------------
+
+TINY_CLIP = {"kind": "clip", "arg": COORD, "eps": 1e-200}
+HUGE_PRODUCT = {"kind": "mul", "args": [{"kind": "const", "re": 1e300, "im": 0.0}] * 2}
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_growth_product_that_rounds_to_zero_is_the_least_double(tmp_path, capsys):
+    tiny = {"kind": "mul", "args": [{"kind": "const", "re": 1e-200, "im": 0.0}] * 2}
+    spec = write_job(tmp_path, "job.json", {"inputs": {"a": {"expr": tiny}}, "params": {"R": 3}})
+    code, out, err = run(capsys, ["check-growth", "--spec", spec])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["results"]["cert"] == {"M": 5e-324, "k": 0}
+    assert report["verdict"] == "pass"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("member", [
+    {"kind": "mul", "args": [TINY_CLIP, TINY_CLIP]},  # floor 1e-200 * 1e-200
+    {"kind": "recip", "arg": HUGE_PRODUCT, "witness": {"delta": 1.0, "K": 0}},  # floor 1 / inf
+], ids=["floor-product", "floor-of-a-reciprocal"])
+def test_a_floor_that_rounds_to_zero_is_no_witness(tmp_path, capsys, member):
+    spec = write_job(tmp_path, "job.json", {"inputs": {"a": [{"expr": member}]}, "params": {"R": 3}})
+    code, out, err = run(capsys, ["bezout-solve", "--spec", spec])
+    assert (code, out) == (2, "")
+    assert err.startswith("periodist: mathematical failure: no witness")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["pair", "gap"])
+def test_an_envelope_bound_past_the_double_range_is_inf(tmp_path, capsys, command):
+    b = {"expr": {"kind": "expdecay", "rate": 0.5}, "decay": {"C": 1.0, "j": 0, "rate": 1e-200}}
+    inputs = {"a": {"expr": ONE}} if command == "pair" else {"x": {"expr": COORD}, "y": {"expr": COORD}}
+    spec = write_job(tmp_path, "job.json", {"inputs": {**inputs, "b": b}, "params": {"R": 5}})
+    code, out, err = run(capsys, [command, "--spec", spec])
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["tail_bound"] == math.inf
+    if command == "gap":
+        assert results["bound_finite"] is False
 
 
 # -- fuzz: one mutated leaf of a well-formed job ---------------------------
@@ -661,9 +716,14 @@ FUZZ_LEAVES = [
 ]
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(site=st.sampled_from(FUZZ_LEAVES), mutation=st.sampled_from(["type", "delete", "negative"]))
-def test_fuzzed_job_files_fail_cleanly(tmp_path_factory, site, mutation):
+# A float leaf may also become NaN, a huge or a tiny double.
+FLOAT_MUTATIONS = {"nan": math.nan, "huge": 1e308, "tiny": 1e-200}
+
+
+def _run_mutated(tmp_path_factory, site, mutation):
+    """Run one mutated job with numpy's RuntimeWarnings as errors (pytest captures warnings,
+    so stderr alone would not show them): it exits 0, 1 or 2, and an exit 1 names the leaf
+    or one of its ancestors."""
     index, keys = site
     command, job = WELL_FORMED[index]
     job = json.loads(json.dumps(job))  # a copy that shares no subtree
@@ -675,17 +735,41 @@ def test_fuzzed_job_files_fail_cleanly(tmp_path_factory, site, mutation):
         del parent[keys[-1]]
     elif mutation == "negative" and isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
         parent[keys[-1]] = -abs(leaf) - 1
+    elif mutation in FLOAT_MUTATIONS and isinstance(leaf, float):
+        parent[keys[-1]] = FLOAT_MUTATIONS[mutation]
     else:
         parent[keys[-1]] = "x"
     spec = tmp_path_factory.mktemp("fuzz") / "job.json"
     spec.write_text(json.dumps(job))
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main([command, "--spec", str(spec)])
     assert code in (0, 1, 2)
     if code == 1:
         ancestors = [_path_text(keys[:n]) for n in range(2, len(keys) + 1)]
         assert any(re.search(re.escape(a) + r"(?![\w])", err.getvalue()) for a in ancestors), err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(site=st.sampled_from(FUZZ_LEAVES), mutation=st.sampled_from(["type", "delete", "negative", *FLOAT_MUTATIONS]))
+def test_fuzzed_job_files_fail_cleanly(tmp_path_factory, site, mutation):
+    _run_mutated(tmp_path_factory, site, mutation)
+
+
+def test_every_float_leaf_set_to_nan_huge_or_tiny_fails_cleanly(tmp_path_factory):
+    # The sampled fuzz above may miss a site; this sweep reaches every float leaf with each value.
+    floats = [(i, keys) for i, keys in FUZZ_LEAVES if isinstance(_leaf_at(WELL_FORMED[i][1], keys), float)]
+    assert len(floats) > 40
+    for site in floats:
+        for mutation in FLOAT_MUTATIONS:
+            _run_mutated(tmp_path_factory, site, mutation)
+
+
+def _leaf_at(job, keys):
+    for key in keys:
+        job = job[key]
+    return job
 
 
 def test_usage_errors_exit_one(capsys):

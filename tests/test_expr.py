@@ -598,6 +598,174 @@ def test_nonneg_and_lower_bound_whitelist():
     assert floor == (1.0, 0)
 
 
+# -- the facts rules against the rule sets they replaced -------------------
+
+
+def _abs_or(z, overflow):
+    try:
+        return abs(z)
+    except OverflowError:
+        return overflow
+
+
+def former_facts(root):
+    """(cert, nonneg, floor, axis, underflow) of every distinct node by id, from the
+    three rule sets the ``_facts`` rules replaced (each class's certificate rule, the
+    nonnegativity chain and the lower-bound chain) and the walk for the largest axis,
+    kept here in their own isinstance style.  ``underflow`` marks a subtree where a
+    growth bound or floor rounds to 0 (or to 0 * inf), which the facts rules mend."""
+    memo = {}
+
+    def cert(n, kids):
+        if isinstance(n, ex.Const):
+            mag = _abs_or(n.value, math.inf)
+            return (mag if mag > 0 else 1.0, 0)
+        if isinstance(n, (ex.Coord, ex.Norm1)):
+            return (1.0, 1)
+        if isinstance(n, ex.PolyEnv):
+            return (1.0, n.k)
+        if isinstance(n, (ex.ExpDecay, ex.Phase)):
+            return (1.0, 0)
+        if isinstance(n, ex.Add):
+            return (sum(m for m, _ in kids), max(k for _, k in kids))
+        if isinstance(n, ex.Mul):
+            m = 1.0
+            for c, _ in kids:
+                m *= c
+            return (m, sum(k for _, k in kids))
+        if isinstance(n, (ex.Neg, ex.Conj, ex.Abs)):
+            return kids[0]
+        if isinstance(n, ex.Arg):
+            return (math.pi, 0)
+        if isinstance(n, ex.Clip):
+            return (max(kids[0][0], n.eps), kids[0][1])
+        return (1.0 / n.delta, n.K)
+
+    def nonneg(n, kids):
+        if isinstance(n, ex.Const):
+            return n.im == 0 and n.re >= 0
+        if isinstance(n, (ex.Norm1, ex.PolyEnv, ex.ExpDecay, ex.Abs)):
+            return True
+        if isinstance(n, (ex.Add, ex.Mul, ex.Conj, ex.Clip, ex.Recip)):
+            return all(kids)
+        return False
+
+    def floor(n, bounds, child):
+        if isinstance(n, ex.Const):
+            mag = _abs_or(n.value, sys.float_info.max)
+            return (mag, 0) if mag > 0 else None
+        if isinstance(n, (ex.PolyEnv, ex.Phase)):
+            return (1.0, 0)
+        if isinstance(n, ex.Clip):
+            return (n.eps, 0)
+        if isinstance(n, ex.Recip):
+            m, k = child[0][0]
+            return (1.0 / m if m else 0.0, k)  # 1 / 0 is the underflow below
+        if isinstance(n, (ex.Abs, ex.Neg, ex.Conj)):
+            return bounds[0]
+        if isinstance(n, ex.Mul):
+            if None in bounds:
+                return None
+            delta, K = 1.0, 0
+            for lb in bounds:
+                delta *= lb[0]
+                K += lb[1]
+            return (delta, K)
+        if isinstance(n, ex.Add):
+            if not all(c[1] for c in child):
+                return None
+            best = None
+            for lb in bounds:
+                if lb is not None and (best is None or (lb[1], -lb[0]) < (best[1], -best[0])):
+                    best = lb
+            return best
+        return None
+
+    def visit(n):
+        if id(n) in memo:
+            return memo[id(n)]
+        child = [visit(c) for c in n.children()]
+        c = cert(n, [f[0] for f in child])
+        lb = floor(n, [f[2] for f in child], child)
+        axis = max([n.axis] if isinstance(n, ex.Coord) else [f[3] for f in child], default=-1)
+        underflow = any(f[4] for f in child) or not c[0] > 0 or (lb is not None and not lb[0] > 0)
+        memo[id(n)] = (c, nonneg(n, [f[1] for f in child]), lb, axis, underflow)
+        return memo[id(n)]
+
+    visit(root)
+    return memo
+
+
+def assert_facts_match_the_former_rules(root):
+    """Bit for bit (by repr, so -0.0 and NaN would show) at every distinct node; where the
+    former rules underflow, the growth bound stays positive and a floor is None or positive."""
+    order = ex._postorder(root)[0]
+    facts = ex._fold(order, lambda n, kids: n._facts(kids))
+    former = former_facts(root)
+    underflows = 0
+    for n, _ in order:
+        new, (*old, underflow) = facts[id(n)], former[id(n)]
+        if underflow:
+            underflows += 1
+            assert new[0][0] > 0 and (new[2] is None or new[2][0] > 0), new
+        else:
+            assert repr(new) == repr(tuple(old)), type(n).__name__
+    assert repr(facts[id(root)]) == repr(
+        (ex.composed_cert(root), ex.is_nonneg_real(root), ex.lower_bound_cert(root), ex.max_axis(root))
+    )
+    return underflows
+
+
+def test_facts_match_the_former_rules_on_random_and_lane_dags():
+    rng = random.Random(405)
+    for _ in range(60):
+        assert assert_facts_match_the_former_rules(random_dag(rng, dimension=3, steps=12)) == 0
+        for overflow in (False, True):
+            assert assert_facts_match_the_former_rules(lane_dag(rng, 3, 12, overflow)) == 0
+    for node in ALL_KINDS:
+        assert assert_facts_match_the_former_rules(node) == 0
+
+
+# Extremes of the double range, where products and reciprocals round to 0 or inf.
+_POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1e-200, 1e-160, 0.5, 1.0, 3.0, 1e160, 1e300, sys.float_info.max]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+_FINITE = st.one_of(st.sampled_from([0.0, -0.0, 1e-200, -1e300, 1.5e308]), st.floats(allow_nan=False, allow_infinity=False))
+_LEAVES = st.one_of(
+    st.builds(ex.Const, _FINITE, _FINITE),
+    st.builds(ex.Coord, st.integers(0, 3)),
+    st.just(ex.Norm1()),
+    st.builds(ex.PolyEnv, st.integers(0, 3)),
+    st.builds(ex.ExpDecay, _POSITIVE),
+)
+TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.builds(lambda a: ex.Add(tuple(a)), st.lists(kids, min_size=1, max_size=3)),
+    st.builds(lambda a: ex.Mul(tuple(a)), st.lists(kids, min_size=1, max_size=3)),
+    *[st.builds(cls, kids) for cls in (ex.Neg, ex.Conj, ex.Abs, ex.Arg, ex.Phase)],
+    st.builds(ex.Clip, kids, _POSITIVE),
+    st.builds(ex.Recip, kids, _POSITIVE, st.integers(0, 3)),
+), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_facts_match_the_former_rules_on_drawn_trees(node):
+    assert_facts_match_the_former_rules(node)
+
+
+def test_growth_bounds_and_floors_that_round_to_zero_are_mended():
+    tiny, huge = ex.Const(1e-200), ex.Const(1e300)
+    assert ex.composed_cert(ex.Mul((tiny, tiny))) == (5e-324, 0)
+    assert ex.composed_cert(ex.Mul((tiny, tiny, ex.Const(1.5e308, 1.5e308)))) == (math.inf, 0)  # not 0 * inf
+    assert ex.composed_cert(ex.Recip(ex.Norm1(), math.inf, 0)) == (5e-324, 0)
+    clipped = ex.Clip(ex.Coord(0), 1e-200)
+    assert ex.lower_bound_cert(ex.Mul((clipped, clipped))) is None
+    assert ex.lower_bound_cert(ex.Recip(ex.Mul((huge, huge)), 1.0, 0)) is None
+    for node in (ex.Mul((tiny, tiny)), ex.Recip(ex.Mul((huge, huge)), 1.0, 0)):
+        assert assert_facts_match_the_former_rules(node) > 0
+
+
 # A finite constant whose modulus, about 2.1e308, passes the double range: abs() raises on it.
 HUGE = ex.Const(1.5e308, 1.5e308)
 

@@ -132,6 +132,13 @@ def test_combining_does_not_walk_the_operands_for_axes(monkeypatch):
 # -- growth certificates ------------------------------------------------
 
 
+def test_a_claimed_operand_certificate_governs_the_combined_sequence():
+    claimed = SlowSequence.with_claimed_cert(ex.Norm1(), 1, GrowthCertificate(5.0, 1))
+    product = combine("mul", claimed, constant(2.0))
+    assert product.cert == GrowthCertificate(10.0, 1)
+    assert ex.composed_cert(product.expr) == (2.0, 1)
+
+
 def test_certificate_validation():
     with pytest.raises(InputError):
         GrowthCertificate(0.0, 0)
@@ -282,6 +289,20 @@ def test_poly_exp_sup_dominates_grid(order, rate):
     rs = np.linspace(0.0, 400.0, 40001)
     values = (1.0 + rs) ** order * np.exp(-rate * rs)
     assert values.max() <= poly_exp_sup(order, rate) * (1.0 + 1e-12)
+
+
+def test_envelope_bounds_past_the_double_range_are_inf():
+    assert poly_exp_sup(5, 1e-200) == math.inf  # (order / rate) ** order overflows
+    assert poly_exp_sup(2000, 0.5) == math.inf
+    assert poly_exp_sup(800, 1e-310) == math.inf  # order / rate is inf, and exp(rate - order) 0
+    assert poly_exp_sup(0, 1e-200) == 1.0 + 1e-11
+    assert poly_exp_series_bound(0, 1e-200) == math.inf  # exp(-rate) rounds to 1
+    assert poly_exp_series_bound(2, 1e-200) == math.inf
+    assert poly_exp_series_bound(2000, 0.5) == math.inf  # a term overflows
+    # exp(-rate) is the double below 1 and the threshold rounds to 1: the ratio still falls below 1.
+    assert math.isfinite(poly_exp_series_bound(0, 1.1e-16))
+    b = FastSequence(ex.ExpDecay(0.5), 1, decay=DecayBound(1.0, 0, 1e-200))
+    assert b.seminorm_bound(3) == b.abs_sum_bound() == math.inf
 
 
 def test_poly_exp_sup_with_start_offset():
