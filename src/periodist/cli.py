@@ -227,7 +227,10 @@ class Job:
         return echoed
 
 
-def _witness_json(witness: CoronaWitness) -> dict:
+def _witness_json(witness: CoronaWitness | None) -> dict | None:
+    """The witness's fields; None, written null, for no witness (a delta that rounds to 0)."""
+    if witness is None:
+        return None
     return {
         "delta": witness.delta,
         "K": witness.K,
@@ -342,7 +345,7 @@ def _run_reduce(job: Job):
         "multiplier": trace.multiplier.to_json(),
         "inverse_witness": _witness_json(witness),
         "witness_factors": {
-            name: {"delta": pair[0], "K": pair[1]}
+            name: None if pair is None else {"delta": pair[0], "K": pair[1]}
             for name, pair in trace.witness_factors.items()
         },
         "min_perturbed_identity": min_floor,

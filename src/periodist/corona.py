@@ -153,22 +153,24 @@ def verify_bezout(
     # One tree, so the denominator the cofactors share is evaluated once.
     terms = tuple(ex.Mul((a.expr, b.expr)) for a, b in zip(family, cofactors))
     residual = (np.max, lambda norms, values: np.abs(values[0] - 1.0))
-    return window_folds([ex.Add(terms)], dimension, radius, [residual])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual is reported as it is
+        return window_folds([ex.Add(terms)], dimension, radius, [residual])[0]
 
 
-def witness_from_bezout(cofactors: list[SlowSequence]) -> CoronaWitness:
+def witness_from_bezout(cofactors: list[SlowSequence]) -> CoronaWitness | None:
     """Witness extracted from cofactor growth certificates.
 
     If sum b_i a_i = 1 with |b_i(n)| <= M_i (1+|n|_1)^(k_i), then the
     combined modulus of the family is at least 1 / (max M_i) times
     (1+|n|_1)^(-max k_i).  Status is window-verified with radius 0; the
-    caller re-verifies on whatever window it cares about.
+    caller re-verifies on whatever window it cares about.  A delta that
+    rounds to 0 (an M of inf) is no witness: None.
     """
     if not cofactors:
         raise InputError("cofactor list must be non-empty")
-    top = max(c.cert.M for c in cofactors)
+    delta = 1.0 / max(c.cert.M for c in cofactors)
     order = max(c.cert.k for c in cofactors)
-    return CoronaWitness(1.0 / top, order, status=WINDOW_VERIFIED, radius=0)
+    return CoronaWitness(delta, order, status=WINDOW_VERIFIED, radius=0) if delta > 0 else None
 
 
 @dataclass(frozen=True)

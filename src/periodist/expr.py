@@ -618,6 +618,27 @@ def _fold(order: list[tuple[Node, tuple[Node, ...]]], rule) -> dict[int, typing.
     return memo
 
 
+def same_tree(a: Node, b: Node) -> bool:
+    """``a == b`` without recursion: the same node classes with equal fields, pair by pair.
+    Identical nodes match at once, and each pair of nodes is compared once however
+    often shared subtrees repeat it."""
+    stack, seen = [(a, b)], set()
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y):
+            stack.extend(zip(x, y))
+        elif isinstance(x, Node):
+            if type(x) is not type(y):
+                return False
+            stack.extend((getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
+        elif x != y:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class GrowthCertificate(Ranged):
     """Claim |a(n)| <= M * (1 + |n|_1)^k."""

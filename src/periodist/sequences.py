@@ -1,15 +1,18 @@
 """Polynomial-growth and rapidly decreasing sequences on the integer lattice.
 
-Two value types:
+Two value types, one a subclass of the other, as s is a subset of s':
 
 * ``SlowSequence``: an expression tree together with a growth certificate
   ``(M, k)`` claiming ``|a(n)| <= M * (1 + |n|_1)^k``.  Certificates
   compose syntactically (sum, product, clip, reciprocal, ...) and can be
-  spot-checked exhaustively on any window.
+  spot-checked exhaustively on any window.  A tree is folded once when it
+  becomes a sequence: the fold checks its axes and composes the
+  certificate when none is claimed.
 
-* ``FastSequence``: an expression tree together with decay data strong
-  enough to bound every weighted sup ``p_k(b) = sup (1+|n|_1)^k |b(n)|``:
-  either a declared finite support radius, or an exponential envelope
+* ``FastSequence``: a slow sequence, with its composed certificate, that
+  also carries decay data strong enough to bound every weighted sup
+  ``p_k(b) = sup (1+|n|_1)^k |b(n)|``: either a declared finite support
+  radius, or an exponential envelope
   ``|b(n)| <= C * (1+|n|_1)^j * exp(-rate*|n|_1)``.
 
 The pairing ``<a, b> = sum a(n) b(n)`` is evaluated by truncation over a
@@ -36,6 +39,7 @@ accept a ``threads`` argument that is unused: callers still pass it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +59,11 @@ _CHUNK = 1 << 16
 # Radius of the window on which a claimed growth certificate is checked.
 CLAIM_CHECK_RADIUS = 8
 
-# The last term a series bound sums before it gives up with the bound inf.
+# The last term a series bound sums; where its sum would run past it, the bound is a closed form.
 _SERIES_LAST = 1_000_000
+
+# math.exp overflows above this argument.
+_LOG_MAX = math.log(sys.float_info.max)
 
 # Relative tolerance of the certificate check: |a(n)| may exceed the bound by this much.
 _CERT_REL_TOL = 1e-12
@@ -116,14 +123,6 @@ def window_array(trees, dimension: int, radius: int, measure) -> np.ndarray:
     return out
 
 
-def _eval_at(seq, index: LatticeIndex) -> complex:
-    """The value of a sequence at one lattice index of its dimension."""
-    index = tuple(int(c) for c in index)
-    if len(index) != seq.dimension:
-        raise DimensionMismatch(f"index has dimension {len(index)}, sequence has {seq.dimension}")
-    return ex.evaluate(seq.expr, index)
-
-
 def window_values(node: ex.Node, dimension: int, radius: int) -> np.ndarray:
     """Values of a tree over the 1-norm ball, in canonical scan order, as complex128."""
     values = window_array([node], dimension, radius, lambda norms, values: values[0])
@@ -163,10 +162,11 @@ def poly_exp_series_bound(order: int, rate: float) -> float:
 
     Terms are summed until their ratio drops under a threshold strictly
     between exp(-rate) and 1, then the remainder is dominated by a
-    geometric series at that ratio.  The bound is inf where exp(-rate)
-    rounds to 1, so that no ratio falls below 1 in doubles, where the
-    ratio is still above the threshold at term ``_SERIES_LAST``, and where
-    a power passes the double range.
+    geometric series at that ratio.  The ratio only falls as r grows; where
+    it is still above the threshold at term ``_SERIES_LAST``, or where a
+    power in the sum passes the double range, the bound is the closed form
+    of ``_integral_bound``.  The bound is inf where exp(-rate) rounds to 1,
+    so that no ratio falls below 1 in doubles.
     """
     ex.POSITIVE.check(rate, "rate")
     decay = math.exp(-rate)
@@ -175,15 +175,36 @@ def poly_exp_series_bound(order: int, rate: float) -> float:
     stop = (1.0 + decay) / 2.0
     total = 0.0
     try:
-        for r in range(_SERIES_LAST + 1):
-            term = (1.0 + r) ** order * math.exp(-rate * r)
-            ratio = ((2.0 + r) / (1.0 + r)) ** order * decay
-            if ratio <= stop and ratio < 1.0:  # the threshold itself may round to 1
-                return _bump(total + (term + term * ratio / (1.0 - ratio)))
-            total += term
+        last = ((2.0 + _SERIES_LAST) / (1.0 + _SERIES_LAST)) ** order * decay
+        if last <= stop and last < 1.0:  # the loop stops by _SERIES_LAST
+            for r in range(_SERIES_LAST + 1):
+                term = (1.0 + r) ** order * math.exp(-rate * r)
+                ratio = ((2.0 + r) / (1.0 + r)) ** order * decay
+                if ratio <= stop and ratio < 1.0:  # the threshold itself may round to 1
+                    return _bump(total + (term + term * ratio / (1.0 - ratio)))
+                total += term
     except OverflowError:
         pass
-    return math.inf
+    return _integral_bound(order, rate)
+
+
+def _integral_bound(order: int, rate: float) -> float:
+    """e^rate Gamma(order+1) / rate^(order+1) + 2 ``poly_exp_sup(order, rate)``, rounded up,
+    or inf where it passes the double range.
+
+    This bounds the series because its terms rise to one peak and then fall:
+    every term but the two next to the peak is at most the integral of
+    (1+r)^order exp(-rate r) over the unit step beside it, away from the peak,
+    and the whole integral is at most the first summand.  A finite peak with
+    e^rate in range keeps ``order`` under 1,300, so the product loop is short.
+    """
+    peak = poly_exp_sup(order, rate)
+    if peak == math.inf or rate > _LOG_MAX:
+        return math.inf
+    integral = math.exp(rate) / rate
+    for i in range(1, order + 1):
+        integral *= i / rate  # overflows to inf, never raises
+    return _bump(integral + 2.0 * peak)
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +221,26 @@ class CertificateCheck:
 
 @dataclass(frozen=True)
 class SlowSequence(ex.Ranged):
-    """Expression tree plus growth certificate, over Z^dimension."""
+    """Expression tree plus growth certificate, over Z^dimension.  Without a ``cert``
+    the certificate is ``composed_cert`` of the tree."""
 
     expr: ex.Node
     dimension: int = ex.ranged(ex.AT_LEAST_ONE)
-    cert: GrowthCertificate
+    cert: GrowthCertificate | None = None
 
     def __post_init__(self):
         super().__post_init__()
-        _check_axes(self.expr, self.dimension, "expr")
+        cert, _, _, axis = ex._facts_of(self.expr)  # one fold checks the axes and composes the certificate
+        if axis >= self.dimension:
+            raise DimensionMismatch(f"expr: references axis {axis} but dimension is {self.dimension}")
+        if self.cert is None:
+            object.__setattr__(self, "cert", GrowthCertificate(*cert))
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def from_expr(tree: ex.Node, dimension: int) -> "SlowSequence":
-        m, k = ex.composed_cert(tree)
-        return SlowSequence(tree, dimension, GrowthCertificate(m, k))
+        return SlowSequence(tree, dimension)
 
     @staticmethod
     def with_claimed_cert(
@@ -252,8 +277,7 @@ class SlowSequence(ex.Ranged):
             where = ex._at(path, "cert")
             claim = ex._read_fields(GrowthCertificate, ex._object(obj["cert"], where), where)
             return SlowSequence.with_claimed_cert(node, dimension, GrowthCertificate(*claim), where)
-        ex.AT_LEAST_ONE.check(dimension, "dimension")  # parse_node has checked the axes
-        return _checked(node, dimension, GrowthCertificate(*ex.composed_cert(node)))
+        return SlowSequence(node, dimension)
 
     def to_json(self) -> dict:
         return {
@@ -263,7 +287,12 @@ class SlowSequence(ex.Ranged):
 
     # -- evaluation ---------------------------------------------------
 
-    eval = _eval_at
+    def eval(self, index: LatticeIndex) -> complex:
+        """The value at one lattice index of the sequence's dimension."""
+        index = tuple(int(c) for c in index)
+        if len(index) != self.dimension:
+            raise DimensionMismatch(f"index has dimension {len(index)}, sequence has {self.dimension}")
+        return ex.evaluate(self.expr, index)
 
     def window(self, radius: int) -> np.ndarray:
         """Values over the 1-norm ball in canonical scan order."""
@@ -310,12 +339,6 @@ class SlowSequence(ex.Ranged):
     def reciprocal(self, delta: float, K: int) -> "SlowSequence":
         """Reciprocal under the witness |a(n)| >= delta * (1+|n|_1)^(-K)."""
         return _compose(ex.Recip(self.expr, delta, K), self)
-
-
-def _check_axes(node: ex.Node, dimension: int, where: str) -> None:
-    axis = ex.max_axis(node)
-    if axis >= dimension:
-        raise DimensionMismatch(f"{where}: references axis {axis} but dimension is {dimension}")
 
 
 def _compose(node: ex.Node, *operands: SlowSequence) -> SlowSequence:
@@ -400,16 +423,15 @@ class DecayBound(ex.Ranged):
 
 
 @dataclass(frozen=True)
-class FastSequence(ex.Ranged):
-    """Expression tree with decay data bounding every seminorm p_k.
+class FastSequence(SlowSequence):
+    """A slow sequence with decay data bounding every seminorm p_k.
 
     At least one of ``decay`` (exponential envelope) or ``support``
     (declared finite support radius in the 1-norm) must be present.
     Declared support means the claim ``b(n) = 0 for |n|_1 > support``.
+    Its growth certificate is composed from the tree: JSON claims none.
     """
 
-    expr: ex.Node
-    dimension: int = ex.ranged(ex.AT_LEAST_ONE)
     decay: DecayBound | None = None
     support: int | None = ex.ranged(ex.NONNEG, None)
 
@@ -417,12 +439,6 @@ class FastSequence(ex.Ranged):
         super().__post_init__()
         if self.decay is None and self.support is None:
             raise InputError("a fast sequence needs a decay envelope or a declared support")
-        _check_axes(self.expr, self.dimension, "expr")
-
-    eval = _eval_at
-
-    def window(self, radius: int) -> np.ndarray:
-        return window_values(self.expr, self.dimension, radius)
 
     def seminorm_bound(self, k: int) -> float:
         """Certified upper bound on p_k(b) = sup (1+|n|_1)^k |b(n)|."""

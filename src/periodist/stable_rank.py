@@ -71,8 +71,8 @@ class ReductionTrace:
     clipped_cofactor: SlowSequence
     multiplier: SlowSequence
     result: SlowSequence
-    result_inverse_witness: CoronaWitness
-    witness_factors: dict[str, tuple[float, int]]
+    result_inverse_witness: CoronaWitness | None
+    witness_factors: dict[str, tuple[float, int] | None]
 
 
 def reduce_pair(
@@ -88,7 +88,8 @@ def reduce_pair(
 
     The Bezout identity b1*a1 + b2*a2 = 1 is first verified on the window
     (max residual at most `tolerance`, else MathFailure).  Requires
-    0 < epsilon < 1/2.
+    0 < epsilon < 1/2.  A witness or witness factor whose delta rounds to 0
+    (a clipped cofactor of growth M = inf) is None.
     """
     REDUCTION_EPSILON.check(epsilon, "epsilon")
     residual = verify_bezout([a1, a2], [b1, b2], radius)
@@ -111,13 +112,14 @@ def reduce_pair(
     # and 1 - 2*eps compose into the inverse witness.  The delta is
     # nudged down a hair so double rounding cannot overstate the floor.
     clip_cert = clipped_cofactor.cert
+    floor = 1.0 / clip_cert.M
     factors = {
-        "clipped_cofactor_reciprocal": (1.0 / clip_cert.M, clip_cert.k),
+        "clipped_cofactor_reciprocal": (floor, clip_cert.k) if floor > 0 else None,
         "normalizer": (1.0, 0),
         "perturbed_identity": (1.0 - 2.0 * epsilon, 0),
     }
     delta = (1.0 - 2.0 * epsilon) / clip_cert.M * (1.0 - 1e-11)
-    witness = CoronaWitness(delta, clip_cert.k, status=CERTIFIED)
+    witness = CoronaWitness(delta, clip_cert.k, status=CERTIFIED) if delta > 0 else None
     return ReductionTrace(
         epsilon=epsilon,
         normalizer=normalizer,
@@ -167,6 +169,8 @@ def reduce_tuple(
     complement = pieces[0] if len(pieces) == 1 else combine("add", *pieces)
     one = constant(1.0, pivot.dimension)
     trace = reduce_pair(pivot, complement, pivot_cof, one, radius=radius)
+    if trace.result_inverse_witness is None:
+        raise MathFailure("reduced pivot has no inverse witness: its delta rounds to 0")
     unit = is_unit(trace.result, trace.result_inverse_witness, radius)
     if not unit.invertible:
         raise MathFailure(
@@ -210,7 +214,7 @@ def _uniform_diff_bound(x: SlowSequence, y: SlowSequence, diff: SlowSequence) ->
     best = math.inf
     for near, far in ((x, y), (y, x)):
         tree = near.expr
-        if isinstance(tree, ex.Clip) and tree.arg == far.expr:
+        if isinstance(tree, ex.Clip) and ex.same_tree(tree.arg, far.expr):
             best = min(best, 2.0 * tree.eps)
     if diff.cert.k == 0:
         best = min(best, diff.cert.M)

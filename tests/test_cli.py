@@ -1042,3 +1042,84 @@ def test_json_report_text_is_json_dumps_indent_2(value):
             cli.render_report(value, "json")
     else:
         assert cli.render_report(value, "json") == expected
+
+
+# -- witnesses whose delta rounds to 0, and deep clip patterns --------------
+
+
+def _clip_gap_job(tmp_path, depth: int) -> str:
+    # x = clip(y, 1/4) for y = -(...(-n)...) nested `depth` deep; written by hand like _deep_job.
+    tree = '{"kind": "neg", "arg": ' * depth + json.dumps(COORD) + "}" * depth
+    decay = json.dumps({"expr": {"kind": "expdecay", "rate": 1.0}, "decay": {"C": 1.0, "j": 0, "rate": 1.0}})
+    path = tmp_path / f"clip-gap-{depth}.json"
+    path.write_text('{"dimension": 1, "params": {"R": 5}, "inputs": {"x": {"expr": {"kind": "clip", "arg": '
+                    + tree + ', "eps": 0.25}}, "y": {"expr": ' + tree + '}, "b": ' + decay + "}}")
+    return str(path)
+
+
+def test_gap_recognises_a_clip_as_deep_as_the_parser_accepts(tmp_path, capsys):
+    # The clip's argument is compared with y without recursion: at depth 900 the
+    # report is the depth-300 one, in-process and in a fresh interpreter.
+    code, shallow, err = run(capsys, ["gap", "--spec", _clip_gap_job(tmp_path, 300)])
+    assert (code, err) == (0, "")
+    results = json.loads(shallow)
+    assert results["results"]["bound_finite"] is True and results["verdict"] == "pass"
+    deep = _clip_gap_job(tmp_path, 900)
+    code, out, err = run(capsys, ["gap", "--spec", deep])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"] == results["results"]
+    code, out, err = _cli_process(["gap", "--spec", deep])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"] == results["results"]
+
+
+def test_same_tree_is_equality_without_recursion():
+    shared = ex.Clip(ex.Coord(0), 0.5)
+    a, b = ex.Add((shared, shared)), ex.Add((ex.Clip(ex.Coord(0), 0.5), ex.Clip(ex.Coord(0), 0.5)))
+    for x, y in [(a, b), (a, ex.Add((shared,))), (shared, ex.Clip(ex.Coord(0), 0.25)),
+                 (shared, ex.Abs(ex.Coord(0))), (ex.Const(0.0), ex.Const(-0.0))]:
+        assert ex.same_tree(x, y) is (x == y)
+    deep_x, deep_y = ex.Coord(0), ex.Coord(0)
+    for _ in range(5000):
+        deep_x, deep_y = ex.Neg(deep_x), ex.Neg(deep_y)
+    assert ex.same_tree(deep_x, deep_y) and not ex.same_tree(deep_x, ex.Neg(deep_y))
+
+
+# b = 1 + 0 * 1e308 * 1e308 is 1 everywhere, but its composed growth is M = inf.
+INF_GROWTH_ONE = {"expr": {"kind": "add", "args": [ONE, {"kind": "mul", "args": [
+    ZERO, {"kind": "const", "re": 1e308, "im": 0.0}, {"kind": "const", "re": 1e308, "im": 0.0}]}]}}
+
+
+def _quiet_run(tmp_path, name, job, command):
+    """``cli.main`` on a job with numpy's RuntimeWarnings as errors; returns (code, report, stderr)."""
+    spec, report = write_job(tmp_path, name, job), tmp_path / f"{name}.report"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main([command, "--spec", spec, "--out", str(report)])
+    return code, json.loads(report.read_text()) if report.exists() else None, err.getvalue()
+
+
+def test_bezout_verify_with_a_cofactor_of_infinite_growth_recovers_no_witness(tmp_path):
+    job = {"inputs": {"a": [{"expr": ONE}], "b": [INF_GROWTH_ONE]}}
+    code, report, err = _quiet_run(tmp_path, "verify", job, "bezout-verify")
+    assert (code, err) == (0, "")
+    assert report["results"]["max_residual"] == 0.0 and report["results"]["recovered_witness"] is None
+
+
+def test_reduce_with_a_cofactor_of_infinite_growth_has_no_inverse_witness(tmp_path):
+    job = {"inputs": {"a1": {"expr": ONE}, "a2": {"expr": ZERO}, "b1": INF_GROWTH_ONE, "b2": {"expr": ZERO}}}
+    code, report, err = _quiet_run(tmp_path, "reduce", job, "reduce")
+    assert (code, err) == (0, "")
+    results = report["results"]
+    assert results["inverse_witness"] is None
+    assert results["witness_factors"]["clipped_cofactor_reciprocal"] is None
+    assert results["witness_factors"]["normalizer"] == {"delta": 1.0, "K": 0}
+
+
+def test_bezout_solve_on_a_subnormal_clip_fails_with_a_nan_residual(tmp_path):
+    job = {"inputs": {"a": [{"expr": {"kind": "clip", "arg": COORD, "eps": 1e-310}}]}}
+    code, report, err = _quiet_run(tmp_path, "solve", job, "bezout-solve")
+    assert (code, err) == (2, "")
+    assert report["verdict"] == "fail" and math.isnan(report["results"]["self_residual"])
+    assert report["results"]["witness"]["delta"] == 1e-310 and report["results"]["recovered_witness"] is None

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -115,9 +116,9 @@ def test_combining_does_not_walk_the_operands_for_axes(monkeypatch):
     a, b = coordinate(1, 2), norm_sequence(2)
 
     def refuse(node):
-        raise AssertionError("max_axis walked a combined tree")
+        raise AssertionError("a combined tree was folded")
 
-    monkeypatch.setattr(ex, "max_axis", refuse)
+    monkeypatch.setattr(ex, "_facts_of", refuse)
     total = combine("add", a, b)
     assert total.eval((3, -4)) == -4.0 + 7.0
     assert combine("mul", total, a).clip_below(0.5).reciprocal(0.5, 2).dimension == 2
@@ -127,6 +128,38 @@ def test_combining_does_not_walk_the_operands_for_axes(monkeypatch):
         SlowSequence(ex.Add((ex.Coord(2), ex.Norm1())), 2, GrowthCertificate(2.0, 1))
     with pytest.raises(DimensionMismatch):
         FastSequence(ex.Mul((ex.Coord(3), ex.ExpDecay(1.0))), 2, decay=DecayBound(1.0, 1, 1.0))
+
+
+def test_a_fast_sequence_is_a_slow_sequence_with_its_composed_certificate():
+    f = fast_exp_decay(0.5, 2)
+    assert isinstance(f, SlowSequence)
+    assert f.cert == GrowthCertificate(*ex.composed_cert(f.expr))
+    assert (f + constant(1.0, 2)).eval((1, 0)) == math.exp(-0.5) + 1.0
+
+
+def test_each_tree_is_walked_once_on_its_way_in(monkeypatch):
+    walks = []
+    postorder = ex._postorder
+    monkeypatch.setattr(ex, "_postorder", lambda *args: walks.append(args) or postorder(*args))
+    tree = ex.Mul((ex.Coord(1), ex.ExpDecay(1.0)))
+    wire = {"expr": ex.to_json(tree)}
+    walks.clear()
+    for make in (
+        lambda: SlowSequence.from_expr(tree, 2),
+        lambda: SlowSequence(tree, 2),
+        lambda: SlowSequence.from_json(wire, 2),
+        lambda: FastSequence.from_json({**wire, "decay": {"C": 1.0, "j": 1, "rate": 1.0}}, 2),
+    ):
+        seq = make()
+        assert (len(walks), seq.cert) == (1, GrowthCertificate(1.0, 1))
+        walks.clear()
+
+
+def test_a_fast_sequence_writes_and_takes_no_certificate():
+    f = fast_exp_decay(0.5, 1)
+    assert "cert" not in f.to_json()
+    with pytest.raises(InputError, match=r"^inputs\.b\.cert: a fast sequence takes no growth certificate"):
+        FastSequence.from_json({**f.to_json(), "cert": {"M": 1.0, "k": 0}}, 1, "inputs.b")
 
 
 # -- growth certificates ------------------------------------------------
@@ -314,6 +347,54 @@ def test_poly_exp_sup_with_start_offset():
 def test_poly_exp_series_bound_dominates_partial_sums(order, rate):
     partial = sum((1.0 + r) ** order * math.exp(-rate * r) for r in range(5000))
     assert poly_exp_series_bound(order, rate) >= partial
+
+
+def _series_loop(order, rate):
+    """The summing loop of ``poly_exp_series_bound`` alone, inf where it does not stop."""
+    decay = math.exp(-rate)
+    if decay == 1.0:
+        return math.inf
+    stop, total = (1.0 + decay) / 2.0, 0.0
+    try:
+        for r in range(1_000_001):
+            term = (1.0 + r) ** order * math.exp(-rate * r)
+            ratio = ((2.0 + r) / (1.0 + r)) ** order * decay
+            if ratio <= stop and ratio < 1.0:
+                return (total + (term + term * ratio / (1.0 - ratio))) * (1.0 + 1e-11)
+            total += term
+    except OverflowError:
+        pass
+    return math.inf
+
+
+def test_series_bound_keeps_the_bits_of_every_sum_the_loop_returns():
+    # Order 5 at rate 1e-5 stops near the last term; order 1 at rate 1.5e-6 and order 2
+    # at rate 3e-6 would not stop, and order 170 at rate 3 passes the double range in
+    # (1+r)^170: these three take the closed form.
+    grid = [(order, rate) for order in (0, 1, 2, 5, 12, 40, 170, 400)
+            for rate in (0.003, 0.05, 0.69, 1.0, 3.0, 40.0, 700.0)]
+    grid += [(5, 1e-5), (1, 1.5e-6), (2, 3e-6), (800, 1.0), (2000, 0.5)]
+    closed = 0
+    for order, rate in grid:
+        looped, got = _series_loop(order, rate), poly_exp_series_bound(order, rate)
+        if math.isfinite(looped):
+            assert got.hex() == looped.hex(), (order, rate)
+        else:
+            closed += math.isfinite(got)
+    assert closed == 3
+
+
+@pytest.mark.parametrize("order,rate,about", [(1, 1.5e-6, 4.4445e11), (2, 3e-6, 7.4074e16), (170, 3.0, 4.4576e226)])
+def test_series_bound_past_the_last_term_is_the_closed_form(order, rate, about):
+    mpmath = pytest.importorskip("mpmath")
+    start = time.perf_counter()
+    bound = poly_exp_series_bound(order, rate)
+    assert time.perf_counter() - start < 0.01
+    with mpmath.workdps(60):
+        x = mpmath.exp(-mpmath.mpf(rate))
+        exact = mpmath.polylog(-order, x) / x  # sum over m >= 1 of m^order x^(m-1)
+        assert exact <= bound
+    assert bound == pytest.approx(about, rel=1e-4)
 
 
 # -- duality pairing ----------------------------------------------------

@@ -290,3 +290,16 @@ def test_gap_whose_modulus_passes_the_double_range_is_infinite():
     result = weak_star_gap(huge, constant(0.0), fast_exp_decay(1.0), 0)
     assert result.gap == math.inf
     assert weak_star_gap(constant(3.0), constant(0.0, 1), fast_exp_decay(1.0), 0).gap == 3.0
+
+
+def test_a_cofactor_of_infinite_growth_leaves_no_inverse_witness():
+    # b = 1 + 0 * 1e308 * 1e308 is 1 everywhere, but its composed growth is M = inf, so the
+    # clipped cofactor's floor 1/M and the result's delta round to 0: neither is a witness.
+    b = SlowSequence.from_expr(ex.Add((ex.Const(1.0), ex.Mul((ex.Const(0.0), ex.Const(1e308), ex.Const(1e308))))), 1)
+    one, zero = constant(1.0, 1), constant(0.0, 1)
+    trace = reduce_pair(one, zero, b, zero, radius=5)
+    assert trace.result_inverse_witness is None
+    assert trace.witness_factors["clipped_cofactor_reciprocal"] is None
+    assert trace.witness_factors["perturbed_identity"] == (0.5, 0)
+    with pytest.raises(MathFailure, match="no inverse witness"):
+        reduce_tuple([zero, one, zero], [zero, b, zero], radius=5)
