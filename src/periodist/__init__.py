@@ -17,7 +17,9 @@ the certified arithmetic it provides
 
 All window scans walk lattice points in one canonical order (1-norm
 shells, then lexicographic), so every reported number and every "first
-violation" is reproducible bit for bit.
+violation" is reproducible bit for bit on one numpy build at one CPU
+dispatch level: numpy's ``exp`` and ``arctan2`` may round the last bit
+differently with and without its AVX-512 kernels.
 
 Every public name has one import path, in its module:
 ``from periodist.corona import check_corona_window``.  Importing the

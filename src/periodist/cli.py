@@ -14,7 +14,9 @@ maxDegree, tolerance); a name the command does not read is rejected.
 ``--window`` and ``--epsilon`` override the corresponding params.
 Reports echo the inputs (sample arrays are summarised), record the
 resolved parameters and the global defaults (R = 50, dimension = 1), and
-are byte-identical across repeated runs on the same inputs.  A JSON report
+are byte-identical across repeated runs on the same inputs with one numpy
+build at one CPU dispatch level (``NPY_DISABLE_CPU_FEATURES`` can move the
+last digit of a value computed through ``exp`` or ``arctan2``).  A JSON report
 is the text of ``json.dumps(report, indent=2)``, written without recursion:
 its depth is bounded only by what the JSON decoder and the tree parser accept.
 
@@ -48,7 +50,7 @@ from .corona import (
     verify_bezout,
     witness_from_bezout,
 )
-from .errors import CertificateError, InputError, MathFailure, PeriodistError, WitnessViolation
+from .errors import InputError, MathFailure, PeriodistError, WitnessViolation
 from .sequences import FastSequence, SlowSequence, combine, constant, pairing, window_folds
 from .stable_rank import approx_by_invertibles, q_algebra_violation, reduce_pair, weak_star_gap
 
@@ -194,9 +196,13 @@ class Job:
             if not path.is_absolute():
                 path = self.path.parent / path
             try:
+                size = path.stat().st_size
                 flat = np.fromfile(path, dtype="<c16")
             except OSError as err:
                 raise InputError(f"inputs.samples: cannot read '{path}': {err}")
+            if size % flat.itemsize:  # np.fromfile drops a trailing partial value
+                raise InputError(f"inputs.samples: file of {size} bytes ends inside a value "
+                                 f"({flat.itemsize} bytes each)")
             expected = int(np.prod(shape)) if shape else 0
             if flat.size != expected:
                 raise InputError(
@@ -667,13 +673,10 @@ def main(argv=None) -> int:
             "verdict": verdict,
         }
         payload = render_report(report, args.format)
-    except (InputError, CertificateError) as err:
-        print(f"periodist: input error: {err}", file=sys.stderr)
-        return 1
     except (MathFailure, WitnessViolation) as err:
         print(f"periodist: mathematical failure: {err}", file=sys.stderr)
         return 2
-    except PeriodistError as err:
+    except PeriodistError as err:  # InputError and CertificateError
         print(f"periodist: input error: {err}", file=sys.stderr)
         return 1
     if args.out:

@@ -355,19 +355,20 @@ def test_a_wide_window_is_priced_by_its_coordinates(tmp_path, capsys):
 # -- errors, formats, determinism ---------------------------------------
 
 
+@pytest.mark.filterwarnings("error")
 def test_an_overflowing_constant_modulus_ends_without_a_traceback(tmp_path, capsys):
+    # Both jobs end in a report with nothing on stderr, and numpy warns of no overflow on the way.
     huge = {"expr": {"kind": "const", "re": 1.5e308, "im": 1.5e308}}
     gap = write_job(tmp_path, "gap.json", {"dimension": 1, "params": {"R": 5}, "inputs": {
         "x": huge, "y": {"expr": ZERO}, "b": DECAY_HALF}})
     growth = write_job(tmp_path, "growth.json", {"dimension": 1, "params": {"R": 5}, "inputs": {"a": huge}})
-    with np.errstate(all="ignore"):
-        code, out, _ = run(capsys, ["gap", "--spec", gap])
-        assert code == 0
-        assert json.loads(out)["results"]["gap"] == math.inf
-        code, out, _ = run(capsys, ["check-growth", "--spec", growth])
+    code, out, err = run(capsys, ["gap", "--spec", gap])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["gap"] == math.inf
+    code, out, err = run(capsys, ["check-growth", "--spec", growth])
     # The growth bound is infinite, and it holds: a finite value whose modulus passes the
     # double range has ratio 0 under it, where |a| / M would read inf / inf.
-    assert code == 0
+    assert (code, err) == (0, "")
     results = json.loads(out)["results"]
     assert results["cert"] == {"M": math.inf, "k": 0}
     assert (results["holds"], results["max_ratio"]) == (True, 0.0)
@@ -575,6 +576,35 @@ def test_malformed_field_names_its_json_path(tmp_path, capsys, command, where, j
     assert code == 1
     assert out == ""
     assert where in err
+
+
+# (command, job, bytes written to s.bin beside the job or None, the whole message with {dir}
+# standing for the job's folder): a samples file that cannot be read or holds the wrong count,
+# and a coefficient map of another dimension than its period matrix.
+TONES = np.array([1.0, 1j, -1.0, -1j], "<c16").tobytes()
+SAMPLES_FILE = {"period_matrix": [[1.0]], "samples": {"file": "s.bin", "shape": [4]}}
+FILE_INPUTS = [
+    ("fourier-coeffs", {"inputs": SAMPLES_FILE}, None,
+     "inputs.samples: cannot read '{dir}/s.bin': [Errno 2] No such file or directory: '{dir}/s.bin'", "missing"),
+    ("fourier-coeffs", {"inputs": SAMPLES_FILE}, TONES[:48],
+     "inputs.samples: file holds 3 values, shape needs 4", "short"),
+    ("fourier-coeffs", {"inputs": {**SAMPLES_FILE, "samples": {"file": "s.bin", "shape": [2]}}}, TONES[:40],
+     "inputs.samples: file of 40 bytes ends inside a value (16 bytes each)", "partial-value"),
+    ("fourier-synth", {"dimension": 2, "inputs": {**SYNTH, "period_matrix": EYE2, "points": [[0.0, 0.5]]}}, None,
+     "inputs.coeffs.dimension: must be 2, got 1", "coeffs-dimension"),
+]
+
+
+@pytest.mark.parametrize("command, job, data, message", [case[:4] for case in FILE_INPUTS],
+                         ids=[case[4] for case in FILE_INPUTS])
+def test_a_samples_file_or_coefficient_map_that_does_not_fit_exits_one(tmp_path, capsys, command, job, data,
+                                                                       message):
+    if data is not None:
+        (tmp_path / "s.bin").write_bytes(data)
+    spec = write_job(tmp_path, "job.json", job)
+    code, out, err = run(capsys, [command, "--spec", spec])
+    assert (code, out) == (1, "")
+    assert err == f"periodist: input error: {message.format(dir=tmp_path)}\n"
 
 
 NAN = float("nan")
@@ -823,16 +853,20 @@ def test_usage_error_message_names_the_program(capsys):
     assert capsys.readouterr().err == "periodist: error: the following arguments are required: --spec\n"
 
 
-def test_reports_are_byte_identical(tmp_path, capsys):
-    spec = write_job(
-        tmp_path,
-        "job.json",
-        {"inputs": {"a": [{"expr": ONE}]}, "params": {"delta": 1.0, "K": 0}},
-    )
+# Values kept between calls, such as cached balls and inner-node values, change no report.
+@pytest.mark.parametrize("command, job", [
+    ("corona-check", {"inputs": {"a": [{"expr": ONE}]}, "params": {"delta": 1.0, "K": 0}}),
+    ("reduce", {"dimension": 2, "params": {"R": 10, "epsilon": 0.25}, "inputs": {
+        "a1": {"expr": {"kind": "add", "args": [COORD, {"kind": "mul", "args": [
+            {"kind": "coord", "axis": 1}, {"kind": "const", "re": 0.5, "im": -0.25}]}]}},
+        "a2": {"expr": ONE}, "b1": {"expr": ZERO}, "b2": {"expr": ONE}}}),
+], ids=["corona-check", "reduce"])
+def test_reports_are_byte_identical(tmp_path, capsys, command, job):
+    spec = write_job(tmp_path, "job.json", job)
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
-    assert cli.main(["corona-check", "--spec", spec, "--out", str(first)]) == 0
-    assert cli.main(["corona-check", "--spec", spec, "--out", str(second)]) == 0
+    assert cli.main([command, "--spec", spec, "--out", str(first)]) == 0
+    assert cli.main([command, "--spec", spec, "--out", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
 
@@ -987,6 +1021,7 @@ def test_report_as_deep_as_the_parser_accepts_renders(tmp_path, fmt):
 def test_deep_report_that_renders_still_passes(tmp_path):
     code, out, _ = _cli_process(["bezout-solve", "--spec", _deep_bezout_job(tmp_path, 200)])
     assert code == 0 and json.loads(out)["verdict"] == "pass"
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_json_report_is_rendered_without_json_dumps(tmp_path, capsys, monkeypatch):
