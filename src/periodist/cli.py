@@ -42,7 +42,6 @@ import numpy as np
 from . import exp_type, fourier, lattice, stable_rank
 from . import expr as ex
 from .corona import (
-    WINDOW_VERIFIED,
     CoronaWitness,
     certify_witness,
     check_corona_window,
@@ -278,10 +277,17 @@ def _run_corona_check(job: Job):
 
 
 def _resolve_witness(job: Job, family: list[SlowSequence]) -> CoronaWitness:
-    """The witness of ``params.delta`` and ``params.K``, still to be checked on the
-    window, or else a certified one."""
+    """The witness of ``params.delta`` and ``params.K``, checked on the job's window
+    (a violation raises MathFailure), or else a certified one."""
     if "delta" in job.params or "K" in job.params:
-        return CoronaWitness(job.param_float("delta"), job.param_int("K"), radius=job.radius)
+        witness = CoronaWitness(job.param_float("delta"), job.param_int("K"), radius=job.radius)
+        check = check_corona_window(family, witness.delta, witness.K, job.radius)
+        if not check.holds:
+            raise MathFailure(
+                f"corona floor (delta={witness.delta}, K={witness.K}) fails at "
+                f"lattice index {check.first_violation}"
+            )
+        return witness
     witness = certify_witness(family)
     if witness is None:
         raise MathFailure(
@@ -293,8 +299,7 @@ def _resolve_witness(job: Job, family: list[SlowSequence]) -> CoronaWitness:
 def _run_bezout_solve(job: Job):
     family = job.slow_family("a")
     witness = _resolve_witness(job, family)
-    verify_radius = job.radius if witness.status == WINDOW_VERIFIED else None
-    cofactors = solve_bezout(family, witness, verify_radius=verify_radius)
+    cofactors = solve_bezout(family, witness)
     residual = verify_bezout(family, cofactors, job.radius)
     tolerance = job.param_float("tolerance", 1e-12)
     results = {

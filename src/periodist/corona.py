@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import DimensionMismatch, InputError, MathFailure
+from .errors import DimensionMismatch, InputError
 from .lattice import LatticeIndex
 from .sequences import SlowSequence, _flagged, combine, scan, window_array, window_folds
 
@@ -113,27 +113,16 @@ def certify_witness(family: list[SlowSequence]) -> CoronaWitness | None:
     return None if bound is None else CoronaWitness(*bound, status=CERTIFIED)
 
 
-def solve_bezout(
-    family: list[SlowSequence],
-    witness: CoronaWitness,
-    verify_radius: int | None = None,
-) -> list[SlowSequence]:
+def solve_bezout(family: list[SlowSequence], witness: CoronaWitness) -> list[SlowSequence]:
     """Closed-form cofactors b_i with sum b_i * a_i = 1.
 
     Each cofactor is phase(a_i) divided by the combined modulus, carried
     as an expression tree whose reciprocal node records the witness; the
-    composed growth certificate of every cofactor is (1/delta, K).  With
-    ``verify_radius`` set, the witness is first checked on that window and
-    a violation raises MathFailure.
+    composed growth certificate of every cofactor is (1/delta, K).  The
+    witness is taken as given: a window check is the caller's
+    (``check_corona_window``).
     """
-    dimension = _family_dimension(family)
-    if verify_radius is not None:
-        check = check_corona_window(family, witness.delta, witness.K, verify_radius)
-        if not check.holds:
-            raise MathFailure(
-                f"corona floor (delta={witness.delta}, K={witness.K}) fails at "
-                f"lattice index {check.first_violation}"
-            )
+    _family_dimension(family)
     moduli = [combine("abs", member) for member in family]
     total = moduli[0] if len(moduli) == 1 else combine("add", *moduli)
     denominator = total.reciprocal(witness.delta, witness.K)

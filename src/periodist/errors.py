@@ -30,9 +30,9 @@ class WitnessViolation(PeriodistError):
     Carries the offending lattice index so reports can name it.
     """
 
-    def __init__(self, index: tuple[int, ...], message: str | None = None):
+    def __init__(self, index: tuple[int, ...]):
         self.index = index
-        super().__init__(message or f"inverse witness violated at lattice index {index}")
+        super().__init__(f"inverse witness violated at lattice index {index}")
 
 
 class MathFailure(PeriodistError):

@@ -44,13 +44,12 @@ class Poly:
     """Polynomial with coefficients in ascending degree order.
 
     Coefficients are exact, kept as given (ints and Fractions), when
-    every input is an int or a Fraction, and complex doubles otherwise;
-    ``values`` holds them as complex doubles either way, for equality and
-    hashing.  Instances are immutable; arithmetic returns new polynomials
-    with trailing zeros stripped.
+    every input is an int or a Fraction, and complex doubles otherwise.
+    Instances are immutable; arithmetic returns new polynomials with
+    trailing zeros stripped.
     """
 
-    __slots__ = ("coeffs", "exact", "values")
+    __slots__ = ("coeffs", "exact")
 
     def __init__(self, coefficients):
         items = list(coefficients)
@@ -60,7 +59,6 @@ class Poly:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "values", tuple(map(complex, cleaned)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -70,16 +68,6 @@ class Poly:
         return self.coeffs[power] if power < len(self.coeffs) else (
             0 if self.exact else complex(0)
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.values, other.values))
-
-    def __hash__(self):
-        return hash(self.values)
 
     def __add__(self, other: "Poly") -> "Poly":
         width = max(len(self.coeffs), len(other.coeffs))

@@ -175,28 +175,23 @@ def coeffs_from_samples(basis: PeriodBasis, samples) -> CoefficientMap:
     return CoefficientMap(dict(zip(zip(*index.tolist()), values)), d, _modulus_cert(values))
 
 
-def synthesize(basis: PeriodBasis, coeffs: CoefficientMap, x):
-    """Finite sum of coefficients times exp(2*pi*i * (A^{-1} m) . x).
+def synthesize(basis: PeriodBasis, coeffs: CoefficientMap, x) -> np.ndarray:
+    """Finite sum of coefficients times exp(2*pi*i * (A^{-1} m) . x) at each row of the
+    (count, d) stack of points ``x``, as a complex array of length count.
 
-    Accepts a single point (shape (d,)) returning a complex value, or a
-    stack of points (shape (count, d)) returning a complex array.
     Invariant under adding any period vector to x.  A point must be finite,
     and so must each phase 2*pi*i * (A^{-1} m) . x.
     """
     if coeffs.dimension != basis.dimension:
         raise InputError("coefficient map and basis dimensions differ")
     points = np.asarray(x, dtype=float)
-    single = points.ndim == 1
-    if single:
-        points = points[None, :]
     if points.ndim != 2 or points.shape[1] != basis.dimension:
-        raise InputError("evaluation points must have the basis dimension")
+        raise InputError("evaluation points must be a (count, d) stack of the basis dimension")
     if not np.isfinite(points).all():
         raise InputError("evaluation points must be finite")
     items = coeffs.items_in_scan_order()
     if not items:
-        values = np.zeros(points.shape[0], dtype=np.complex128)
-        return complex(values[0]) if single else values
+        return np.zeros(points.shape[0], dtype=np.complex128)
     indices = np.array([index for index, _ in items], dtype=float)
     alphas = np.array([value for _, value in items], dtype=np.complex128)
     duals = basis.inverse @ indices.T  # shape (d, count_m)
@@ -204,6 +199,4 @@ def synthesize(basis: PeriodBasis, coeffs: CoefficientMap, x):
         angles = 2j * math.pi * (points @ duals)
     if not np.isfinite(angles).all():
         raise InputError("a phase of the evaluation points passes the double range")
-    phases = np.exp(angles)
-    values = phases @ alphas
-    return complex(values[0]) if single else values
+    return np.exp(angles) @ alphas

@@ -200,23 +200,11 @@ def _next_dimension(counts, blocks, pair_x0, source):
     return np.repeat(pair_x0, lengths), gather, np.add.reduceat(lengths, blocks)
 
 
-def shell_count(dimension: int, radius: int) -> int:
-    """Exact number of lattice points with 1-norm exactly `radius`; no ball is built.
-
-    Points with k nonzero coordinates: C(d, k) axes, 2^k signs, C(r-1, k-1) compositions of r.
-    """
-    d, r = dimension, radius
-    if d < 1 or r < 0:
-        raise ValueError("need dimension >= 1 and radius >= 0")
-    return 1 if r == 0 else sum(math.comb(d, k) * 2**k * math.comb(r - 1, k - 1) for k in range(1, d + 1))
-
-
 def ball_count(dimension: int, radius: int) -> int:
     """Exact number of lattice points with 1-norm <= `radius`; no ball is built.
 
     Points with k nonzero coordinates: C(d, k) axes, 2^k signs, C(r, k) ways to
-    choose their moduli with sum at most r; so the sum of ``shell_count`` over
-    0..r is ``sum_k 2^k C(d, k) C(r, k)``.
+    choose their moduli with sum at most r: ``sum_k 2^k C(d, k) C(r, k)``.
     """
     d, r = dimension, radius
     if d < 1 or r < 0:

@@ -142,16 +142,20 @@ def _weighted_sup(b, k: int, radius: int) -> float:
 
 def poly_exp_sup(order: int, rate: float, start: float = 0.0) -> float:
     """Certified sup over real r >= start of (1+r)^order * exp(-rate*r); inf where the
-    peak order/rate or a power passes the double range."""
+    peak order/rate or the sup passes the double range.  Where only the power passes it,
+    the sup is one exp of its logarithm, raised first by a bound on that logarithm's
+    rounding error (the rounding of the base, ``math.log`` and each operation)."""
     ex.POSITIVE.check(rate, "rate")
     try:
         peak = order / rate - 1.0
         if peak == math.inf:  # inf ** order times an exp that rounds to 0 would be NaN
             return math.inf
-        if peak <= start:
-            value = (1.0 + start) ** order * math.exp(-rate * start)
-        else:
-            value = (order / rate) ** order * math.exp(rate - order)
+        base, exponent = (1.0 + start, -rate * start) if peak <= start else (order / rate, rate - order)
+        try:
+            value = base**order * math.exp(exponent)
+        except OverflowError:
+            power = order * math.log(base)
+            value = math.exp(power + exponent + 4 * sys.float_info.epsilon * (abs(power) + abs(exponent) + order))
     except OverflowError:
         return math.inf
     return _bump(value)
@@ -333,9 +337,6 @@ class SlowSequence(ex.Ranged):
     def phase_factor(self) -> "SlowSequence":
         return combine("phase", self)
 
-    def clip_below(self, eps: float) -> "SlowSequence":
-        return _compose(ex.Clip(self.expr, eps), self)
-
     def reciprocal(self, delta: float, K: int) -> "SlowSequence":
         """Reciprocal under the witness |a(n)| >= delta * (1+|n|_1)^(-K)."""
         return _compose(ex.Recip(self.expr, delta, K), self)
@@ -344,15 +345,11 @@ class SlowSequence(ex.Ranged):
 def _compose(node: ex.Node, *operands: SlowSequence) -> SlowSequence:
     """`node` over the operands' trees, certified by the growth part of its own ``_facts``
     rule applied to the operands' certificates (claimed ones included), with sign unknown,
-    no floor and no axis.  The operands' axes are already checked and ``node`` adds none."""
+    no floor and no axis.  The operands' axes are already checked and ``node`` adds none,
+    so the sequence is built without ``__post_init__``'s walk of the tree."""
     m, k = node._facts([((s.cert.M, s.cert.k), False, None, -1) for s in operands])[0]
-    return _checked(node, operands[0].dimension, GrowthCertificate(m, k))
-
-
-def _checked(node: ex.Node, dimension: int, cert: GrowthCertificate) -> SlowSequence:
-    """A sequence whose fields are checked, built without ``__post_init__``'s walk of the tree."""
     seq = object.__new__(SlowSequence)
-    vars(seq).update(expr=node, dimension=dimension, cert=cert)
+    vars(seq).update(expr=node, dimension=operands[0].dimension, cert=GrowthCertificate(m, k))
     return seq
 
 
@@ -394,10 +391,6 @@ def coordinate(axis: int, dimension: int | None = None) -> SlowSequence:
     if dimension is None:
         dimension = axis + 1
     return SlowSequence.from_expr(ex.Coord(axis), dimension)
-
-
-def norm_sequence(dimension: int = 1) -> SlowSequence:
-    return SlowSequence.from_expr(ex.Norm1(), dimension)
 
 
 def poly_envelope(k: int, dimension: int = 1) -> SlowSequence:
@@ -499,13 +492,9 @@ class FastSequence(SlowSequence):
         return FastSequence(node, dimension, decay=decay, support=support)
 
 
-def fast_exp_decay(rate: float, dimension: int = 1, amplitude: complex = 1.0) -> FastSequence:
-    """The sequence amplitude * exp(-rate * |n|_1) with its exact envelope."""
-    amplitude = complex(amplitude)
-    tree: ex.Node = ex.ExpDecay(rate)
-    if amplitude != 1.0:
-        tree = ex.Mul((ex.Const(amplitude.real, amplitude.imag), tree))
-    return FastSequence(tree, dimension, decay=DecayBound(abs(amplitude) or 1.0, 0, rate))
+def fast_exp_decay(rate: float, dimension: int = 1) -> FastSequence:
+    """The sequence exp(-rate * |n|_1) with its exact envelope."""
+    return FastSequence(ex.ExpDecay(rate), dimension, decay=DecayBound(1.0, 0, rate))
 
 
 def _shifted_norm_expr(point: LatticeIndex) -> ex.Node:
@@ -529,15 +518,6 @@ def indicator_expr(point: LatticeIndex) -> ex.Node:
     """
     shifted = _shifted_norm_expr(point)
     return ex.Mul((ex.Const(-2.0), ex.Add((shifted, ex.Neg(ex.Clip(shifted, 0.5))))))
-
-
-def indicator(point: LatticeIndex, dimension: int | None = None) -> FastSequence:
-    point = tuple(int(c) for c in point)
-    if dimension is None:
-        dimension = len(point)
-    if len(point) != dimension:
-        raise DimensionMismatch("indicator point has the wrong dimension")
-    return FastSequence(indicator_expr(point), dimension, support=sum(abs(c) for c in point))
 
 
 def from_values(values: dict[LatticeIndex, complex], dimension: int) -> FastSequence:

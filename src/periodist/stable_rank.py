@@ -39,6 +39,7 @@ from .sequences import (
     PairingResult,
     SlowSequence,
     _bump,
+    _compose,
     _pairing,
     combine,
     constant,
@@ -57,7 +58,7 @@ def clip_below(a: SlowSequence, eps: float) -> SlowSequence:
     certificate (max(M, eps), k), and is bounded below by eps, so it
     admits the inverse witness (eps, 0).
     """
-    return a.clip_below(eps)
+    return _compose(ex.Clip(a.expr, eps), a)
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def reduce_pair(
     normalizer = combine("add", one, combine("abs", a1))
     normalized_first = combine("mul", a1, normalizer.reciprocal(1.0, 0))
     scaled_cofactor = combine("mul", b1, normalizer)
-    clipped_cofactor = scaled_cofactor.clip_below(epsilon)
+    clipped_cofactor = clip_below(scaled_cofactor, epsilon)
     multiplier = combine(
         "mul", clipped_cofactor.reciprocal(epsilon, 0), normalizer, b2
     )
@@ -194,7 +195,7 @@ def approx_by_invertibles(
     Each approximant differs from `a` by at most 2 * eps pointwise and
     carries the certified floor (eps, 0).
     """
-    return [(a.clip_below(eps), CoronaWitness(eps, 0, status=CERTIFIED)) for eps in epsilons]
+    return [(clip_below(a, eps), CoronaWitness(eps, 0, status=CERTIFIED)) for eps in epsilons]
 
 
 @dataclass(frozen=True)

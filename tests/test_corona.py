@@ -18,7 +18,7 @@ from periodist.corona import (
     verify_bezout,
     witness_from_bezout,
 )
-from periodist.errors import DimensionMismatch, InputError, MathFailure
+from periodist.errors import DimensionMismatch, InputError
 from periodist.lattice import ball, ball_iter
 from periodist.sequences import (
     _CHUNK,
@@ -26,7 +26,6 @@ from periodist.sequences import (
     SlowSequence,
     constant,
     coordinate,
-    norm_sequence,
     poly_envelope,
     window_values,
 )
@@ -165,12 +164,6 @@ def test_solver_growth_claims_hold_on_window():
         assert cof.check_certificate(50).holds
 
 
-def test_solve_rejects_failing_witness_when_asked():
-    family = [coordinate(0)]
-    with pytest.raises(MathFailure):
-        solve_bezout(family, CoronaWitness(0.5, 0), verify_radius=10)
-
-
 def test_witness_from_bezout_trivials():
     one = [constant(1.0, 1)]
     w = witness_from_bezout(one)
@@ -228,7 +221,7 @@ def test_unit_inverse_on_random_shifted_norms():
     rng = random.Random(12)
     for _ in range(10):
         shift = 1.0 + rng.random() * 3.0
-        seq = norm_sequence(1) + constant(shift, 1)
+        seq = SlowSequence(ex.Norm1(), 1) + constant(shift, 1)
         check = is_unit(seq, CoronaWitness(shift, 0), radius=30)
         assert check.invertible
         product = (seq * check.inverse).window(30)

@@ -21,10 +21,15 @@ from periodist.exp_type import (
 )
 
 
+def doubles(p):
+    """p's coefficients as complex doubles."""
+    return tuple(map(complex, p.coeffs))
+
+
 def horner(p, z):
     """p(z) in Python complex arithmetic on p's complex double coefficients."""
     value = complex(0)
-    for c in reversed(p.values):
+    for c in reversed(doubles(p)):
         value = value * z + c
     return value
 
@@ -79,21 +84,16 @@ def test_add_sub_neg():
 
 def test_exact_polys_evaluate_their_coefficients_as_complex_doubles():
     p = Poly([Fraction(1, 3), -2, Fraction(5, 7)])
-    assert p.exact and p.values == (complex(1 / 3), -2 + 0j, complex(5 / 7))
+    assert p.exact and doubles(p) == (complex(1 / 3), -2 + 0j, complex(5 / 7))
     z = 0.25 - 1.5j
     assert horner(p, z) == (complex(Fraction(5, 7)) * z + complex(-2)) * z + complex(Fraction(1, 3))
-    assert Poly([0.5, 1j]).values == (0.5 + 0j, 1j)
+    assert Poly([0.5, 1j]).coeffs == (0.5 + 0j, 1j)
 
 
 def test_monomial_and_one():
     assert one().coeffs == (1,)
     assert monomial(3).coefficient(3) == 1
     assert monomial(3).coeffs == (0, 0, 0, 1)
-
-
-def test_polys_hash_and_compare_by_value():
-    assert Poly([1, 2]) == Poly([1, 2, 0])
-    assert hash(Poly([1, 2])) == hash(Poly([1, 2, 0]))
 
 
 # -- the displayed identity ---------------------------------------------
@@ -109,9 +109,9 @@ def test_standard_identity_is_exactly_zero():
 def test_identity_pieces():
     p, q, f, g = standard_identity()
     assert p.coeffs == (-1, -1, -1)
-    assert q == one()
+    assert q.coeffs == one().coeffs == (1,)
     assert f.coeffs == (-1, 1)
-    assert g == monomial(3)
+    assert g.coeffs == monomial(3).coeffs
 
 
 def test_trivial_residuals():
@@ -198,7 +198,7 @@ def reference_best(combination):
     """Least |p(z)| over the np.roots roots after 3 Newton steps, or None."""
     slope_poly = derivative(combination)
     best = None
-    for root in np.roots(combination.values[::-1]):
+    for root in np.roots(doubles(combination)[::-1]):
         root = complex(root)
         for _ in range(3):
             slope = horner(slope_poly, root)
@@ -265,9 +265,9 @@ def test_standard_sweep_equals_the_reference(max_degree):
 
 def batched_bests(combinations):
     """``_best_residuals`` on one row per combination."""
-    width = max(len(c.values) for c in combinations)
-    values = np.array([c.values + (0j,) * (width - len(c.values)) for c in combinations])
-    slopes = np.array([derivative(c).values + (0j,) * (width - len(c.values)) for c in combinations])
+    width = max(len(c.coeffs) for c in combinations)
+    values = np.array([doubles(c) + (0j,) * (width - len(c.coeffs)) for c in combinations])
+    slopes = np.array([doubles(derivative(c)) + (0j,) * (width - len(c.coeffs)) for c in combinations])
     degree = np.array([len(c.coeffs) - 1 for c in combinations])
     with np.errstate(all="ignore"):
         return _best_residuals(values, slopes, degree)

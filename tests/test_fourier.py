@@ -191,8 +191,8 @@ def test_samples_must_be_cubic():
 def test_single_zero_coefficient_synthesizes_constant():
     basis = PeriodBasis([[1.0]])
     coeffs = CoefficientMap.from_dict({(0,): 1.0}, 1)
-    for x in (0.0, 0.3, -1.7):
-        assert synthesize(basis, coeffs, (x,)) == pytest.approx(1.0, abs=1e-15)
+    values = synthesize(basis, coeffs, [[0.0], [0.3], [-1.7]])
+    assert np.abs(values - 1.0).max() <= 1e-15
 
 
 def test_round_trip_on_random_trig_polynomials():
@@ -235,14 +235,15 @@ def test_synthesize_single_point_matches_stack():
     basis = PeriodBasis([[1.0]])
     coeffs = CoefficientMap.from_dict({(1,): 1.0, (-2,): 0.5}, 1)
     stack = synthesize(basis, coeffs, np.array([[0.3], [0.4]]))
-    assert synthesize(basis, coeffs, (0.3,)) == stack[0]
-    assert isinstance(synthesize(basis, coeffs, (0.3,)), complex)
+    assert synthesize(basis, coeffs, [[0.3]]).tolist() == [stack[0]]
+    with pytest.raises(InputError):  # a point is a one-row stack, not a (d,) array
+        synthesize(basis, coeffs, (0.3,))
 
 
 def test_empty_map_synthesizes_zero():
     basis = PeriodBasis([[1.0]])
     coeffs = CoefficientMap.from_dict({}, 1)
-    assert synthesize(basis, coeffs, (0.2,)) == 0.0
+    assert synthesize(basis, coeffs, [[0.2], [0.4]]).tolist() == [0j, 0j]
 
 
 # -- coefficient maps ---------------------------------------------------

@@ -1,4 +1,5 @@
-"""The package's import surface, and the names the benchmark's tracer patches."""
+"""The package's import surface, the names the benchmark's tracer patches, and the
+benchmark's own library calls."""
 
 import ast
 import subprocess
@@ -38,3 +39,19 @@ def test_every_traced_name_resolves_and_a_bare_import_loads_every_module():
         capture_output=True, text=True, check=True, timeout=60, env={"PYTHONPATH": str(PACKAGE.parent)},
     ).stdout
     assert missing == "[]\n"
+
+
+def test_the_benchmark_library_calls_run():
+    # perfbench is imported read-only, with the repository root on sys.path: one op of
+    # each window-scan kind on a small window, as its warm-up runs them, and one N=4
+    # reduction chain, checked against its expectation.
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))
+    from perfbench import library
+
+    ops = library.window_scan_blocks(0, 1)[0]
+    for kind in library.WS_KINDS:
+        op = next(op for op in ops if op["kind"] == kind)
+        assert library.execute(periodist, dict(op, R=6), library.prepare(periodist, op)) is not None, kind
+    op = next(op for op in library.reduction_chain_blocks(0, 1)[0] if op["N"] == 4)
+    assert library.check(op, library.execute(periodist, op, library.prepare(periodist, op))) is None

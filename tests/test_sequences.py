@@ -21,16 +21,21 @@ from periodist.sequences import (
     exp_decay_sequence,
     fast_exp_decay,
     from_values,
-    indicator,
-    norm_sequence,
+    indicator_expr,
     pairing,
     poly_envelope,
     poly_exp_series_bound,
     poly_exp_sup,
     seminorm,
 )
+from periodist.stable_rank import clip_below
 
 LOG2 = math.log(2.0)
+
+
+def indicator(point) -> FastSequence:
+    """The sequence 1 at `point` and 0 elsewhere, with its support declared."""
+    return FastSequence(indicator_expr(point), len(point), support=sum(abs(c) for c in point))
 
 
 # -- construction and the ring operations -------------------------------
@@ -45,7 +50,7 @@ def test_add_of_ones():
 def test_constructors_evaluate():
     assert coordinate(0).eval((-4,)) == -4.0
     assert coordinate(1, 2).eval((3, 5)) == 5.0
-    assert norm_sequence(2).eval((-1, 2)) == 3.0
+    assert SlowSequence(ex.Norm1(), 2).eval((-1, 2)) == 3.0
     assert poly_envelope(2).eval((3,)) == 16.0
     assert exp_decay_sequence(LOG2).eval((3,)) == pytest.approx(0.125, rel=1e-14)
 
@@ -70,7 +75,7 @@ def test_commutativity():
     rng = random.Random(77)
     for _ in range(20):
         a = constant(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), 1) * coordinate(0)
-        b = constant(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), 1) + norm_sequence(1)
+        b = constant(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), 1) + SlowSequence(ex.Norm1(), 1)
         for left, right in [(a + b, b + a), (a * b, b * a)]:
             lw, rw = left.window(10), right.window(10)
             assert np.abs(lw - rw).max() <= 1e-12 * (np.abs(lw).max() + 1.0)
@@ -78,7 +83,7 @@ def test_commutativity():
 
 def test_associativity_and_distributivity_within_tolerance():
     a = coordinate(0) * constant(0.3, 1)
-    b = norm_sequence(1) + constant(-1.7 + 0.4j, 1)
+    b = SlowSequence(ex.Norm1(), 1) + constant(-1.7 + 0.4j, 1)
     c = poly_envelope(1)
     w = 12
     left = ((a + b) + c).window(w)
@@ -113,7 +118,7 @@ def test_dimension_mismatch_raises():
 
 
 def test_combining_does_not_walk_the_operands_for_axes(monkeypatch):
-    a, b = coordinate(1, 2), norm_sequence(2)
+    a, b = coordinate(1, 2), SlowSequence(ex.Norm1(), 2)
 
     def refuse(node):
         raise AssertionError("a combined tree was folded")
@@ -121,7 +126,7 @@ def test_combining_does_not_walk_the_operands_for_axes(monkeypatch):
     monkeypatch.setattr(ex, "_facts_of", refuse)
     total = combine("add", a, b)
     assert total.eval((3, -4)) == -4.0 + 7.0
-    assert combine("mul", total, a).clip_below(0.5).reciprocal(0.5, 2).dimension == 2
+    assert clip_below(combine("mul", total, a), 0.5).reciprocal(0.5, 2).dimension == 2
     # A raw tree built directly is still checked against the dimension.
     monkeypatch.undo()
     with pytest.raises(DimensionMismatch):
@@ -199,12 +204,12 @@ def test_composed_certs_hold_on_random_products():
     for _ in range(25):
         seq = constant(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), 1)
         for _ in range(rng.randrange(3)):
-            seq = seq * coordinate(0) if rng.random() < 0.5 else seq + norm_sequence(1)
+            seq = seq * coordinate(0) if rng.random() < 0.5 else seq + SlowSequence(ex.Norm1(), 1)
         assert seq.check_certificate(35).holds
 
 
 def test_json_round_trip_checks_claims():
-    seq = (coordinate(0) + constant(1.0, 1)).clip_below(0.5)
+    seq = clip_below(coordinate(0) + constant(1.0, 1), 0.5)
     wire = seq.to_json()
     back = SlowSequence.from_json(wire, 1)
     assert back.to_json() == wire
@@ -307,7 +312,7 @@ def test_abs_sum_and_weighted_bounds_dominate_truth():
 
 
 def test_fast_json_round_trip():
-    f = fast_exp_decay(0.5, 2, amplitude=1.5)
+    f = FastSequence(ex.Mul((ex.Const(1.5), ex.ExpDecay(0.5))), 2, decay=DecayBound(1.5, 0, 0.5))
     wire = f.to_json()
     back = FastSequence.from_json(wire, 2)
     assert back.to_json() == wire
@@ -336,6 +341,26 @@ def test_envelope_bounds_past_the_double_range_are_inf():
     assert math.isfinite(poly_exp_series_bound(0, 1.1e-16))
     b = FastSequence(ex.ExpDecay(0.5), 1, decay=DecayBound(1.0, 0, 1e-200))
     assert b.seminorm_bound(3) == b.abs_sum_bound() == math.inf
+
+
+@pytest.mark.parametrize("order,rate,start", [(1000, 300.0, 0.0), (200, 1.0, 2000.0)])
+def test_poly_exp_sup_is_finite_where_only_a_power_overflows(order, rate, start):
+    # (order/rate)^order and (1+start)^order pass the double range; the sups are about
+    # 7.4578e218 and 4.5757e-209.
+    mpmath = pytest.importorskip("mpmath")
+    sup = poly_exp_sup(order, rate, start)
+    with mpmath.workdps(60):
+        r = max(mpmath.mpf(order) / mpmath.mpf(rate) - 1, mpmath.mpf(start))
+        exact = (1 + r) ** order * mpmath.exp(-mpmath.mpf(rate) * r)
+        assert exact <= sup <= exact * (1 + mpmath.mpf("1e-9"))
+
+
+def test_the_series_bound_is_finite_where_only_a_power_overflows():
+    mpmath = pytest.importorskip("mpmath")
+    bound = poly_exp_series_bound(1000, 300.0)
+    with mpmath.workdps(60):
+        partial = mpmath.fsum((1 + r) ** 1000 * mpmath.exp(-300 * r) for r in range(100))
+        assert partial <= bound < math.inf
 
 
 def test_poly_exp_sup_with_start_offset():
@@ -369,8 +394,8 @@ def _series_loop(order, rate):
 
 def test_series_bound_keeps_the_bits_of_every_sum_the_loop_returns():
     # Order 5 at rate 1e-5 stops near the last term; order 1 at rate 1.5e-6 and order 2
-    # at rate 3e-6 would not stop, and order 170 at rate 3 passes the double range in
-    # (1+r)^170: these three take the closed form.
+    # at rate 3e-6 would not stop, and order 170 at rates 1 and 3 and order 400 at rate 40
+    # pass the double range in (1+r)^order: these five take the closed form.
     grid = [(order, rate) for order in (0, 1, 2, 5, 12, 40, 170, 400)
             for rate in (0.003, 0.05, 0.69, 1.0, 3.0, 40.0, 700.0)]
     grid += [(5, 1e-5), (1, 1.5e-6), (2, 3e-6), (800, 1.0), (2000, 0.5)]
@@ -381,7 +406,7 @@ def test_series_bound_keeps_the_bits_of_every_sum_the_loop_returns():
             assert got.hex() == looped.hex(), (order, rate)
         else:
             closed += math.isfinite(got)
-    assert closed == 3
+    assert closed == 5
 
 
 @pytest.mark.parametrize("order,rate,about", [(1, 1.5e-6, 4.4445e11), (2, 3e-6, 7.4074e16), (170, 3.0, 4.4576e226)])
@@ -439,7 +464,7 @@ def test_pairing_linearity():
     for _ in range(10):
         alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         x = coordinate(0) * constant(rng.uniform(-1, 1), 1)
-        y = norm_sequence(1) + constant(rng.uniform(-1, 1), 1)
+        y = SlowSequence(ex.Norm1(), 1) + constant(rng.uniform(-1, 1), 1)
         lhs = pairing(constant(alpha, 1) * x + y, b, 25).value
         rhs = alpha * pairing(x, b, 25).value + pairing(y, b, 25).value
         assert abs(lhs - rhs) <= 1e-10 * (abs(rhs) + 1.0)

@@ -18,8 +18,6 @@ from periodist.sequences import (
     coordinate,
     fast_exp_decay,
     from_values,
-    indicator,
-    norm_sequence,
     poly_envelope,
 )
 from periodist.stable_rank import (
@@ -30,6 +28,7 @@ from periodist.stable_rank import (
     reduce_tuple,
     weak_star_gap,
 )
+from test_sequences import indicator
 
 LOG2 = math.log(2.0)
 
@@ -150,7 +149,7 @@ def test_reduce_floor_and_factorization_on_random_pairs():
 
 
 def test_reduce_tuple_produces_unimodular_shorter_family():
-    family = [coordinate(0), constant(1.0, 1), norm_sequence(1)]
+    family = [coordinate(0), constant(1.0, 1), SlowSequence(ex.Norm1(), 1)]
     witness = certify_witness(family)
     cofactors = solve_bezout(family, witness)
     assert verify_bezout(family, cofactors, 30) <= 1e-12
