@@ -64,7 +64,7 @@ _PARAM_RANGES = {
     "delta": ex._ranges(CoronaWitness)["delta"],
     "K": ex._ranges(CoronaWitness)["K"],
     "rate": ex._ranges(ex.ExpDecay)["rate"],
-    "maxDegree": ex._ranges(exp_type.ReducerSearchReport)["max_degree"],
+    "maxDegree": ex.NONNEG,
     "tolerance": ex.NONNEG,
 }
 

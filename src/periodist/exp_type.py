@@ -12,10 +12,9 @@ coefficient of h up by three degrees, so the combination always keeps
 constant coefficient -1 and degree-one coefficient 1, stays nonconstant,
 and therefore has a root.
 
-Coefficient arithmetic is exact whenever the inputs are ints or
-Fractions: ints stay Python ints, and a Fraction appears only where an
-input or a product holds one.  Otherwise complex double precision is
-used.
+Polynomials are coefficient tuples in ascending degree.  The identity is
+checked by convolving them in Python arithmetic, so it is exact on ints
+and Fractions.
 
 The reducer sweep runs on that one pair: every combination is an exact
 int64 row of coefficients, and its roots come from one array pass per
@@ -28,107 +27,48 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from . import expr as ex
 
-_EXACT_TYPES = (int, Fraction)
 
-
-def _is_exact(value) -> bool:
-    return isinstance(value, _EXACT_TYPES) and not isinstance(value, bool)
-
-
-class Poly:
-    """Polynomial with coefficients in ascending degree order.
-
-    Coefficients are exact, kept as given (ints and Fractions), when
-    every input is an int or a Fraction, and complex doubles otherwise.
-    Instances are immutable; arithmetic returns new polynomials with
-    trailing zeros stripped.
-    """
-
-    __slots__ = ("coeffs", "exact")
-
-    def __init__(self, coefficients):
-        items = list(coefficients)
-        exact = all(_is_exact(c) for c in items)
-        cleaned = items if exact else [complex(c) for c in items]
-        while cleaned and cleaned[-1] == 0:
-            cleaned.pop()
-        object.__setattr__(self, "coeffs", tuple(cleaned))
-        object.__setattr__(self, "exact", exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def coefficient(self, power: int):
-        ex.NONNEG.check(power, "power")
-        return self.coeffs[power] if power < len(self.coeffs) else (
-            0 if self.exact else complex(0)
-        )
-
-    def __add__(self, other: "Poly") -> "Poly":
-        width = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [self.coefficient(i) + other.coefficient(i) for i in range(width)]
-        )
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        width = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [self.coefficient(i) - other.coefficient(i) for i in range(width)]
-        )
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly([])
-        out = [
-            0 if (self.exact and other.exact) else complex(0)
-        ] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
-
-
-def one() -> Poly:
-    return Poly([1])
-
-
-def monomial(power: int) -> Poly:
-    return Poly([0] * power + [1])
-
-
-def standard_identity() -> tuple[Poly, Poly, Poly, Poly]:
+def standard_identity() -> tuple[tuple[int, ...], ...]:
     """The worked quadruple (p, q, f, g) with p*f + q*g = 1 exactly."""
-    p = Poly([-1, -1, -1])  # -(1 + z + z^2)
-    q = one()
-    f = Poly([-1, 1])  # z - 1
-    g = monomial(3)  # z^3
-    return p, q, f, g
+    return (-1, -1, -1), (1,), (-1, 1), (0, 0, 0, 1)  # -(1 + z + z^2), 1, z - 1, z^3
+
+
+def _product(a, b) -> list:
+    """The coefficients of a*b, by convolution in Python arithmetic."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 @dataclass(frozen=True)
 class PolyBezoutCheck:
-    residual: Poly
+    residual: tuple
     max_residual: float
     exact: bool
 
 
-def poly_bezout_check(p: Poly, q: Poly, f: Poly, g: Poly) -> PolyBezoutCheck:
-    """Residual of the identity p*f + q*g = 1 by coefficient arithmetic.
+def poly_bezout_check(p, q, f, g) -> PolyBezoutCheck:
+    """Residual of the identity p*f + q*g = 1 by coefficient arithmetic, trailing zeros
+    stripped; ``exact`` when every coefficient it computes is an int or a Fraction.
 
     With rational inputs the computation is exact, so a valid identity
     reports a residual of exactly zero.
     """
-    residual = p * f + q * g - one()
-    top = max((abs(complex(c)) for c in residual.coeffs), default=0.0)
-    return PolyBezoutCheck(residual, float(top), residual.exact)
+    residual = [a + b for a, b in zip_longest(_product(p, f), _product(q, g), fillvalue=0)] or [0]
+    residual[0] -= 1
+    exact = all(isinstance(c, (int, Fraction)) for c in residual)
+    while residual and residual[-1] == 0:
+        residual.pop()
+    top = max((abs(complex(c)) for c in residual), default=0.0)
+    return PolyBezoutCheck(tuple(residual), top, exact)
 
 
 _CHUNK = 256  # combinations per array pass, so memory stays flat in max_degree
@@ -181,10 +121,10 @@ def _best_residuals(values, slopes, degree):
 
 
 @dataclass(frozen=True)
-class ReducerSearchReport(ex.Ranged):
+class ReducerSearchReport:
     """Outcome of sweeping single-multiplier combinations f + h * g."""
 
-    max_degree: int = ex.ranged(ex.NONNEG)
+    max_degree: int
     candidates_checked: int
     units_found: int
     all_nonconstant: bool
@@ -205,7 +145,7 @@ def polynomial_reducer_search(max_degree: int = 3) -> ReducerSearchReport:
     """
     ex.NONNEG.check(max_degree, "max_degree")
     _, _, f, g = standard_identity()
-    shift = len(g.coeffs) - 1
+    shift = len(g) - 1
     width = max_degree + 1
     candidates = 5**width
     units_found = 0
@@ -214,7 +154,7 @@ def polynomial_reducer_search(max_degree: int = 3) -> ReducerSearchReport:
     for start in range(0, candidates, _CHUNK):
         stamps = np.arange(start, min(start + _CHUNK, candidates))
         exact = np.zeros((len(stamps), shift + width), np.int64)
-        exact[:, :len(f.coeffs)] = f.coeffs
+        exact[:, :len(f)] = f
         exact[:, shift:] = stamps[:, None] // 5 ** np.arange(width) % 5 - 2  # base-5 digits, -2..2
         degree = _last(exact != 0)
         values = exact.astype(complex)
@@ -230,6 +170,6 @@ def polynomial_reducer_search(max_degree: int = 3) -> ReducerSearchReport:
         candidates_checked=candidates,
         units_found=units_found,
         all_nonconstant=all_nonconstant,
-        fixed_low_coefficients={power: complex(f.coefficient(power)) for power in range(shift)},
+        fixed_low_coefficients={power: complex(c) for power, c in enumerate((f + (0,) * shift)[:shift])},
         max_root_residual=max_residual,
     )

@@ -87,8 +87,7 @@ at the end of this module apply the same rule, naming the JSON path
     > 0        ExpDecay.rate, Clip.eps, Recip.delta, GrowthCertificate.M,
                DecayBound.C, DecayBound.rate, CoronaWitness.delta
     >= 0       Coord.axis, PolyEnv.k, Recip.K, GrowthCertificate.k, DecayBound.j,
-               FastSequence.support, CoronaWitness.K, CoronaWitness.radius,
-               ReducerSearchReport.max_degree
+               FastSequence.support, CoronaWitness.K, CoronaWitness.radius
     >= 1       SlowSequence, FastSequence and CoefficientMap .dimension
     finite     Const.re, Const.im
     one of     CoronaWitness.status: 'window-verified' or 'certified'

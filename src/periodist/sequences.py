@@ -142,9 +142,11 @@ def _weighted_sup(b, k: int, radius: int) -> float:
 
 def poly_exp_sup(order: int, rate: float, start: float = 0.0) -> float:
     """Certified sup over real r >= start of (1+r)^order * exp(-rate*r); inf where the
-    peak order/rate or the sup passes the double range.  Where only the power passes it,
-    the sup is one exp of its logarithm, raised first by a bound on that logarithm's
-    rounding error (the rounding of the base, ``math.log`` and each operation)."""
+    peak order/rate or the sup passes the double range.  Where the power passes it, or
+    the exponential is below the normal range (and has lost relative precision), the sup
+    is one exp of its logarithm, raised first by a bound on that logarithm's rounding
+    error (the rounding of the base, ``math.log`` and each operation).  A sup below the
+    normal range is raised to the next double, so the least result is 5e-324, never 0."""
     ex.POSITIVE.check(rate, "rate")
     try:
         peak = order / rate - 1.0
@@ -152,13 +154,16 @@ def poly_exp_sup(order: int, rate: float, start: float = 0.0) -> float:
             return math.inf
         base, exponent = (1.0 + start, -rate * start) if peak <= start else (order / rate, rate - order)
         try:
-            value = base**order * math.exp(exponent)
+            factor = math.exp(exponent)
+            if factor < sys.float_info.min:
+                raise OverflowError  # to the log form
+            value = base**order * factor
         except OverflowError:
             power = order * math.log(base)
             value = math.exp(power + exponent + 4 * sys.float_info.epsilon * (abs(power) + abs(exponent) + order))
     except OverflowError:
         return math.inf
-    return _bump(value)
+    return _bump(value) if value >= sys.float_info.min else math.nextafter(value, math.inf)
 
 
 def poly_exp_series_bound(order: int, rate: float) -> float:

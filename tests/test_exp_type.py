@@ -10,58 +10,79 @@ import pytest
 
 from periodist.errors import InputError
 from periodist.exp_type import (
-    Poly,
     ReducerSearchReport,
     _best_residuals,
-    monomial,
-    one,
     poly_bezout_check,
     polynomial_reducer_search,
     standard_identity,
 )
 
 
-def doubles(p):
-    """p's coefficients as complex doubles."""
-    return tuple(map(complex, p.coeffs))
-
-
 def horner(p, z):
-    """p(z) in Python complex arithmetic on p's complex double coefficients."""
+    """p(z) in Python complex arithmetic on p's coefficients as complex doubles."""
     value = complex(0)
-    for c in reversed(doubles(p)):
-        value = value * z + c
+    for c in reversed(p):
+        value = value * z + complex(c)
     return value
 
 
 def derivative(p):
-    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+    return [i * c for i, c in enumerate(p)][1:]
 
 
-# -- polynomial arithmetic ----------------------------------------------
+def product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
-def test_construction_strips_trailing_zeros():
-    assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
-    assert Poly([0, 0]).coeffs == ()
-    assert Poly([]).coeffs == ()
+def stripped(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def plus(a, b):
+    """a + b without trailing zeros."""
+    return stripped(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+
+
+# -- exact coefficient arithmetic ---------------------------------------
+
+
+def test_residual_strips_trailing_zeros():
+    # (1 + 2z) * 1 + 0 * z^5 - 1 = 2z, however many zeros the inputs carry
+    assert poly_bezout_check([1, 2, 0, 0], [0], [1], [0, 0, 0, 0, 0, 1]).residual == (0, 2)
+    assert poly_bezout_check([1, 0], [0, 0], [1], [1]).residual == ()
+    assert poly_bezout_check([], [], [], []).residual == (-1,)
 
 
 def test_exact_fraction_arithmetic():
-    p = Poly([Fraction(1, 3)])
-    q = Poly([0, 3])
-    assert (p * q).coefficient(1) == Fraction(1, 1)
-    assert type((p * q).coefficient(1)) is Fraction
-    assert (p * q).exact
-    assert Poly([1, 1]).exact
-    assert not Poly([1.5]).exact
+    check = poly_bezout_check([Fraction(1, 3)], [0], [0, 3], [0])
+    assert check.residual == (-1, 1)
+    assert type(check.residual[1]) is Fraction
+    assert check.exact and check.max_residual == 1.0
+    assert poly_bezout_check([Fraction(1, 2)], [1], [2], [0]).residual == ()
 
 
 def test_int_inputs_stay_ints():
-    p = Poly([3, -1, 2]) * Poly([1, 1]) + Poly([0, 5]) - Poly([1])
-    assert p.exact and p.coeffs == (2, 7, 1, 2)
-    assert all(type(c) is int for c in p.coeffs)
-    assert type(p.coefficient(9)) is int
+    # (3 - z + 2z^2)(1 + z) + 5z - 1
+    check = poly_bezout_check([3, -1, 2], [0, 5], [1, 1], [1])
+    assert check.exact and check.residual == (2, 7, 1, 2)
+    assert all(type(c) is int for c in check.residual)
+
+
+def test_inexact_inputs_are_not_exact_and_keep_their_modulus():
+    check = poly_bezout_check([0.5], [0], [3.0], [0])
+    assert check.residual == (0.5,) and type(check.residual[0]) is float
+    assert not check.exact and check.max_residual == 0.5
+    check = poly_bezout_check([0.5], [1j], [2.0], [1])
+    assert check.residual == (1j,) and not check.exact and check.max_residual == 1.0
+    cancelled = poly_bezout_check([0.5], [0], [2.0], [0])  # 1.0 - 1 leaves 0.0, stripped
+    assert cancelled.residual == () and not cancelled.exact and cancelled.max_residual == 0.0
 
 
 def test_mul_matches_convolution_oracle():
@@ -69,31 +90,8 @@ def test_mul_matches_convolution_oracle():
     for _ in range(20):
         a = [int(c) for c in rng.integers(-5, 6, size=rng.integers(1, 5))]
         b = [int(c) for c in rng.integers(-5, 6, size=rng.integers(1, 5))]
-        product = Poly(a) * Poly(b)
-        oracle = np.convolve(a, b)
-        for power, coeff in enumerate(oracle):
-            assert product.coefficient(power) == coeff
-
-
-def test_add_sub_neg():
-    p, q = Poly([1, 2]), Poly([3, -2])
-    assert (p + q).coefficient(0) == 4
-    assert (p + q).coeffs == (4,)   # the linear parts cancel
-    assert (p - q).coefficient(1) == 4
-
-
-def test_exact_polys_evaluate_their_coefficients_as_complex_doubles():
-    p = Poly([Fraction(1, 3), -2, Fraction(5, 7)])
-    assert p.exact and doubles(p) == (complex(1 / 3), -2 + 0j, complex(5 / 7))
-    z = 0.25 - 1.5j
-    assert horner(p, z) == (complex(Fraction(5, 7)) * z + complex(-2)) * z + complex(Fraction(1, 3))
-    assert Poly([0.5, 1j]).coeffs == (0.5 + 0j, 1j)
-
-
-def test_monomial_and_one():
-    assert one().coeffs == (1,)
-    assert monomial(3).coefficient(3) == 1
-    assert monomial(3).coeffs == (0, 0, 0, 1)
+        # a*b + 1*1 - 1 is the product itself
+        assert poly_bezout_check(a, [1], b, [1]).residual == tuple(stripped(np.convolve(a, b).tolist()))
 
 
 # -- the displayed identity ---------------------------------------------
@@ -108,16 +106,13 @@ def test_standard_identity_is_exactly_zero():
 
 def test_identity_pieces():
     p, q, f, g = standard_identity()
-    assert p.coeffs == (-1, -1, -1)
-    assert q.coeffs == one().coeffs == (1,)
-    assert f.coeffs == (-1, 1)
-    assert g.coeffs == monomial(3).coeffs
+    assert (p, q, f, g) == ((-1, -1, -1), (1,), (-1, 1), (0, 0, 0, 1))
+    assert all(type(c) is int for c in p + q + f + g)
 
 
 def test_trivial_residuals():
-    zero = Poly([])
-    assert poly_bezout_check(zero, zero, Poly([1, 1]), Poly([2])).max_residual == 1.0
-    assert poly_bezout_check(one(), zero, one(), Poly([5, 5])).max_residual == 0.0
+    assert poly_bezout_check((), (), (1, 1), (2,)).max_residual == 1.0
+    assert poly_bezout_check((1,), (), (1,), (5, 5)).max_residual == 0.0
 
 
 def test_linear_factor_vanishes_at_its_root():
@@ -142,7 +137,7 @@ def bisect_root(p, lo, hi, steps=200):
 
 
 def test_bisection_confirms_cubic_root():
-    p = Poly([-1, 1, 0, 1])  # z^3 + z - 1
+    p = [-1, 1, 0, 1]  # z^3 + z - 1
     root = bisect_root(p, 0.0, 1.0)
     assert root == pytest.approx(0.6823278038280193, abs=1e-12)
     assert abs(horner(p, root)) <= 1e-12
@@ -198,7 +193,7 @@ def reference_best(combination):
     """Least |p(z)| over the np.roots roots after 3 Newton steps, or None."""
     slope_poly = derivative(combination)
     best = None
-    for root in np.roots(doubles(combination)[::-1]):
+    for root in np.roots([complex(c) for c in reversed(combination)]):
         root = complex(root)
         for _ in range(3):
             slope = horner(slope_poly, root)
@@ -212,25 +207,25 @@ def reference_best(combination):
 
 
 def reference_sweep(max_degree):
-    """The per-combination sweep of the standard pair: Poly arithmetic, np.roots,
+    """The per-combination sweep of the standard pair: coefficient lists, np.roots,
     and 3 Newton steps per root in Python complex arithmetic, keeping the least
     residual."""
     _, _, f, g = standard_identity()
     width = max_degree + 1
     units_found, all_nonconstant, max_residual = 0, True, 0.0
-    pinned = {power: complex(f.coefficient(power)) for power in range(3)}
+    pinned = {power: complex(c) for power, c in enumerate(list(f) + [0])}
     for stamp in range(5**width):
         digits, rest = [], stamp
         for _ in range(width):
             digits.append(rest % 5 - 2)
             rest //= 5
-        combination = f + Poly(digits) * g
-        degree = len(combination.coeffs) - 1
+        combination = plus(f, product(digits, g))
+        degree = len(combination) - 1
         if degree < 1:
             units_found += degree == 0
             all_nonconstant = False
             continue
-        assert {power: complex(combination.coefficient(power)) for power in pinned} == pinned
+        assert {power: complex(c) for power, c in enumerate((combination + [0])[:3])} == pinned
         best = reference_best(combination)
         if best is None:
             all_nonconstant = False
@@ -265,22 +260,22 @@ def test_standard_sweep_equals_the_reference(max_degree):
 
 def batched_bests(combinations):
     """``_best_residuals`` on one row per combination."""
-    width = max(len(c.coeffs) for c in combinations)
-    values = np.array([doubles(c) + (0j,) * (width - len(c.coeffs)) for c in combinations])
-    slopes = np.array([doubles(derivative(c)) + (0j,) * (width - len(c.coeffs)) for c in combinations])
-    degree = np.array([len(c.coeffs) - 1 for c in combinations])
+    width = max(len(c) for c in combinations)
+    values = np.array([[complex(x) for x in c] + [0j] * (width - len(c)) for c in combinations])
+    slopes = np.array([[complex(x) for x in derivative(c)] + [0j] * (width - len(c)) for c in combinations])
+    degree = np.array([len(c) - 1 for c in combinations])
     with np.errstate(all="ignore"):
         return _best_residuals(values, slopes, degree)
 
 
 def test_per_combination_residuals_equal_the_reference():
     _, _, f, g = standard_identity()
-    combinations = [f + Poly(list(h)) * g for h in itertools.product(range(-2, 3), repeat=4)]
+    combinations = [plus(f, product(h, g)) for h in itertools.product(range(-2, 3), repeat=4)]
     assert [b.hex() for b in batched_bests(combinations)] == [
         reference_best(c).hex() for c in combinations
     ]
     rng = np.random.default_rng(15)
-    drawn = [Poly(list(rng.normal(size=n) + 1j * rng.normal(size=n))) for n in rng.integers(2, 8, size=300)]
+    drawn = [(rng.normal(size=n) + 1j * rng.normal(size=n)).tolist() for n in rng.integers(2, 8, size=300)]
     assert [b.hex() for b in batched_bests(drawn)] == [reference_best(c).hex() for c in drawn]
 
 

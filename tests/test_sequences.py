@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -353,6 +354,28 @@ def test_poly_exp_sup_is_finite_where_only_a_power_overflows(order, rate, start)
         r = max(mpmath.mpf(order) / mpmath.mpf(rate) - 1, mpmath.mpf(start))
         exact = (1 + r) ** order * mpmath.exp(-mpmath.mpf(rate) * r)
         assert exact <= sup <= exact * (1 + mpmath.mpf("1e-9"))
+
+
+def test_poly_exp_sup_is_sound_below_the_normal_range():
+    # rate * start runs from 690 to 770, so exp(-rate * start) falls from normal doubles
+    # through the subnormals to 0; the sup is never below the exact one, nor 0.  Where the
+    # exponential is normal, the bits are those of the direct formula (1+start)^order
+    # exp(-rate*start), raised by the slack.
+    mpmath = pytest.importorskip("mpmath")
+    below = []
+    with mpmath.workdps(60):
+        for rate in (0.5, 1.0, 3.0):
+            for s in range(int(6900 / rate), int(7700 / rate), 7):
+                start = s / 10
+                factor = math.exp(-rate * start)
+                for order in range(25):
+                    sup = poly_exp_sup(order, rate, start)
+                    exact = (1 + mpmath.mpf(start)) ** order * mpmath.exp(-mpmath.mpf(rate) * mpmath.mpf(start))
+                    if not (sup > 0 and sup >= exact):
+                        below.append((order, rate, start, sup))
+                    if factor >= sys.float_info.min:
+                        assert sup == (1.0 + start) ** order * factor * (1.0 + 1e-11), (order, rate, start)
+    assert not below, below[:5]
 
 
 def test_the_series_bound_is_finite_where_only_a_power_overflows():
