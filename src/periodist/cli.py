@@ -232,18 +232,6 @@ class Job:
         return echoed
 
 
-def _witness_json(witness: CoronaWitness | None) -> dict | None:
-    """The witness's fields; None, written null, for no witness (a delta that rounds to 0)."""
-    if witness is None:
-        return None
-    return {
-        "delta": witness.delta,
-        "K": witness.K,
-        "status": witness.status,
-        "radius": witness.radius,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Command handlers.  Each returns (results, verdict) with verdict one of
 # "pass", "fail", or None for compute-only commands.
@@ -253,13 +241,7 @@ def _witness_json(witness: CoronaWitness | None) -> dict | None:
 def _run_check_growth(job: Job):
     seq = job.slow("a")
     check = seq.check_certificate(job.radius)
-    results = {
-        "cert": {"M": seq.cert.M, "k": seq.cert.k},
-        "holds": check.holds,
-        "first_violation": list(check.first_violation) if check.first_violation else None,
-        "max_ratio": check.max_ratio,
-    }
-    return results, ("pass" if check.holds else "fail")
+    return {"cert": ex._write_fields(seq.cert), **ex._write_fields(check)}, ("pass" if check.holds else "fail")
 
 
 def _run_corona_check(job: Job):
@@ -267,13 +249,7 @@ def _run_corona_check(job: Job):
     delta = job.param_float("delta")
     order = job.param_int("K")
     check = check_corona_window(family, delta, order, job.radius)
-    results = {
-        "delta": delta,
-        "K": order,
-        "holds": check.holds,
-        "first_violation": list(check.first_violation) if check.first_violation else None,
-    }
-    return results, ("pass" if check.holds else "fail")
+    return {"delta": delta, "K": order, **ex._write_fields(check)}, ("pass" if check.holds else "fail")
 
 
 def _resolve_witness(job: Job, family: list[SlowSequence]) -> CoronaWitness:
@@ -303,9 +279,9 @@ def _run_bezout_solve(job: Job):
     residual = verify_bezout(family, cofactors, job.radius)
     tolerance = job.param_float("tolerance", 1e-12)
     results = {
-        "witness": _witness_json(witness),
+        "witness": ex._write_fields(witness),
         "cofactors": [c.to_json() for c in cofactors],
-        "recovered_witness": _witness_json(witness_from_bezout(cofactors)),
+        "recovered_witness": ex._write_fields(witness_from_bezout(cofactors)),
         "self_residual": residual,
         "tolerance": tolerance,
     }
@@ -320,7 +296,7 @@ def _run_bezout_verify(job: Job):
     results = {
         "max_residual": residual,
         "tolerance": tolerance,
-        "recovered_witness": _witness_json(witness_from_bezout(cofactors)),
+        "recovered_witness": ex._write_fields(witness_from_bezout(cofactors)),
     }
     return results, ("pass" if residual <= tolerance else "fail")
 
@@ -354,7 +330,7 @@ def _run_reduce(job: Job):
         "epsilon": trace.epsilon,
         "result": trace.result.to_json(),
         "multiplier": trace.multiplier.to_json(),
-        "inverse_witness": _witness_json(witness),
+        "inverse_witness": ex._write_fields(witness),
         "witness_factors": {
             name: None if pair is None else {"delta": pair[0], "K": pair[1]}
             for name, pair in trace.witness_factors.items()
@@ -387,7 +363,7 @@ def _run_approx(job: Job):
         items.append(
             {
                 "epsilon": eps,
-                "witness": _witness_json(witness),
+                "witness": ex._write_fields(witness),
                 "max_change_on_window": max_change,
                 "sequence": clipped.to_json(),
             }
@@ -505,15 +481,11 @@ def _run_exp_demo(job: Job):
         "identity_residual": check.max_residual,
         "identity_exact": check.exact,
         "search": {
-            "max_degree": report.max_degree,
-            "candidates_checked": report.candidates_checked,
-            "units_found": report.units_found,
-            "all_nonconstant": report.all_nonconstant,
+            **ex._write_fields(report),
             "fixed_low_coefficients": {
                 str(power): [value.real, value.imag]
                 for power, value in sorted(report.fixed_low_coefficients.items())
             },
-            "max_root_residual": report.max_root_residual,
         },
     }
     ok = (
@@ -547,7 +519,7 @@ def _flatten(report: dict) -> list[tuple[str, str]]:
     rows, stack = [], [("", report)]
     while stack:
         path, value = stack.pop()
-        if isinstance(value, (dict, list)):
+        if isinstance(value, (dict, list, tuple)):
             items = value.items() if isinstance(value, dict) else enumerate(value)
             stack += reversed([(ex._at(path, key), item) for key, item in items])
         else:

@@ -730,7 +730,8 @@ def to_json(node: Node) -> dict:
 # Typed readers for JSON values: the one validation layer for job files.
 # Every error names the JSON path of the offending value; ``path`` is the
 # path of the value (or of ``obj``; "" at the top level).  A ``rule`` is a
-# declared range, taken from the field the value is read into.
+# declared range, taken from the field the value is read into.  Records are
+# written from the same declarations (``_write_fields``).
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
@@ -842,6 +843,17 @@ def _read_fields(cls, obj: dict, path: str) -> list:
     """The scalar fields of ``cls``, typed and in their declared ranges, from ``obj`` with no other key."""
     _known(obj, [name for name, *_ in _wire_fields(cls)], path)
     return [_SCALAR_READERS[hint](obj, name, path, rule=rule) for name, hint, _, rule in _wire_fields(cls)]
+
+
+def _read_record(cls, obj: dict, key: str, path: str):
+    """The ``cls`` record that ``_read_fields`` reads from the object ``obj[key]``."""
+    where = _at(path, key)
+    return cls(*_read_fields(cls, _object(obj[key], where), where))
+
+
+def _write_fields(record) -> dict | None:
+    """The object ``_read_fields`` reads ``record`` from: its fields in declared order; None for None."""
+    return None if record is None else {name: getattr(record, name) for name, *_ in _wire_fields(type(record))}
 
 
 def parse_node(obj, path: str = "expr", dimension=math.inf) -> Node:

@@ -13,7 +13,9 @@ reported on the centred index window [-floor(N/2), ceil(N/2) - 1]^d.
 Frequencies at or beyond the Nyquist index alias; keeping the spectrum
 inside the window is the caller's responsibility.  Synthesis is the
 finite sum of exp(2*pi*i * (A^{-1} m) . x) weighted by the coefficients,
-and is invariant under translation by any period vector.
+and is invariant under translation by any period vector.  A coefficient
+map takes no growth certificate: its certificate (M, 0) is composed from
+its values whenever it is read, with M the largest modulus.
 
 Names are imported from this module (``from periodist.fourier import
 synthesize``); the package re-exports none of them.
@@ -88,11 +90,10 @@ def sample_grid(basis: PeriodBasis, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoefficientMap(ex.Ranged):
-    """Finitely stored coefficient sequence with a growth certificate."""
+    """Finitely stored coefficient sequence; its growth certificate is composed from its values."""
 
     coeffs: dict[LatticeIndex, complex]
     dimension: int = ex.ranged(ex.AT_LEAST_ONE)
-    cert: GrowthCertificate
 
     def __post_init__(self):
         super().__post_init__()
@@ -100,12 +101,13 @@ class CoefficientMap(ex.Ranged):
             if len(index) != self.dimension:
                 raise InputError("coefficient index has the wrong dimension")
 
+    @property
+    def cert(self) -> GrowthCertificate:
+        return _modulus_cert(self.coeffs.values())
+
     @staticmethod
     def from_dict(coeffs: dict[LatticeIndex, complex], dimension: int) -> "CoefficientMap":
-        clean = {
-            tuple(int(c) for c in k): complex(v) for k, v in coeffs.items()
-        }
-        return CoefficientMap(clean, dimension, _modulus_cert(clean.values()))
+        return CoefficientMap({tuple(int(c) for c in k): complex(v) for k, v in coeffs.items()}, dimension)
 
     def items_in_scan_order(self):
         return sorted(self.coeffs.items(), key=lambda kv: (norm1(kv[0]), kv[0]))
@@ -116,7 +118,7 @@ class CoefficientMap(ex.Ranged):
         return {
             "dimension": self.dimension,
             "coeffs": dict(zip([",".join(map(str, index)) for index, _ in items], pairs.tolist())),
-            "cert": {"M": self.cert.M, "k": self.cert.k},
+            "cert": ex._write_fields(self.cert),
         }
 
     @staticmethod
@@ -131,7 +133,7 @@ class CoefficientMap(ex.Ranged):
             ex._index(key, ex._at(where, key), dimension): ex._complex(value, ex._at(where, key))
             for key, value in ex._object(ex._expect(obj, "coeffs", path), where).items()
         }
-        return CoefficientMap.from_dict(coeffs, dimension)
+        return CoefficientMap(coeffs, dimension)
 
 
 def _modulus_cert(values) -> GrowthCertificate:
@@ -165,14 +167,13 @@ def coeffs_from_samples(basis: PeriodBasis, samples) -> CoefficientMap:
     if any(s != count for s in array.shape):
         raise InputError("samples must be a cubic array (equal length per axis)")
     # Finite samples near the double range may overflow to inf, and inf - inf to NaN;
-    # _modulus_cert then makes M inf.
+    # the map's certificate then has M = inf.
     with np.errstate(over="ignore", invalid="ignore"):
         spectrum = np.fft.fftn(array) / float(count**d)
     # Row-major grid indices, shifted past the window's top into the negatives.
     index = np.indices(array.shape).reshape(d, -1)
     index[index > centred_window(count)[1]] -= count
-    values = spectrum.ravel().tolist()
-    return CoefficientMap(dict(zip(zip(*index.tolist()), values)), d, _modulus_cert(values))
+    return CoefficientMap(dict(zip(zip(*index.tolist()), spectrum.ravel().tolist())), d)
 
 
 def synthesize(basis: PeriodBasis, coeffs: CoefficientMap, x) -> np.ndarray:

@@ -60,7 +60,7 @@ _CHUNK = 1 << 16
 CLAIM_CHECK_RADIUS = 8
 
 # The last term a series bound sums; where its sum would run past it, the bound is a closed form.
-_SERIES_LAST = 1_000_000
+_SERIES_LAST = 10_000
 
 # math.exp overflows above this argument.
 _LOG_MAX = math.log(sys.float_info.max)
@@ -252,29 +252,12 @@ class SlowSequence(ex.Ranged):
         return SlowSequence(tree, dimension)
 
     @staticmethod
-    def with_claimed_cert(
-        tree: ex.Node,
-        dimension: int,
-        cert: GrowthCertificate,
-        where: str = "cert",
-    ) -> "SlowSequence":
-        """Attach a user-supplied certificate after an exhaustive check on the
-        window of radius ``CLAIM_CHECK_RADIUS``."""
-        seq = SlowSequence(tree, dimension, cert)
-        check = seq.check_certificate(CLAIM_CHECK_RADIUS)
-        if not check.holds:
-            raise CertificateError(
-                f"{where}: claimed certificate (M={cert.M}, k={cert.k}) fails at "
-                f"lattice index {check.first_violation}"
-            )
-        return seq
-
-    @staticmethod
     def from_json(obj, dimension: int, path: str = "") -> "SlowSequence":
         """Parse ``{"expr": tree}`` with an optional claim ``"cert": {"M", "k"}``
-        beside it, checked by ``with_claimed_cert``; without a claim the
-        certificate is ``composed_cert`` of the tree.  Any other key is
-        rejected.  Error messages name fields by their JSON path below ``path``.
+        beside it, which must hold on every index of the window of radius
+        ``CLAIM_CHECK_RADIUS``; without a claim the certificate is
+        ``composed_cert`` of the tree.  Any other key is rejected.  Error
+        messages name fields by their JSON path below ``path``.
         """
         obj = ex._object(obj, path or "sequence")
         for key in ("decay", "support"):
@@ -282,17 +265,20 @@ class SlowSequence(ex.Ranged):
                 raise InputError(f"{ex._at(path, key)}: a slow sequence takes no {key} claim")
         node = ex.parse_node(ex._expect(obj, "expr", path), ex._at(path, "expr"), dimension)
         ex._known(obj, ("expr", "cert"), path)
-        if "cert" in obj:
-            where = ex._at(path, "cert")
-            claim = ex._read_fields(GrowthCertificate, ex._object(obj["cert"], where), where)
-            return SlowSequence.with_claimed_cert(node, dimension, GrowthCertificate(*claim), where)
-        return SlowSequence(node, dimension)
+        if "cert" not in obj:
+            return SlowSequence(node, dimension)
+        cert = ex._read_record(GrowthCertificate, obj, "cert", path)
+        seq = SlowSequence(node, dimension, cert)
+        check = seq.check_certificate(CLAIM_CHECK_RADIUS)
+        if not check.holds:
+            raise CertificateError(
+                f"{ex._at(path, 'cert')}: claimed certificate (M={cert.M}, k={cert.k}) fails at "
+                f"lattice index {check.first_violation}"
+            )
+        return seq
 
     def to_json(self) -> dict:
-        return {
-            "expr": ex.to_json(self.expr),
-            "cert": {"M": self.cert.M, "k": self.cert.k},
-        }
+        return {"expr": ex.to_json(self.expr), "cert": ex._write_fields(self.cert)}
 
     # -- evaluation ---------------------------------------------------
 
@@ -473,7 +459,7 @@ class FastSequence(SlowSequence):
     def to_json(self) -> dict:
         out: dict = {"expr": ex.to_json(self.expr)}
         if self.decay is not None:
-            out["decay"] = {"C": self.decay.C, "j": self.decay.j, "rate": self.decay.rate}
+            out["decay"] = ex._write_fields(self.decay)
         if self.support is not None:
             out["support"] = self.support
         return out
@@ -487,10 +473,7 @@ class FastSequence(SlowSequence):
             raise InputError(f"{ex._at(path, 'cert')}: a fast sequence takes no growth certificate")
         node = ex.parse_node(ex._expect(obj, "expr", path), ex._at(path, "expr"), dimension)
         ex._known(obj, ("expr", "decay", "support"), path)
-        decay = None
-        if "decay" in obj:
-            where = ex._at(path, "decay")
-            decay = DecayBound(*ex._read_fields(DecayBound, ex._object(obj["decay"], where), where))
+        decay = ex._read_record(DecayBound, obj, "decay", path) if "decay" in obj else None
         support = ex._integer(obj, "support", path, None, ex._ranges(FastSequence)["support"])
         if decay is None and support is None:
             raise InputError(f"{path or 'sequence'}: needs a 'decay' envelope or a declared 'support'")

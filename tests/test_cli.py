@@ -884,6 +884,18 @@ def test_csv_format(tmp_path, capsys):
     assert any(line.startswith("holds,") for line in lines)
 
 
+def test_csv_writes_a_violation_index_one_row_per_coordinate(tmp_path, capsys):
+    shifted = {"kind": "add", "args": [{"kind": "coord", "axis": 1}, {"kind": "const", "re": -1.0, "im": 0.0}]}
+    spec = write_job(
+        tmp_path,
+        "job.json",
+        {"dimension": 2, "inputs": {"a": [{"expr": shifted}]}, "params": {"delta": 0.5, "K": 0, "R": 3}},
+    )
+    code, out, _ = run(capsys, ["corona-check", "--spec", spec, "--format", "csv"])
+    assert code == 2
+    assert out.splitlines()[-3:] == ["holds,false", "first_violation[0],0", "first_violation[1],1"]
+
+
 def test_window_flag_overrides_params(tmp_path, capsys):
     spec = write_job(
         tmp_path,

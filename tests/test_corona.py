@@ -22,7 +22,6 @@ from periodist.errors import DimensionMismatch, InputError
 from periodist.lattice import ball, ball_iter
 from periodist.sequences import (
     _CHUNK,
-    GrowthCertificate,
     SlowSequence,
     constant,
     coordinate,
@@ -32,7 +31,7 @@ from periodist.sequences import (
 
 
 def seq_with_cert(tree, dimension, M, k):
-    return SlowSequence.with_claimed_cert(tree, dimension, GrowthCertificate(M, k))
+    return SlowSequence.from_json({"expr": ex.to_json(tree), "cert": {"M": M, "k": k}}, dimension)
 
 
 # -- window checks ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import dataclasses
 import math
 import random
 import sys
@@ -848,6 +849,20 @@ def test_node_level_cert_is_rejected_with_its_path():
         SlowSequence.from_json({"expr": {"kind": "norm1"}, "cert": {"M": 1.0, "k": 0}}, 1)
     true_claim = {"expr": {"kind": "coord", "axis": 0}, "cert": {"M": 2.0, "k": 1}}
     assert SlowSequence.from_json(true_claim, 1).cert == ex.GrowthCertificate(2.0, 1)
+
+
+@pytest.mark.parametrize("record", [ex.GrowthCertificate(2.5, 3), DecayBound(1.5, 2, 0.25)], ids=lambda r: type(r).__name__)
+def test_a_record_is_read_from_the_fields_it_is_written_from(record):
+    cls = type(record)
+    written = ex._write_fields(record)
+    assert list(written) == [f.name for f in dataclasses.fields(cls)]
+    assert cls(*ex._read_fields(cls, written, "x")) == record
+
+
+def test_a_witness_is_written_from_its_fields_in_declared_order():
+    written = ex._write_fields(CoronaWitness(0.5, 1, "certified", 7))
+    assert list(written.items()) == [("delta", 0.5), ("K", 1), ("status", "certified"), ("radius", 7)]
+    assert ex._write_fields(None) is None
 
 
 def test_nodes_are_immutable():

@@ -18,6 +18,7 @@ from periodist.fourier import (
     sample_grid,
     synthesize,
 )
+from periodist.sequences import GrowthCertificate
 
 
 def dft_oracle(samples):
@@ -155,6 +156,19 @@ def test_zero_spectrum_keeps_the_unit_certificate():
     assert CoefficientMap.from_dict({(4,): 3.0, (0,): 1.0}, 1).cert.M == 3.0
     huge = CoefficientMap.from_dict({(1,): complex(1.5e308, 1.5e308), (0,): 1.0}, 1)
     assert huge.cert.M == float("inf")
+
+
+def test_a_map_takes_no_certificate_and_composes_it_from_its_values():
+    with pytest.raises(TypeError):
+        CoefficientMap({(0,): 2.0}, 1, GrowthCertificate(1.0, 0))
+    values = {(0,): 2.0 + 0j}
+    coeffs = CoefficientMap(values, 1)
+    assert coeffs.cert == GrowthCertificate(2.0, 0)
+    values[(1,)] = 3j
+    assert coeffs.cert == GrowthCertificate(3.0, 0)
+    assert coeffs.to_json()["cert"] == {"M": 3.0, "k": 0}
+    values[(2,)] = complex(1.5e308, 1.5e308)  # its modulus passes the double range
+    assert coeffs.cert == GrowthCertificate(float("inf"), 0)
 
 
 @pytest.mark.filterwarnings("error")

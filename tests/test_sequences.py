@@ -12,6 +12,7 @@ from periodist import expr as ex
 from periodist.errors import CertificateError, DimensionMismatch, InputError
 from periodist.lattice import ball, ball_iter
 from periodist.sequences import (
+    _SERIES_LAST,
     DecayBound,
     FastSequence,
     GrowthCertificate,
@@ -172,7 +173,7 @@ def test_a_fast_sequence_writes_and_takes_no_certificate():
 
 
 def test_a_claimed_operand_certificate_governs_the_combined_sequence():
-    claimed = SlowSequence.with_claimed_cert(ex.Norm1(), 1, GrowthCertificate(5.0, 1))
+    claimed = SlowSequence.from_json({"expr": {"kind": "norm1"}, "cert": {"M": 5.0, "k": 1}}, 1)
     product = combine("mul", claimed, constant(2.0))
     assert product.cert == GrowthCertificate(10.0, 1)
     assert ex.composed_cert(product.expr) == (2.0, 1)
@@ -186,10 +187,11 @@ def test_certificate_validation():
 
 
 def test_claimed_certificate_must_pass_window():
-    with pytest.raises(CertificateError):
-        SlowSequence.with_claimed_cert(ex.Norm1(), 1, GrowthCertificate(1.0, 0))
-    loose = SlowSequence.with_claimed_cert(ex.Norm1(), 1, GrowthCertificate(5.0, 1))
-    assert loose.cert.M == 5.0
+    tight = {"expr": {"kind": "norm1"}, "cert": {"M": 1.0, "k": 0}}
+    with pytest.raises(CertificateError, match=r"^cert: claimed certificate \(M=1\.0, k=0\) fails at lattice index \(-2,\)$"):
+        SlowSequence.from_json(tight, 1)
+    loose = SlowSequence.from_json({"expr": {"kind": "norm1"}, "cert": {"M": 5.0, "k": 1}}, 1)
+    assert loose.cert == GrowthCertificate(5.0, 1)
 
 
 def test_check_certificate_reports_first_violation():
@@ -404,7 +406,7 @@ def _series_loop(order, rate):
         return math.inf
     stop, total = (1.0 + decay) / 2.0, 0.0
     try:
-        for r in range(1_000_001):
+        for r in range(_SERIES_LAST + 1):
             term = (1.0 + r) ** order * math.exp(-rate * r)
             ratio = ((2.0 + r) / (1.0 + r)) ** order * decay
             if ratio <= stop and ratio < 1.0:
@@ -416,9 +418,10 @@ def _series_loop(order, rate):
 
 
 def test_series_bound_keeps_the_bits_of_every_sum_the_loop_returns():
-    # Order 5 at rate 1e-5 stops near the last term; order 1 at rate 1.5e-6 and order 2
-    # at rate 3e-6 would not stop, and order 170 at rates 1 and 3 and order 400 at rate 40
-    # pass the double range in (1+r)^order: these five take the closed form.
+    # Order 40 at rate 0.003 and order 5 at rate 1e-5 would stop near terms 27,000 and
+    # 1,000,000, past the last term; order 1 at rate 1.5e-6 and order 2 at rate 3e-6
+    # later still; and order 170 at rates 1 and 3 and order 400 at rate 40 pass the
+    # double range in (1+r)^order: these seven take the closed form.
     grid = [(order, rate) for order in (0, 1, 2, 5, 12, 40, 170, 400)
             for rate in (0.003, 0.05, 0.69, 1.0, 3.0, 40.0, 700.0)]
     grid += [(5, 1e-5), (1, 1.5e-6), (2, 3e-6), (800, 1.0), (2000, 0.5)]
@@ -429,10 +432,13 @@ def test_series_bound_keeps_the_bits_of_every_sum_the_loop_returns():
             assert got.hex() == looped.hex(), (order, rate)
         else:
             closed += math.isfinite(got)
-    assert closed == 5
+    assert closed == 7
 
 
-@pytest.mark.parametrize("order,rate,about", [(1, 1.5e-6, 4.4445e11), (2, 3e-6, 7.4074e16), (170, 3.0, 4.4576e226)])
+@pytest.mark.parametrize(
+    "order,rate,about",
+    [(1, 1.5e-6, 4.4445e11), (2, 3e-6, 7.4074e16), (5, 1e-5, 1.2000e32), (170, 3.0, 4.4576e226)],
+)
 def test_series_bound_past_the_last_term_is_the_closed_form(order, rate, about):
     mpmath = pytest.importorskip("mpmath")
     start = time.perf_counter()
