@@ -316,7 +316,7 @@ def _run_reduce(job: Job):
         trace.normalized_first,
     )
     perturbed = combine("add", constant(1.0, a1.dimension), drift)
-    witness = trace.result_inverse_witness
+    witness, target = trace.result_inverse_witness, trace.witness_factors["perturbed_identity"][0]
     factorisation = combine(
         "mul",
         trace.clipped_cofactor.reciprocal(trace.epsilon, 0),
@@ -336,10 +336,10 @@ def _run_reduce(job: Job):
             for name, pair in trace.witness_factors.items()
         },
         "min_perturbed_identity": min_floor,
-        "floor_target": 1.0 - 2.0 * trace.epsilon,
+        "floor_target": target,
         "factorization_residual": factorisation_residual,
     }
-    ok = min_floor >= 1.0 - 2.0 * trace.epsilon and factorisation_residual <= 1e-10
+    ok = min_floor >= target and factorisation_residual <= 1e-10
     return results, ("pass" if ok else "fail")
 
 

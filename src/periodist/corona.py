@@ -157,9 +157,8 @@ def witness_from_bezout(cofactors: list[SlowSequence]) -> CoronaWitness | None:
     """
     if not cofactors:
         raise InputError("cofactor list must be non-empty")
-    delta = 1.0 / max(c.cert.M for c in cofactors)
-    order = max(c.cert.k for c in cofactors)
-    return CoronaWitness(delta, order, status=WINDOW_VERIFIED, radius=0) if delta > 0 else None
+    floor = ex._floor(1.0 / max(c.cert.M for c in cofactors), max(c.cert.k for c in cofactors))
+    return CoronaWitness(*floor, status=WINDOW_VERIFIED, radius=0) if floor else None
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ Frequencies at or beyond the Nyquist index alias; keeping the spectrum
 inside the window is the caller's responsibility.  Synthesis is the
 finite sum of exp(2*pi*i * (A^{-1} m) . x) weighted by the coefficients,
 and is invariant under translation by any period vector.  A coefficient
-map takes no growth certificate: its certificate (M, 0) is composed from
-its values whenever it is read, with M the largest modulus.
+map stores no growth certificate: its certificate (M, 0) is composed from
+its values whenever it is read, with M the largest modulus; one claimed
+beside them on the wire must be implied by it (M at least theirs).
 
 Names are imported from this module (``from periodist.fourier import
 synthesize``); the package re-exports none of them.
@@ -103,7 +104,10 @@ class CoefficientMap(ex.Ranged):
 
     @property
     def cert(self) -> GrowthCertificate:
-        return _modulus_cert(self.coeffs.values())
+        # Each modulus by Const's rule.  max() of a list holding NaN depends on where the NaN stands.
+        moduli = list(map(ex._modulus, self.coeffs.values()))
+        top = math.inf if any(map(math.isnan, moduli)) else max(moduli, default=1.0)
+        return GrowthCertificate(top if top > 0 else 1.0, 0)
 
     @staticmethod
     def from_dict(coeffs: dict[LatticeIndex, complex], dimension: int) -> "CoefficientMap":
@@ -124,7 +128,7 @@ class CoefficientMap(ex.Ranged):
     @staticmethod
     def from_json(obj, path: str = "coefficient map") -> "CoefficientMap":
         """Parse ``{"dimension": d, "coeffs": {"m1,...,md": [re, im]}}``, naming paths below ``path``;
-        a "cert", as ``to_json`` writes it, is composed again from the values."""
+        a claimed "cert" (as ``to_json`` writes it) must be implied by the values' own: M at least theirs."""
         obj = ex._object(obj, path)
         ex._known(obj, ("dimension", "coeffs", "cert"), path)
         dimension = ex._integer(obj, "dimension", path, 1, ex._ranges(CoefficientMap)["dimension"])
@@ -133,19 +137,13 @@ class CoefficientMap(ex.Ranged):
             ex._index(key, ex._at(where, key), dimension): ex._complex(value, ex._at(where, key))
             for key, value in ex._object(ex._expect(obj, "coeffs", path), where).items()
         }
-        return CoefficientMap(coeffs, dimension)
-
-
-def _modulus_cert(values) -> GrowthCertificate:
-    """(M, 0) with M the largest modulus, or 1 when none is positive; inf where a modulus
-    is NaN, or passes the double range and abs raises."""
-    try:
-        moduli = list(map(abs, values))
-    except OverflowError:
-        return GrowthCertificate(math.inf, 0)
-    # max() of a list holding NaN depends on where the NaN stands.
-    top = math.inf if any(map(math.isnan, moduli)) else max(moduli, default=1.0)
-    return GrowthCertificate(top if top > 0 else 1.0, 0)
+        coefficients = CoefficientMap(coeffs, dimension)
+        if "cert" in obj:
+            claim, own = ex._read_record(GrowthCertificate, obj, "cert", path), coefficients.cert
+            if not claim.M >= own.M:
+                raise InputError(f"{ex._at(path, 'cert')}: claimed certificate (M={claim.M}, k={claim.k}) "
+                                 f"is below the coefficients' own (M={own.M}, k={own.k})")
+        return coefficients
 
 
 def centred_window(count: int) -> tuple[int, int]:

@@ -113,14 +113,13 @@ def reduce_pair(
     # and 1 - 2*eps compose into the inverse witness.  The delta is
     # nudged down a hair so double rounding cannot overstate the floor.
     clip_cert = clipped_cofactor.cert
-    floor = 1.0 / clip_cert.M
     factors = {
-        "clipped_cofactor_reciprocal": (floor, clip_cert.k) if floor > 0 else None,
+        "clipped_cofactor_reciprocal": ex._floor(1.0 / clip_cert.M, clip_cert.k),
         "normalizer": (1.0, 0),
         "perturbed_identity": (1.0 - 2.0 * epsilon, 0),
     }
-    delta = (1.0 - 2.0 * epsilon) / clip_cert.M * (1.0 - 1e-11)
-    witness = CoronaWitness(delta, clip_cert.k, status=CERTIFIED) if delta > 0 else None
+    floor = ex._floor((1.0 - 2.0 * epsilon) / clip_cert.M * (1.0 - 1e-11), clip_cert.k)
+    witness = CoronaWitness(*floor, status=CERTIFIED) if floor else None
     return ReductionTrace(
         epsilon=epsilon,
         normalizer=normalizer,

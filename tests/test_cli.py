@@ -562,6 +562,20 @@ MALFORMED_FIELDS = [
     ("fourier-coeffs", "inputs.samples.shape: must be cubic",
      {"dimension": 2, "inputs": {"period_matrix": EYE2, "samples": {"file": "s.bin", "shape": [2, 3]}}},
      "inputs.samples.shape-not-cubic"),
+    # |det| = 1e3 passes the determinant checks; the residual's digits come from BLAS.
+    ("fourier-synth", "inputs.period_matrix: period matrix inverse residual",
+     {"inputs": {**SYNTH, "period_matrix": [[1e6, 1e6], [1e6, 1000000.001]],
+                 "coeffs": {"coeffs": {}, "dimension": 2}, "points": [[0.0, 0.1]]}},
+     "inputs.period_matrix-inverse-residual"),
+    # A certificate claimed beside the coefficients is read, and must be implied by their own.
+    ("fourier-synth", "inputs.coeffs.cert: expected an object, got str",
+     {"inputs": {**SYNTH, "coeffs": {**SYNTH["coeffs"], "cert": "not a certificate"}}}, "inputs.coeffs.cert-string"),
+    ("fourier-synth", "inputs.coeffs.cert.M: must be > 0, got -1",
+     {"inputs": {**SYNTH, "coeffs": {**SYNTH["coeffs"], "cert": {"M": -1, "k": 0}}}}, "inputs.coeffs.cert.M-negative"),
+    ("fourier-synth",
+     "inputs.coeffs.cert: claimed certificate (M=0.5, k=0) is below the coefficients' own (M=2.0, k=0)",
+     {"inputs": {**SYNTH, "coeffs": {"coeffs": {"1": [2.0, 0.0]}, "dimension": 1, "cert": {"M": 0.5, "k": 0}}}},
+     "inputs.coeffs.cert-below-the-coefficients"),
 ]
 
 
@@ -630,6 +644,8 @@ NON_FINITE = [
      {"inputs": {"period_matrix": [[1.0]], "samples": {"file": "nan.bin", "shape": [4]}}}, "sample-file"),
     ("fourier-synth", "inputs.coeffs.coeffs.1[0]: must be finite, got nan",
      {"inputs": {**SYNTH, "coeffs": {"coeffs": {"1": [NAN, 0.0]}, "dimension": 1}}}, "coefficient"),
+    ("fourier-synth", "inputs.points[0]: number out of range", {"inputs": {**SYNTH, "points": [10**400, 0.5]}},
+     "huge-integer-point"),
     *[
         (command, f"params.tolerance: must be >= 0, got {tolerance}",
          {"inputs": inputs, "params": {"tolerance": tolerance, "R": 3, **extra}}, f"{command}-{tolerance}")

@@ -288,6 +288,8 @@ def test_seminorm_matches_dict_oracle():
         got = seminorm(f, k, 8)
         assert got.sup_on_window == pytest.approx(oracle, rel=1e-12)
         assert got.certified_bound >= oracle * (1.0 - 1e-12)
+        # Radius 2 lies below most supports, and from_values declares no envelope.
+        assert seminorm(f, k, 2).certified_bound >= oracle * (1.0 - 1e-12)
 
 
 def test_seminorm_certified_bound_covers_far_points():
