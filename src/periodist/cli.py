@@ -8,10 +8,11 @@ Usage:
 Options may come before or after the command.
 
 The job file carries a ``dimension``, an ``inputs`` object with named
-sequences (expression trees in the wire format), and a ``params`` object
-with command-specific numbers (delta, K, epsilon, epsilons, R, nMax, rate,
-maxDegree, tolerance); a name the command does not read is rejected.
-``--window`` and ``--epsilon`` override the corresponding params.
+sequences (expression trees in the wire format) or Fourier data, and a
+``params`` object with numbers (delta, K, epsilon, epsilons, R, nMax, rate,
+maxDegree, tolerance).  A command reads R and the names ``_HANDLERS`` declares
+for it: any other name is rejected, and so is a JSON number past the double
+range.  ``--window`` and ``--epsilon`` override params R and epsilon.
 Reports echo the inputs (sample arrays are summarised), record the
 resolved parameters and the global defaults (R = 50, dimension = 1), and
 are byte-identical across repeated runs on the same inputs with one numpy
@@ -98,24 +99,27 @@ class Job:
             )
         except RecursionError:
             raise InputError(f"{spec_path}: nested too deeply to decode") from None
+        except ValueError:  # an integer of more digits than int() converts, so past the double range
+            raise InputError(f"{spec_path}: number out of range") from None
         ex._known(self.raw, ("command", "dimension", "inputs", "params"), "")
         declared = self.raw.get("command")
         if declared is not None and declared != command:
             raise InputError(
                 f"{spec_path}: file declares command '{declared}' but '{command}' was invoked"
             )
+        _, param_names, input_names = _HANDLERS[command]
         self.inputs = ex._object(self.raw.get("inputs", {}), "inputs")
+        ex._known(self.inputs, input_names, "inputs")
         overrides = {"R": args.window, "epsilon": args.epsilon}
         params = ex._object(self.raw.get("params", {}), "params")
-        ex._known(params, ("R", "epsilon", *_HANDLERS[command][1]), "params")
         self.params = {**params, **{k: v for k, v in overrides.items() if v is not None}}
+        ex._known(self.params, ("R", *param_names), "params")
         self.dimension = ex._integer(
             self.raw, "dimension", "", DEFAULT_DIMENSION, ex._ranges(SlowSequence)["dimension"]
         )
         self.radius = self.param_int("R", DEFAULT_RADIUS)
         if command not in _SCAN_NO_R:
             self.priced("R", self.radius)
-        self.epsilon = self.param_float("epsilon", None)
 
     # -- typed accessors ----------------------------------------------
 
@@ -202,7 +206,7 @@ class Job:
             if size % flat.itemsize:  # np.fromfile drops a trailing partial value
                 raise InputError(f"inputs.samples: file of {size} bytes ends inside a value "
                                  f"({flat.itemsize} bytes each)")
-            expected = int(np.prod(shape)) if shape else 0
+            expected = math.prod(shape)
             if flat.size != expected:
                 raise InputError(
                     f"inputs.samples: file holds {flat.size} values, shape needs {expected}"
@@ -216,19 +220,17 @@ class Job:
         return np.asarray(ex._nested(raw, "inputs.samples", cube, ex._complex), dtype=np.complex128)
 
     def echo_inputs(self) -> dict:
-        echoed = {}
-        for key, value in self.inputs.items():
-            if key == "samples":
-                if isinstance(value, dict):
-                    echoed[key] = {"source": str(value.get("file")), "shape": value.get("shape")}
-                else:
-                    shape, node = [], value
-                    while isinstance(node, list) and len(shape) < self.dimension:
-                        shape.append(len(node))
-                        node = node[0] if node else None
-                    echoed[key] = {"source": "inline", "shape": shape}
-            else:
-                echoed[key] = value
+        """The inputs, once the command has read them; samples are summarised."""
+        echoed = dict(self.inputs)
+        value = echoed.get("samples")
+        if isinstance(value, dict):
+            echoed["samples"] = {"source": value["file"], "shape": value["shape"]}
+        elif value is not None:
+            shape, node = [], value
+            while isinstance(node, list) and len(shape) < self.dimension:
+                shape.append(len(node))
+                node = node[0]
+            echoed["samples"] = {"source": "inline", "shape": shape}
         return echoed
 
 
@@ -346,11 +348,10 @@ def _run_reduce(job: Job):
 def _run_approx(job: Job):
     seq = job.slow("a")
     level = ex._ranges(ex.Clip)["eps"]
+    epsilons = [job.param_float("epsilon", 0.25, level)]  # checked, even where params.epsilons replaces it
     if "epsilons" in job.params:
         raw = ex._array(job.params["epsilons"], "params.epsilons")
         epsilons = [ex._real(eps, f"params.epsilons[{i}]", level) for i, eps in enumerate(raw)]
-    else:
-        epsilons = [job.param_float("epsilon", 0.25, level)]
     items = []
     ok = True
     approximants = approx_by_invertibles(seq, epsilons)
@@ -497,20 +498,20 @@ def _run_exp_demo(job: Job):
     return results, ("pass" if ok else "fail")
 
 
-# Each command's handler and the params it reads besides R and epsilon, which all commands take.
+# Each command's handler, the params it reads besides R, and the inputs it reads.
 _HANDLERS = {
-    "check-growth": (_run_check_growth, ()),
-    "corona-check": (_run_corona_check, ("delta", "K")),
-    "bezout-solve": (_run_bezout_solve, ("delta", "K", "tolerance")),
-    "bezout-verify": (_run_bezout_verify, ("tolerance",)),
-    "reduce": (_run_reduce, ("tolerance",)),
-    "approx": (_run_approx, ("epsilons",)),
-    "gap": (_run_gap, ()),
-    "qdemo": (_run_qdemo, ("rate", "delta", "K", "nMax")),
-    "fourier-coeffs": (_run_fourier_coeffs, ()),
-    "fourier-synth": (_run_fourier_synth, ()),
-    "pair": (_run_pair, ()),
-    "exp-demo": (_run_exp_demo, ("maxDegree",)),
+    "check-growth": (_run_check_growth, (), ("a",)),
+    "corona-check": (_run_corona_check, ("delta", "K"), ("a",)),
+    "bezout-solve": (_run_bezout_solve, ("delta", "K", "tolerance"), ("a",)),
+    "bezout-verify": (_run_bezout_verify, ("tolerance",), ("a", "b")),
+    "reduce": (_run_reduce, ("epsilon", "tolerance"), ("a1", "a2", "b1", "b2")),
+    "approx": (_run_approx, ("epsilon", "epsilons"), ("a",)),
+    "gap": (_run_gap, (), ("x", "y", "b")),
+    "qdemo": (_run_qdemo, ("rate", "delta", "K", "nMax"), ()),
+    "fourier-coeffs": (_run_fourier_coeffs, (), ("period_matrix", "samples")),
+    "fourier-synth": (_run_fourier_synth, (), ("period_matrix", "coeffs", "points")),
+    "pair": (_run_pair, (), ("a", "b")),
+    "exp-demo": (_run_exp_demo, ("maxDegree",), ()),
 }
 
 
@@ -634,15 +635,7 @@ def main(argv=None) -> int:
         report = {
             "command": job.command,
             "dimension": job.dimension,
-            "params": {
-                "R": job.radius,
-                **({"epsilon": job.epsilon} if job.epsilon is not None else {}),
-                **{
-                    key: value
-                    for key, value in sorted(job.params.items())
-                    if key not in ("R", "epsilon")
-                },
-            },
+            "params": {"R": job.radius, **{k: v for k, v in sorted(job.params.items()) if k != "R"}},
             "defaults": {"R": DEFAULT_RADIUS, "dimension": DEFAULT_DIMENSION},
             "threads": 1,
             "inputs": job.echo_inputs(),

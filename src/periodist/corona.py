@@ -93,10 +93,11 @@ def check_corona_window(
     fails, and the scan stops at the slice that holds it.
     """
     witness = CoronaWitness(delta, K)
-    for points, norms, rows, values in scan([m.expr for m in family], _family_dimension(family), radius):
-        where = _flagged(points[rows], ~(_modulus_sum(values) >= witness.floor_at(norms[rows])))
-        if where is not None:
-            return WindowCheck(False, where)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for points, norms, rows, values in scan([m.expr for m in family], _family_dimension(family), radius):
+            where = _flagged(points[rows], ~(_modulus_sum(values) >= witness.floor_at(norms[rows])))
+            if where is not None:
+                return WindowCheck(False, where)
     return WindowCheck(True, None)
 
 
@@ -141,9 +142,8 @@ def verify_bezout(
     dimension = _family_dimension(list(family) + list(cofactors))
     # One tree, so the denominator the cofactors share is evaluated once.
     terms = tuple(ex.Mul((a.expr, b.expr)) for a, b in zip(family, cofactors))
-    residual = (np.max, lambda norms, values: np.abs(values[0] - 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual is reported as it is
-        return window_folds([ex.Add(terms)], dimension, radius, [residual])[0]
+    residual = (np.max, lambda norms, values: np.abs(values[0] - 1.0))  # inf or NaN is reported as it is
+    return window_folds([ex.Add(terms)], dimension, radius, [residual])[0]
 
 
 def witness_from_bezout(cofactors: list[SlowSequence]) -> CoronaWitness | None:

@@ -314,8 +314,7 @@ class ExpDecay(Node):
         return (1.0, 0), True, None, -1
 
     def _eval_grid(self, points, norms, values):
-        with np.errstate(over="ignore"):  # an exponent past the double range is -inf, and its exp 0
-            return np.exp(-self.rate * norms)
+        return np.exp(-self.rate * norms)
 
 
 @dataclass(frozen=True)
@@ -509,7 +508,8 @@ def evaluate(node: Node, index: LatticeIndex) -> complex:
 
 def evaluate_grid(node: Node, points: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a tree on a block of lattice points (shape count x dimension), as complex128."""
-    return _evaluate(node, points, norms).astype(np.complex128, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _evaluate(node, points, norms).astype(np.complex128, copy=False)
 
 
 # Inner nodes' values kept between calls, least recently used out past _VALUE_BYTES
@@ -729,9 +729,11 @@ def to_json(node: Node) -> dict:
 # ---------------------------------------------------------------------------
 # Typed readers for JSON values: the one validation layer for job files.
 # Every error names the JSON path of the offending value; ``path`` is the
-# path of the value (or of ``obj``; "" at the top level).  A ``rule`` is a
-# declared range, taken from the field the value is read into.  Records are
-# written from the same declarations (``_write_fields``).
+# path of the value (or of ``obj``; "" at the top level).  A JSON integer
+# past +-sys.float_info.max is out of range, as no double holds it.  A
+# ``rule`` is a declared range, taken from the field the value is read into.
+# Records are written from the same declarations (``_write_fields``); the
+# names a job file may hold are declared per command, in ``cli._HANDLERS``.
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
@@ -760,6 +762,8 @@ def _typed(value, path: str, types, what: str, rule: Range | None = None):
     # JSON true and false are no numbers, although Python's bool is an int.
     if not isinstance(value, types) or isinstance(value, bool):
         raise InputError(f"{path}: expected {what}, got {type(value).__name__}")
+    if type(value) is int and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise InputError(f"{path}: number out of range")
     return rule.check(value, path) if rule else value
 
 
@@ -776,10 +780,7 @@ def _array(value, path: str, length: int | None = None, rule: Range | None = NON
 
 
 def _real(value, path: str, rule: Range | None = None) -> float:
-    try:
-        return float(_typed(value, path, (int, float), "a number", rule))
-    except OverflowError:
-        raise InputError(f"{path}: number out of range") from None
+    return float(_typed(value, path, (int, float), "a number", rule))
 
 
 def _int(value, path: str, rule: Range | None = None) -> int:

@@ -81,7 +81,8 @@ def scan(trees: list[ex.Node], dimension: int, radius: int):
     float64 for a real tree and complex128 otherwise.
     ``values`` is emptied when the loop moves on: a body that keeps no array
     of its own holds one slice at a time.  Its rows name a slice to ``expr._evaluate``,
-    which keeps inner nodes' values on small slices between calls.
+    which keeps inner nodes' values on small slices between calls.  Callers turn numpy's
+    overflow warnings off around their loop: a block in here would leak into them while suspended.
     """
     points, norms = ball(dimension, radius)
     for start in range(0, points.shape[0], _CHUNK):
@@ -101,9 +102,10 @@ def window_folds(trees, dimension: int, radius: int, measures) -> list[float]:
     ``measure(norms, values)`` over the window.  Slice results are
     combined by the same fold, so NaN propagates and the value is exact."""
     parts: list[list] = [[] for _ in measures]
-    for _, norms, rows, values in scan(trees, dimension, radius):
-        for part, (fold, measure) in zip(parts, measures):
-            part.append(fold(measure(norms[rows], values)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, norms, rows, values in scan(trees, dimension, radius):
+            for part, (fold, measure) in zip(parts, measures):
+                part.append(fold(measure(norms[rows], values)))
     return [float(part[0] if len(part) == 1 else fold(part)) for part, (fold, _) in zip(parts, measures)]
 
 
@@ -112,14 +114,15 @@ def window_array(trees, dimension: int, radius: int, measure) -> np.ndarray:
     a window sum is ``np.sum`` of it, so it rounds as one sum over the window.  A window
     of one slice returns that slice's array itself."""
     out = None
-    for _, norms, rows, values in scan(trees, dimension, radius):
-        part = measure(norms[rows], values)
-        if len(part) == norms.shape[0]:  # the window is one slice
-            return part
-        if out is None:
-            out = np.empty(norms.shape[0], part.dtype)
-        out[rows] = part
-        del part
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, norms, rows, values in scan(trees, dimension, radius):
+            part = measure(norms[rows], values)
+            if len(part) == norms.shape[0]:  # the window is one slice
+                return part
+            if out is None:
+                out = np.empty(norms.shape[0], part.dtype)
+            out[rows] = part
+            del part
     return out
 
 
@@ -296,18 +299,18 @@ class SlowSequence(ex.Ranged):
     def check_certificate(self, radius: int, threads: int = 1) -> CertificateCheck:
         """Exhaustively check the certificate on the window of this radius."""
         maxima, first = [], None
-        for points, norms, rows, values in scan([self.expr], self.dimension, radius):
-            # A bound or ratio past the double range is inf; inf / inf is read as 0 below, NaN fails.
-            with np.errstate(over="ignore", invalid="ignore"):
+        # A bound or ratio past the double range is inf; inf / inf is read as 0 below, NaN fails.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for points, norms, rows, values in scan([self.expr], self.dimension, radius):
                 bound = self.cert.bound_at(norms[rows])
                 ratios = np.abs(values[0]) / bound
-            top = ratios.max()
-            if np.isnan(top):  # a finite value whose modulus passes the double range: inf / inf is 0
-                ratios[np.isinf(bound) & np.isfinite(values[0])] = 0.0
                 top = ratios.max()
-            maxima.append(top)  # no early exit: max_ratio covers the whole window
-            first = first or _flagged(points[rows], ~(ratios <= 1.0 + _CERT_REL_TOL))  # NaN is a violation
-            del ratios
+                if np.isnan(top):  # a finite value whose modulus passes the double range: inf / inf is 0
+                    ratios[np.isinf(bound) & np.isfinite(values[0])] = 0.0
+                    top = ratios.max()
+                maxima.append(top)  # no early exit: max_ratio covers the whole window
+                first = first or _flagged(points[rows], ~(ratios <= 1.0 + _CERT_REL_TOL))  # NaN is a violation
+                del ratios
         return CertificateCheck(first is None, first, float(np.max(maxima)))
 
     # -- pointwise algebra (certificates compose at the sequence level,
@@ -559,7 +562,6 @@ def seminorm(b: FastSequence, k: int, radius: int, threads: int = 1) -> Seminorm
 @dataclass(frozen=True)
 class PairingResult:
     value: complex
-    radius: int
     tail_bound: float
 
 
@@ -584,7 +586,7 @@ def _pairing(a: SlowSequence, b: FastSequence, radius: int, product) -> PairingR
         value = complex(np.sum(products))
     del products  # not held while the tail bound scans b's support
     tail = 0.0 if b.support is not None and b.support <= radius else _tail_bound(a.cert, b, radius)
-    return PairingResult(value, radius, tail)
+    return PairingResult(value, tail)
 
 
 def _tail_bound(cert: GrowthCertificate, b: FastSequence, radius: int) -> float:

@@ -201,7 +201,6 @@ def approx_by_invertibles(
 class GapResult:
     gap: float
     bound: float
-    radius: int
     tail_bound: float
 
 
@@ -249,7 +248,7 @@ def weak_star_gap(
     global_sup = _uniform_diff_bound(x, y, diff)
     extended = max(_bump(sup_window), global_sup) if math.isfinite(global_sup) else math.inf
     bound = extended * b.abs_sum_bound() if math.isfinite(extended) else math.inf
-    return GapResult(gap, bound, radius, result.tail_bound)
+    return GapResult(gap, bound, result.tail_bound)
 
 
 def q_algebra_violation(

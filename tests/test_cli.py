@@ -391,6 +391,14 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_an_integer_too_long_to_decode_is_input_error(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text('{"params": {"R": 1' + "0" * 5000 + "}}")
+    code, out, err = run(capsys, ["check-growth", "--spec", str(path)])
+    assert (code, out) == (1, "")
+    assert err == f"periodist: input error: {path}: number out of range\n"
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, ["check-growth", "--spec", str(tmp_path / "gone.json")])
     assert code == 1
@@ -417,11 +425,20 @@ def test_false_certificate_claim_is_rejected(tmp_path, capsys):
     assert "input error" in err
 
 
-def test_stray_empty_samples_are_echoed(tmp_path, capsys):
+def test_stray_samples_beside_the_inputs_of_pair_are_rejected(tmp_path, capsys):
+    # pair reads inputs a and b only: a samples array beside them is no input of it.
     spec = write_job(tmp_path, "job.json", {"inputs": {"a": {"expr": ONE}, "b": DECAY_HALF, "samples": []}})
-    code, out, _ = run(capsys, ["pair", "--spec", spec])
-    assert code == 0
-    assert json.loads(out)["inputs"]["samples"] == {"source": "inline", "shape": [0]}
+    code, out, err = run(capsys, ["pair", "--spec", spec])
+    assert (code, out) == (1, "")
+    assert err == "periodist: input error: inputs.samples: unknown key\n"
+
+
+def test_the_epsilon_option_is_rejected_where_no_epsilon_is_read(tmp_path, capsys):
+    # Params are checked before any input is read.  A report would have echoed NaN, which is no JSON.
+    spec = write_job(tmp_path, "job.json", {})
+    code, out, err = run(capsys, ["check-growth", "--spec", spec, "--epsilon", "nan"])
+    assert (code, out) == (1, "")
+    assert err == "periodist: input error: params.epsilon: unknown key\n"
 
 
 TREE_CLAIM = {"kind": "mul", "args": [{**ONE, "cert": {"M": 1.0, "k": 0}}, COORD]}
@@ -544,6 +561,10 @@ MALFORMED_FIELDS = [
      "inputs.a.expr.witness.k-unknown"),
     ("check-growth", "params.r: unknown key", {"inputs": {"a": {"expr": ONE}}, "params": {"r": 3}},
      "params.r-unknown"),
+    ("check-growth", "params.epsilon: unknown key", {"inputs": {"a": {"expr": ONE}}, "params": {"epsilon": 0.25}},
+     "params.epsilon-unknown"),
+    ("pair", "inputs.typo_b: unknown key",
+     {"inputs": {"a": {"expr": ONE}, "b": DECAY_HALF, "typo_b": DECAY_HALF}}, "inputs.typo_b-unknown"),
     ("fourier-synth", "inputs.coeffs.dimensoin: unknown key",
      {"inputs": {**SYNTH, "coeffs": {"coeffs": {}, "dimension": 1, "dimensoin": 2}}},
      "inputs.coeffs.dimensoin-unknown"),
@@ -604,6 +625,13 @@ FILE_INPUTS = [
      "inputs.samples: file holds 3 values, shape needs 4", "short"),
     ("fourier-coeffs", {"inputs": {**SAMPLES_FILE, "samples": {"file": "s.bin", "shape": [2]}}}, TONES[:40],
      "inputs.samples: file of 40 bytes ends inside a value (16 bytes each)", "partial-value"),
+    # Shapes whose count of values passes int64: 2^64, and (2^63 + 1)^2, which wraps to 1 there.
+    ("fourier-coeffs", {"dimension": 2, "inputs": {"period_matrix": EYE2,
+                                                   "samples": {"file": "s.bin", "shape": [2**32, 2**32]}}}, b"",
+     "inputs.samples: file holds 0 values, shape needs 18446744073709551616", "shape-past-int64"),
+    ("fourier-coeffs", {"dimension": 2, "inputs": {"period_matrix": EYE2,
+                                                   "samples": {"file": "s.bin", "shape": [2**63 + 1] * 2}}},
+     TONES[:16], f"inputs.samples: file holds 1 values, shape needs {(2**63 + 1) ** 2}", "shape-wrapping-to-one"),
     ("fourier-synth", {"dimension": 2, "inputs": {**SYNTH, "period_matrix": EYE2, "points": [[0.0, 0.5]]}}, None,
      "inputs.coeffs.dimension: must be 2, got 1", "coeffs-dimension"),
 ]
@@ -783,6 +811,8 @@ def _run_mutated(tmp_path_factory, site, mutation):
         parent[keys[-1]] = -abs(leaf) - 1
     elif mutation in FLOAT_MUTATIONS and isinstance(leaf, float):
         parent[keys[-1]] = FLOAT_MUTATIONS[mutation]
+    elif mutation == "past-double" and type(leaf) is int:
+        parent[keys[-1]] = 10**400
     else:
         parent[keys[-1]] = "x"
     spec = tmp_path_factory.mktemp("fuzz") / "job.json"
@@ -795,6 +825,7 @@ def _run_mutated(tmp_path_factory, site, mutation):
     if code == 1:
         ancestors = [_path_text(keys[:n]) for n in range(2, len(keys) + 1)]
         assert any(re.search(re.escape(a) + r"(?![\w])", err.getvalue()) for a in ancestors), err.getvalue()
+    return code, err.getvalue()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -810,6 +841,14 @@ def test_every_float_leaf_set_to_nan_huge_or_tiny_fails_cleanly(tmp_path_factory
     for site in floats:
         for mutation in FLOAT_MUTATIONS:
             _run_mutated(tmp_path_factory, site, mutation)
+
+
+def test_every_integer_leaf_set_past_the_double_range_exits_one_naming_it(tmp_path_factory):
+    ints = [(i, keys) for i, keys in FUZZ_LEAVES if type(_leaf_at(WELL_FORMED[i][1], keys)) is int]
+    assert len(ints) == 23
+    for site in ints:
+        message = f"periodist: input error: {_path_text(site[1])}: number out of range\n"
+        assert _run_mutated(tmp_path_factory, site, "past-double") == (1, message)
 
 
 def _leaf_at(job, keys):
@@ -1186,3 +1225,21 @@ def test_bezout_solve_on_a_subnormal_clip_fails_with_a_nan_residual(tmp_path):
     assert (code, err) == (2, "")
     assert report["verdict"] == "fail" and math.isnan(report["results"]["self_residual"])
     assert report["results"]["witness"]["delta"] == 1e-310 and report["results"]["recovered_witness"] is None
+
+
+HUGE = {"kind": "const", "re": 1e308, "im": 0.0}
+POLYENV_2000 = {"kind": "polyenv", "k": 2000}
+
+
+# Values past the double range are inf or NaN, and numpy warns of none of them on the way.
+@pytest.mark.parametrize("command, job", [
+    ("check-growth", {"inputs": {"a": {"expr": POLYENV_2000}}}),
+    ("check-growth", {"inputs": {"a": {"expr": {"kind": "mul", "args": [HUGE, {"kind": "norm1"}]}}}}),
+    ("corona-check", {"inputs": {"a": [{"expr": HUGE}, {"expr": HUGE}]}, "params": {"delta": 1.0, "K": 0}}),
+    ("pair", {"inputs": {"a": {"expr": POLYENV_2000}, "b": DECAY_HALF}}),
+    ("approx", {"inputs": {"a": {"expr": POLYENV_2000}}}),
+], ids=["growth-of-a-power", "growth-of-a-product", "corona-sum", "pair-power", "approx-power"])
+def test_a_value_past_the_double_range_raises_no_numpy_warning(tmp_path, command, job):
+    code, report, err = _quiet_run(tmp_path, "job", job, command)
+    assert code in (0, 2) and report is not None
+    assert err == ""
